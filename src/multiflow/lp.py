@@ -9,13 +9,14 @@ bit-identical outputs. The solver is meant for small dense problems and
 fails loudly (SolverError) instead of limping through numerical trouble.
 
 An optional exact mode re-checks the returned basis in rational
-arithmetic: it re-solves the basis system, re-verifies every constraint
-and every reduced cost with Fractions, and reports the exact objective.
+arithmetic. Only the basic structural columns against the tight rows (rows
+whose slack is nonbasic) are solved, with the transpose for the duals, by
+sparse elimination over the nonzeros; then every row and reduced cost is
+confirmed exactly. The cost grows with the basis, not with rows x columns.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -126,6 +127,7 @@ class _Simplex:
             T[r, self.n + m + k] = 1.0
         T[:, -1] = b * sigma
         self.T = T
+        self._update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
         self.basis = list(range(self.n, self.n + m))
         for k, r in enumerate(self.art_rows):
             self.basis[r] = self.n + m + k
@@ -159,7 +161,8 @@ class _Simplex:
         self.T[row] /= piv
         colvals = self.T[:, col].copy()
         colvals[row] = 0.0
-        self.T -= np.outer(colvals, self.T[row])
+        np.dot(colvals[:, None], self.T[row][None, :], out=self._update)
+        self.T -= self._update
         self.T[:, col] = 0.0
         self.T[row, col] = 1.0
         self.basis[row] = col
@@ -205,6 +208,7 @@ class _Simplex:
         if drop:
             keep = [i for i in range(self.m) if i not in drop]
             self.T = self.T[keep]
+            self._update = np.empty_like(self.T)
             self.basis = [self.basis[i] for i in keep]
             self.kept_rows = [self.kept_rows[i] for i in keep]
 
@@ -224,92 +228,90 @@ class _Simplex:
         ]
         return -reduced[self.n :]
 
-    def dump(self, stream=sys.stderr) -> None:
-        header = (
-            [f"x{j}" for j in range(self.n)]
-            + [f"s{j}" for j in range(self.slack_cols)]
-            + [f"t{j}" for j in range(self.ncols - self.n - self.slack_cols)]
-            + ["rhs"]
-        )
-        print("\t".join(header), file=stream)
-        for i in range(self.m):
-            row = "\t".join(f"{v:.6g}" for v in self.T[i])
-            print(f"{row}\tbasis={self.basis[i]}", file=stream)
+
+def _nonzeros(block: np.ndarray):
+    """(row, column, value) of each nonzero entry, as Python ints and floats."""
+    r, c = np.nonzero(block)
+    return zip(r.tolist(), c.tolist(), block[r, c].tolist())
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    k = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
+def _sparse_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Solve the square system rows . z = rhs exactly; None when it is singular.
+
+    Rows map columns to nonzero coefficients. Each column in turn pivots on
+    the shortest remaining row holding it; back-substitution finishes.
+    """
+    rows, rhs = [dict(row) for row in rows], list(rhs)
+    free, order = set(range(len(rows))), []
+    for col in range(len(rows)):
+        holders = [i for i in free if col in rows[i]]
+        if not holders:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+        piv = min(holders, key=lambda i: (len(rows[i]), i))
+        free.remove(piv)
+        order.append((col, piv))
+        for i in holders:
+            if i != piv:
+                row, f = rows[i], rows[i][col] / rows[piv][col]
+                for j, v in rows[piv].items():
+                    row[j] = row.get(j, 0) - f * v
+                    if not row[j]:
+                        del row[j]
+                rhs[i] -= f * rhs[piv]
+    z = [Fraction(0)] * len(rows)
+    for col, piv in reversed(order):
+        rest = sum(v * z[j] for j, v in rows[piv].items() if j != col)
+        z[col] = (rhs[piv] - rest) / rows[piv][col]
+    return z
 
 
 def _exact_certificate(
-    objective: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    kept: list[int],
-    basis: list[int],
+    objective: np.ndarray, A: np.ndarray, b: np.ndarray, kept: list[int], basis: list[int]
 ) -> Fraction:
-    """Re-check the final basis with rational arithmetic.
+    """Re-check the final basis with rational arithmetic; return the exact objective.
 
-    Solves the basis system over the kept rows, confirms every original
-    row and sign condition exactly, confirms no reduced cost is positive,
-    and returns the exact objective value. Any failure raises SolverError
-    rather than returning a doubtful value.
+    Rows whose slack is basic are set aside (dual 0, slack b_r - a_r.x), so
+    only the basic structural columns against the tight rows are solved;
+    then every row (unkept ones too), sign and reduced cost is confirmed
+    exactly. Any failure raises SolverError rather than a doubtful value.
     """
-    n = int(objective.size)
-    m = A.shape[0]
-    cF = [Fraction(float(v)) for v in objective]
-    AF = [[Fraction(float(v)) for v in row] for row in A]
-    bF = [Fraction(float(v)) for v in b]
-    mk = len(kept)
-
-    def column(j: int) -> list[Fraction]:
-        if j < n:
-            return [AF[i][j] for i in kept]
-        return [Fraction(1) if r == j - n else Fraction(0) for r in kept]
-
-    cols = [column(j) for j in basis]
-    Bmat = [[cols[c][r] for c in range(mk)] for r in range(mk)]
-    z = _solve_exact(Bmat, [bF[i] for i in kept])
+    n, m = int(objective.size), A.shape[0]
+    structural = [j for j in basis if j < n]
+    slack_rows = [j - n for j in basis if j >= n]
+    tight = sorted(set(kept).difference(slack_rows))
+    # a repeated or unkept slack leaves more tight rows than structural columns
+    if len(tight) != len(structural):
+        raise SolverError("exact verification failed: singular basis")
+    rows, cols = [{} for _ in tight], [{} for _ in structural]
+    for q, p, v in _nonzeros(A[np.ix_(tight, structural)]):
+        rows[q][p] = cols[p][q] = Fraction(v)
+    bF = [Fraction(v) for v in b.tolist()]
+    z = _sparse_solve(rows, [bF[r] for r in tight])
     if z is None:
         raise SolverError("exact verification failed: singular basis")
-    if any(v < 0 for v in z):
+    support = [(j, v) for j, v in zip(structural, z) if v]
+    lhs = [Fraction(0)] * m
+    for r, k, v in _nonzeros(A[:, [j for j, _ in support]]):
+        lhs[r] += Fraction(v) * support[k][1]
+    if any(v < 0 for v in z) or any(lhs[r] > bF[r] for r in slack_rows):
         raise SolverError("exact verification failed: negative basic variable")
-    xF = [Fraction(0)] * n
-    for pos, j in enumerate(basis):
-        if j < n:
-            xF[j] = z[pos]
-    for i in range(m):
-        lhs = sum(AF[i][j] * xF[j] for j in range(n))
-        if lhs > bF[i]:
-            raise SolverError("exact verification failed: constraint violated")
-    cB = [cF[j] if j < n else Fraction(0) for j in basis]
-    Bt = [[Bmat[r][c] for r in range(mk)] for c in range(mk)]
-    w = _solve_exact(Bt, cB)
+    if any(lhs[i] > bF[i] for i in range(m)):
+        raise SolverError("exact verification failed: constraint violated")
+    cF = [Fraction(v) for v in objective.tolist()]
+    w = _sparse_solve(cols, [cF[j] for j in structural])
     if w is None:
         raise SolverError("exact verification failed: singular basis transpose")
-    for j in range(n + m):
-        cj = cF[j] if j < n else Fraction(0)
-        col = column(j)
-        r = cj - sum(w[i] * col[i] for i in range(mk))
-        if r > 0:
-            raise SolverError("exact verification failed: positive reduced cost")
-    return sum(cB[i] * z[i] for i in range(mk))
+    priced = [q for q, v in enumerate(w) if v]
+    reduced = cF[:]
+    for k, j, v in _nonzeros(A[[tight[q] for q in priced]]):
+        reduced[j] -= w[priced[k]] * Fraction(v)
+    # the slack of tight row q has reduced cost -w_q; other slacks have 0
+    if any(v < 0 for v in w) or any(v > 0 for v in reduced):
+        raise SolverError("exact verification failed: positive reduced cost")
+    return sum((cF[j] * v for j, v in support), Fraction(0))
 
 
-def solve_lp(p: LinearProgram, exact_check: bool = False, debug: bool = False) -> LpOutcome:
+def solve_lp(p: LinearProgram, exact_check: bool = False) -> LpOutcome:
     """Solve a linear program; see the module docstring for conventions."""
     A, b = normalized_rows(p)
     n = p.num_vars
@@ -331,8 +333,6 @@ def solve_lp(p: LinearProgram, exact_check: bool = False, debug: bool = False) -
 
     cost2 = sx.phase2_cost()
     status = sx.run_phase(cost2, sx.n + sx.slack_cols)
-    if debug:
-        sx.dump()
     if status == "unbounded":
         return LpOutcome("unbounded")
     x = sx.solution()

@@ -1,9 +1,10 @@
 """Shared fixtures, random generators, and brute-force oracles for the tests.
 
 The oracles here are deliberately independent of the package internals:
-maximal independent sets come from filtering every vertex subset, and
+maximal independent sets come from filtering every vertex subset,
 linear programs are solved by enumerating basis vertices with exact
-rational arithmetic.
+rational arithmetic, and a simplex basis is certified by dense rational
+Gauss-Jordan over every row.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from multiflow import (
     ConflictGraph,
     Network,
     Node,
+    SolverError,
     build_conflict_graph,
     build_network,
     closed_neighborhoods,
@@ -182,6 +184,55 @@ def brute_force_lp(objective, rows):
         if sum(cv * dv for cv, dv in zip(c, d)) > 0:
             return "unbounded", None
     return "optimal", best
+
+
+def dense_certificate(objective, A, b, kept, basis) -> Fraction:
+    """The exact basis re-check as dense Gauss-Jordan over every kept row.
+
+    Reference for ``multiflow.lp._exact_certificate``: it converts all of
+    ``A`` to Fractions, solves the full basis system and its transpose,
+    and prices every structural and slack column. It raises SolverError
+    with the same messages.
+    """
+    n = int(objective.size)
+    m = A.shape[0]
+    cF = [Fraction(float(v)) for v in objective]
+    AF = [[Fraction(float(v)) for v in row] for row in A]
+    bF = [Fraction(float(v)) for v in b]
+    mk = len(kept)
+
+    def column(j: int) -> list[Fraction]:
+        if j < n:
+            return [AF[i][j] for i in kept]
+        return [Fraction(1) if r == j - n else Fraction(0) for r in kept]
+
+    cols = [column(j) for j in basis]
+    Bmat = [[cols[c][r] for c in range(mk)] for r in range(mk)]
+    z = _exact_gauss(Bmat, [bF[i] for i in kept])
+    if z is None:
+        raise SolverError("exact verification failed: singular basis")
+    if any(v < 0 for v in z):
+        raise SolverError("exact verification failed: negative basic variable")
+    xF = [Fraction(0)] * n
+    for pos, j in enumerate(basis):
+        if j < n:
+            xF[j] = z[pos]
+    for i in range(m):
+        lhs = sum(AF[i][j] * xF[j] for j in range(n))
+        if lhs > bF[i]:
+            raise SolverError("exact verification failed: constraint violated")
+    cB = [cF[j] if j < n else Fraction(0) for j in basis]
+    Bt = [[Bmat[r][c] for r in range(mk)] for c in range(mk)]
+    w = _exact_gauss(Bt, cB)
+    if w is None:
+        raise SolverError("exact verification failed: singular basis transpose")
+    for j in range(n + m):
+        cj = cF[j] if j < n else Fraction(0)
+        col = column(j)
+        r = cj - sum(w[i] * col[i] for i in range(mk))
+        if r > 0:
+            raise SolverError("exact verification failed: positive reduced cost")
+    return sum(cB[i] * z[i] for i in range(mk))
 
 
 def random_lp(rng):

@@ -5,9 +5,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multiflow import LinearProgram, ValidationError, normalized_rows, solve_lp
+import multiflow.lp as lp_module
+from multiflow import (
+    Commodity,
+    LinearProgram,
+    Node,
+    SolverError,
+    ValidationError,
+    build_network,
+    normalized_rows,
+    solve_lp,
+    solve_mmf,
+)
+from multiflow.lp import _exact_certificate, _Simplex
 
-from helpers import brute_force_lp, random_lp
+from helpers import (
+    brute_force_lp,
+    dense_certificate,
+    random_lp,
+    relay_coded,
+    relay_commodities,
+    relay_plain,
+)
 
 
 def solve(objective, rows, **kw):
@@ -165,3 +184,153 @@ def test_matches_brute_force_oracle():
         outcomes[status] += 1
     # the generator must exercise every outcome
     assert all(v > 0 for v in outcomes.values()), outcomes
+
+
+# ---------------------------------------------------------------------------
+# the sparse exact certificate against the dense oracle
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Route every exact check through both certificates; collect what they saw."""
+    seen = []
+
+    def both(objective, A, b, kept, basis):
+        value = _exact_certificate(objective, A, b, kept, basis)
+        assert type(value) is Fraction
+        assert value == dense_certificate(objective, A, b, kept, basis)
+        seen.append((objective, A, b, kept, basis, value))
+        return value
+
+    monkeypatch.setattr(lp_module, "_exact_certificate", both)
+    return seen
+
+
+def test_sparse_certificate_matches_dense_oracle_on_random_lps(certificates):
+    rng = np.random.default_rng(29)
+    with_duplicates = 0
+    for k in range(3000):
+        if len(certificates) == 80:
+            break
+        objective, rows = random_lp(rng)
+        if k % 2:
+            # an exact duplicate, which normalization drops, and a doubled copy
+            coeffs, rel, bound = rows[0]
+            rows = rows + [rows[0], ([2 * v for v in coeffs], rel, 2 * bound)]
+        before = len(certificates)
+        solve(objective, rows, exact_check=True)
+        if k % 2 and len(certificates) > before:
+            with_duplicates += 1
+    assert len(certificates) == 80
+    assert with_duplicates >= 20
+    assert sum(bool(np.any(b < 0)) for _, _, b, *_ in certificates) >= 20  # artificials
+    # a row outside the kept rows is still checked: the sum of all rows is
+    # implied by them, so appending it unkept must not change the value
+    for objective, A, b, kept, basis, value in certificates:
+        A2, b2 = np.vstack([A, A.sum(axis=0)]), np.append(b, b.sum())
+        assert _exact_certificate(objective, A2, b2, kept, basis) == value
+        assert dense_certificate(objective, A2, b2, kept, basis) == value
+
+
+def coded_grid_3x3():
+    nodes = [Node(3 * y + x + 1, float(x), float(y), 1.0, 1.5) for y in range(3) for x in range(3)]
+    return build_network(nodes, coding_nodes=range(1, 10), max_coding_degree=2)
+
+
+def test_sparse_certificate_matches_dense_oracle_on_throughput_lps(certificates):
+    corner_triple = (Commodity(1, 9), Commodity(9, 1), Commodity(3, 7))
+    cases = [
+        (relay_plain(), relay_commodities(), "plain", Fraction(1, 2)),
+        (relay_coded(), relay_commodities(), "coding", Fraction(2, 3)),
+        (coded_grid_3x3(), corner_triple, "coding", Fraction(1)),
+    ]
+    for net, commodities, mode, expected in cases:
+        sol = solve_mmf(net, commodities, mode=mode, cap=1000, exact_check=True)
+        assert sol.exact_throughput == expected
+    assert len(certificates) == len(cases)
+
+
+# max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18, and x + y <= 7 left out
+# of the kept rows; columns 0, 1 are x, y and 2 + r is the slack of row r
+TEXTBOOK_C = np.array([3.0, 5.0])
+TEXTBOOK_A = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0], [1.0, 1.0]])
+TEXTBOOK_B = np.array([4.0, 12.0, 18.0, 7.0])
+
+
+def test_certificate_of_the_optimal_basis():
+    for certify in (_exact_certificate, dense_certificate):
+        value = certify(TEXTBOOK_C, TEXTBOOK_A[:3], TEXTBOOK_B[:3], [0, 1, 2], [2, 1, 0])
+        assert value == 36
+
+
+@pytest.mark.parametrize(
+    "sign, rows, basis, message",
+    [
+        (1, 3, [0, 0, 2], "singular basis"),  # x twice
+        (1, 4, [0, 1, 5], "singular basis"),  # the slack of a row that is not kept
+        (1, 3, [0, 2, 3], "negative basic variable"),  # x = 6 overruns x <= 4
+        (1, 4, [0, 1, 2], "constraint violated"),  # (2, 6) breaks the unkept x + y <= 7
+        (1, 3, [0, 3, 4], "positive reduced cost"),  # the vertex (4, 0): y should enter
+        (1, 3, [2, 3, 4], "positive reduced cost"),  # the origin
+        (-1, 3, [0, 1, 2], "positive reduced cost"),  # minimizing at (2, 6): negative duals
+    ],
+)
+def test_tampered_basis_is_rejected(sign, rows, basis, message):
+    for certify in (_exact_certificate, dense_certificate):
+        with pytest.raises(SolverError, match=message):
+            certify(sign * TEXTBOOK_C, TEXTBOOK_A[:rows], TEXTBOOK_B[:rows], [0, 1, 2], basis)
+
+
+# ---------------------------------------------------------------------------
+# the buffered pivot against the outer-product update it replaces
+
+
+def outer_pivot(T, row, col):
+    T = T.copy()
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    return T
+
+
+def random_pivots(rng, sx, count):
+    for _ in range(count):
+        row = int(rng.integers(sx.m))
+        usable = np.flatnonzero(np.abs(sx.T[row, :-1]) > 1e-3)
+        if usable.size == 0:
+            continue
+        col = int(rng.choice(usable))
+        expected = outer_pivot(sx.T, row, col)
+        sx._pivot(row, col)
+        assert np.array_equal(sx.T, expected)
+        assert sx.basis[row] == col
+
+
+def test_buffered_pivot_matches_outer_product_update():
+    """Every entry equals the np.outer update's, so the pivot path cannot move.
+
+    The BLAS product writes +0.0 where np.outer gives -0.0, so an exact zero
+    may change sign; nothing compares or divides by an exact zero, and the
+    renderer prints both as 0.
+    """
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        m, n = (int(v) for v in rng.integers(1, 10, size=2))
+        A = rng.uniform(-4.0, 4.0, (m, n))
+        b = rng.uniform(-5.0, 8.0, m)
+        random_pivots(rng, _Simplex(rng.uniform(-5.0, 5.0, n), A, b), 8)
+
+
+def test_buffered_pivot_after_a_row_drop():
+    A = np.array([[1.0, 1.0], [-1.0, -2.0], [2.0, -1.0], [-1.0, 0.0]])
+    b = np.array([4.0, -1.0, 3.0, -0.5])
+    sx = _Simplex(np.array([1.0, 1.0]), A, b)
+    first_art = sx.n + sx.slack_cols
+    sx.T[1, :first_art] = 0.0  # make row 1 look redundant, so phase 1 drops it
+    sx.drive_out_artificials()
+    assert sx.kept_rows == [0, 2, 3]
+    assert sx._update.shape == sx.T.shape == (3, sx.ncols + 1)
+    random_pivots(np.random.default_rng(37), sx, 12)
