@@ -7,6 +7,8 @@ picked vertices. Each round settles at least one link, so the loop runs
 at most once per link, and the produced schedule delivers the demand
 exactly. Its length never exceeds the worst closed-neighborhood demand,
 which also yields a simple sufficient test for fitting a unit time frame.
+Rounds run on arrays: residual demands form one vector, and each pick
+masks out its row of the hyperarc conflict matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .conflict import ConflictGraph, Neighborhoods
+from .conflict import ConflictGraph, Neighborhoods, sublink_index
 from .errors import SolverError, ValidationError
 from .model import Network
 from .schedule import FractionalSchedule
@@ -46,6 +48,17 @@ def coding_first_ordering(gh: ConflictGraph) -> CodingFirstOrdering:
     return CodingFirstOrdering(order=tuple(order))
 
 
+def _coding_first_scan(free: np.ndarray, order: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    # free[k], updated in place: the k-th vertex in scan order is still open
+    picked = []
+    while free.any():
+        k = int(free.argmax())
+        picked.append(order[k])
+        free &= ~matrix[order[k], order]
+        free[k] = False
+    return np.array(picked, dtype=np.intp)
+
+
 def coding_first_mwis(
     candidates: Iterable[int], omega: CodingFirstOrdering, gh: ConflictGraph
 ) -> frozenset[int]:
@@ -58,13 +71,9 @@ def coding_first_mwis(
     remaining = set(candidates)
     if not remaining:
         raise ValidationError("empty candidate set")
-    chosen: list[int] = []
-    taken: set[int] = set()
-    for v in omega.order:
-        if v in remaining and not (gh.adjacency[v - 1] & taken):
-            chosen.append(v)
-            taken.add(v)
-    return frozenset(chosen)
+    mask = np.array([v in remaining for v in range(1, gh.vertex_count + 1)], dtype=bool)
+    order = np.array(omega.order, dtype=np.intp) - 1
+    return frozenset((_coding_first_scan(mask[order], order, gh.matrix) + 1).tolist())
 
 
 def cfs_schedule(
@@ -87,25 +96,23 @@ def cfs_schedule(
     if not np.all(np.isfinite(d)) or np.any(d < 0):
         raise ValidationError("demand must be finite and nonnegative")
 
-    residual = d.copy()
-    surviving = set(range(1, gh.vertex_count + 1))
+    # residual demand per link plus a trailing +inf under the index padding
+    padded = np.append(d, np.inf)
+    index = sublink_index(gh.sublinks, gh.link_count)
+    order = np.array(omega.order, dtype=np.intp) - 1
     entries: list[tuple[frozenset[int], float]] = []
     for _ in range(n + 2):
-        if not surviving:
+        assigned = padded[index].min(axis=1)
+        surviving = assigned > _RESIDUAL_EPS  # residuals never grow back
+        if not surviving.any():
             break
-        assigned = {
-            v: min(residual[a - 1] for a in gh.sublinks[v - 1]) for v in surviving
-        }
-        surviving = {v for v in surviving if assigned[v] > _RESIDUAL_EPS}
-        if not surviving:
-            break
-        picked = coding_first_mwis(surviving, omega, gh)
-        lam = min(assigned[v] for v in picked)
-        entries.append((picked, float(lam)))
-        for v in picked:
-            for a in gh.sublinks[v - 1]:
-                left = residual[a - 1] - lam
-                residual[a - 1] = left if left > _RESIDUAL_EPS else 0.0
+        picked = _coding_first_scan(surviving[order], order, gh.matrix)
+        lam = float(assigned[picked].min())
+        entries.append((frozenset((picked + 1).tolist()), lam))
+        # picked vertices share no link, so each served link appears once
+        served = index[picked].ravel()
+        left = padded[served] - lam
+        padded[served] = np.where(left > _RESIDUAL_EPS, left, 0.0)
     else:
         raise SolverError("scheduling failed to settle every link")  # unreachable
     return FractionalSchedule(tuple(entries))

@@ -5,12 +5,17 @@ of the other's receiver; the comparison is inclusive with no slack. Two
 hyperarcs conflict when any pair of their sub-links does, so hyperarcs
 sharing a tail always conflict. Schedulable sets are the independent sets
 of these graphs; the catalog enumerates the maximal ones.
+
+Each graph is one read-only boolean matrix. Distances come from
+``math.hypot`` for every node pair (numpy's hypot may round a tie the other
+way); one broadcast tests every link pair, and a hyperarc takes the link
+rows and columns of its sub-links.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -49,11 +54,17 @@ def links_conflict(l: Link, l2: Link, nodes: Mapping[int, Node]) -> bool:
 
 def hyperarcs_conflict(h: Hyperarc, h2: Hyperarc, nodes: Mapping[int, Node]) -> bool:
     """Existential sub-link test: true when some sub-link pair interferes."""
-    for j in h.heads:
-        for j2 in h2.heads:
-            if _endpoints_conflict(h.tail, j, h2.tail, j2, nodes):
-                return True
-    return False
+    return any(
+        _endpoints_conflict(h.tail, j, h2.tail, j2, nodes) for j in h.heads for j2 in h2.heads
+    )
+
+
+def sublink_index(sublinks: tuple[frozenset[int], ...], link_count: int) -> np.ndarray:
+    """0-based sub-links, one row per vertex, short rows padded with ``link_count``."""
+    index = np.full((len(sublinks), max(map(len, sublinks), default=1)), link_count)
+    for v, s in enumerate(sublinks):
+        index[v, : len(s)] = sorted(a - 1 for a in s)
+    return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +72,8 @@ class ConflictGraph:
     """A conflict graph with 1-based vertices aligned to link or hyperarc indices.
 
     ``sublinks[v-1]`` holds the link indices delivered by vertex v, which
-    is ``{v}`` itself at link level.
+    is ``{v}`` itself at link level. ``matrix[u-1, v-1]`` is true when u and
+    v conflict; the matrix is read-only and symmetric with a false diagonal.
     """
 
     level: str
@@ -69,8 +81,7 @@ class ConflictGraph:
     weights: tuple[int, ...]
     sublinks: tuple[frozenset[int], ...]
     link_count: int
-    edges: frozenset[tuple[int, int]]
-    adjacency: tuple[frozenset[int], ...]
+    matrix: np.ndarray
 
     @property
     def vertex_count(self) -> int:
@@ -78,17 +89,19 @@ class ConflictGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.matrix)) // 2
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v - 1]
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbor sets per vertex, derived from the matrix on first use."""
+        return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.matrix)
 
     def conflicts(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u - 1]
+        return bool(self.matrix[u - 1, v - 1])
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
-        vs = sorted(set(vertices))
-        return all(v not in self.adjacency[u - 1] for u, v in itertools.combinations(vs, 2))
+        idx = np.array(sorted(set(vertices)), dtype=np.intp) - 1
+        return not self.matrix[np.ix_(idx, idx)].any()
 
 
 def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph:
@@ -104,27 +117,30 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
     else:
         raise ValidationError(f"unknown conflict graph level {level!r}")
 
-    nodes = network.node_map
-    count = len(items)
-    edges = set()
-    adj: list[set[int]] = [set() for _ in range(count)]
-    for p, q in itertools.combinations(range(count), 2):
-        if level == "link":
-            hit = links_conflict(items[p], items[q], nodes)
-        else:
-            hit = hyperarcs_conflict(items[p], items[q], nodes)
-        if hit:
-            edges.add((p + 1, q + 1))
-            adj[p].add(q + 1)
-            adj[q].add(p + 1)
+    nodes = network.nodes
+    dist = np.array([[distance(u, v) for v in nodes] for u in nodes], ndmin=2)
+    position = {nd.id: p for p, nd in enumerate(nodes)}
+    tails = [position[lk.tail] for lk in network.links]
+    heads = [position[lk.head] for lk in network.links]
+    rho = np.array([nodes[p].interf_radius for p in tails])
+    n = network.link_count
+    # hit[a, b]: the transmitter of link a reaches the receiver of link b,
+    # so the diagonal is true; the trailing false row and column absorb padding
+    hit = np.zeros((n + 1, n + 1), dtype=bool)
+    hit[:n, :n] = dist[np.ix_(tails, heads)] <= rho[:, None]
+    index = sublink_index(sublinks, n)
+    # touched[u, b]: some sub-link of u conflicts with link b
+    touched = (hit | hit.T)[index].any(axis=1)
+    matrix = touched[:, index].any(axis=2)
+    np.fill_diagonal(matrix, False)
+    matrix.flags.writeable = False
     return ConflictGraph(
         level=level,
         items=items,
         weights=weights,
         sublinks=sublinks,
         link_count=network.link_count,
-        edges=frozenset(edges),
-        adjacency=tuple(frozenset(a) for a in adj),
+        matrix=matrix,
     )
 
 
@@ -212,7 +228,8 @@ def closed_neighborhoods(g: ConflictGraph) -> Neighborhoods:
     """Closed neighborhood of each link vertex in the link-level graph."""
     if g.level != "link":
         raise ValidationError("closed neighborhoods are defined over the link-level graph")
-    sets = tuple(frozenset({v} | g.adjacency[v - 1]) for v in range(1, g.vertex_count + 1))
+    closed = g.matrix | np.eye(g.vertex_count, dtype=bool)
+    sets = tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in closed)
     degree = max((len(s) - 1 for s in sets), default=0)
     return Neighborhoods(sets=sets, max_conflict_degree=degree)
 

@@ -75,9 +75,9 @@ class LpOutcome:
     """Solver result: status is "optimal", "infeasible", or "unbounded".
 
     ``x``, ``value`` and ``dual`` are set only for optimal outcomes; the
-    dual vector is aligned with the normalized (all "<=") rows and may be
-    None when the tableau degenerated. ``exact_value`` carries the
-    rational objective when the exact re-check ran.
+    dual is aligned with the normalized (all "<=") rows, and phase 1 never
+    drops a row in practice, so optimal outcomes carry one. ``exact_value``
+    carries the rational objective when the exact re-check ran.
     """
 
     status: str

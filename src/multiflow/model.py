@@ -239,6 +239,17 @@ class Network:
         return frozenset(lk.index for lk in self.sub_links(arc))
 
 
+def _coded_head_sets(network: Network, coding_nodes: Iterable[int], degree: int) -> list:
+    if degree < 2:
+        raise ValidationError(f"max_coding_degree must be at least 2, got {degree}")
+    coded: list[tuple[int, frozenset[int]]] = []
+    for nid in sorted(set(coding_nodes)):
+        nbrs = sorted(network.out_neighbors(nid))
+        for size in range(2, min(degree, len(nbrs)) + 1):
+            coded.extend((nid, frozenset(combo)) for combo in itertools.combinations(nbrs, size))
+    return coded
+
+
 def generate_hyperarcs(
     network: Network,
     coding_nodes: Iterable[int],
@@ -250,14 +261,7 @@ def generate_hyperarcs(
     hyperarc (i, J) per subset J of i's out-neighbors with
     2 <= |J| <= max_coding_degree, in the canonical ordering.
     """
-    if max_coding_degree < 2:
-        raise ValidationError(f"max_coding_degree must be at least 2, got {max_coding_degree}")
-    coded: list[tuple[int, frozenset[int]]] = []
-    for nid in sorted(set(coding_nodes)):
-        nbrs = sorted(network.out_neighbors(nid))
-        top = min(max_coding_degree, len(nbrs))
-        for size in range(2, top + 1):
-            coded.extend((nid, frozenset(combo)) for combo in itertools.combinations(nbrs, size))
+    coded = _coded_head_sets(network, coding_nodes, max_coding_degree)
     return Network(network.nodes, coded).hyperarcs
 
 
@@ -277,6 +281,5 @@ def build_network(
     if hyperarcs is not None:
         return Network(base.nodes, hyperarcs)
     if coding_nodes:
-        generated = generate_hyperarcs(base, coding_nodes, max_coding_degree)
-        return Network(base.nodes, [(h.tail, h.heads) for h in generated if h.weight > 1])
+        return Network(base.nodes, _coded_head_sets(base, coding_nodes, max_coding_degree))
     return base

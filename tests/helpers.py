@@ -2,9 +2,11 @@
 
 The oracles here are deliberately independent of the package internals:
 maximal independent sets come from filtering every vertex subset,
-linear programs are solved by enumerating basis vertices with exact
-rational arithmetic, and a simplex basis is certified by dense rational
-Gauss-Jordan over every row.
+conflict graphs from testing every vertex pair with the public pairwise
+predicates, greedy schedules from set-based loops, linear programs are
+solved by enumerating basis vertices with exact rational arithmetic, and
+a simplex basis is certified by dense rational Gauss-Jordan over every
+row.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ import numpy as np
 from multiflow import (
     Commodity,
     ConflictGraph,
+    FractionalSchedule,
     Network,
     Node,
     SolverError,
+    ValidationError,
     build_conflict_graph,
     build_network,
     closed_neighborhoods,
+    hyperarcs_conflict,
+    links_conflict,
 )
 
 # ---------------------------------------------------------------------------
@@ -65,11 +71,9 @@ def make_conflict_graph(
     link_count=None,
 ) -> ConflictGraph:
     """Build a conflict graph directly, without any geometry behind it."""
-    norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in norm:
-        adj[u - 1].add(v)
-        adj[v - 1].add(u)
+    matrix = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        matrix[u - 1, v - 1] = matrix[v - 1, u - 1] = True
     if sublinks is None:
         sublinks = tuple(frozenset({v}) for v in range(1, n + 1))
         if link_count is None:
@@ -86,9 +90,60 @@ def make_conflict_graph(
         weights=tuple(weights),
         sublinks=sublinks,
         link_count=link_count,
-        edges=norm,
-        adjacency=tuple(frozenset(a) for a in adj),
+        matrix=matrix,
     )
+
+
+def pairwise_adjacency(network: Network, level: str) -> tuple[frozenset[int], ...]:
+    """Neighbor sets of the conflict graph, by testing every vertex pair."""
+    if level == "link":
+        items, conflict = network.links, links_conflict
+    else:
+        items, conflict = network.hyperarcs, hyperarcs_conflict
+    nodes = network.node_map
+    adj: list[set[int]] = [set() for _ in items]
+    for p, q in itertools.combinations(range(len(items)), 2):
+        if conflict(items[p], items[q], nodes):
+            adj[p].add(q + 1)
+            adj[q].add(p + 1)
+    return tuple(frozenset(a) for a in adj)
+
+
+def loop_coding_first_mwis(candidates, omega, gh: ConflictGraph) -> frozenset[int]:
+    """Set-based reference for ``multiflow.coding_first_mwis``."""
+    remaining = set(candidates)
+    if not remaining:
+        raise ValidationError("empty candidate set")
+    chosen: list[int] = []
+    taken: set[int] = set()
+    for v in omega.order:
+        if v in remaining and not (gh.adjacency[v - 1] & taken):
+            chosen.append(v)
+            taken.add(v)
+    return frozenset(chosen)
+
+
+def loop_cfs_schedule(network: Network, gh: ConflictGraph, omega, demand) -> FractionalSchedule:
+    """Per-vertex loop reference for ``multiflow.cfs_schedule`` (valid input only)."""
+    eps = 1e-12
+    residual = np.asarray(demand, dtype=float).copy()
+    surviving = set(range(1, gh.vertex_count + 1))
+    entries: list[tuple[frozenset[int], float]] = []
+    while surviving:
+        assigned = {
+            v: min(residual[a - 1] for a in gh.sublinks[v - 1]) for v in surviving
+        }
+        surviving = {v for v in surviving if assigned[v] > eps}
+        if not surviving:
+            break
+        picked = loop_coding_first_mwis(surviving, omega, gh)
+        lam = min(assigned[v] for v in picked)
+        entries.append((picked, float(lam)))
+        for v in picked:
+            for a in gh.sublinks[v - 1]:
+                left = residual[a - 1] - lam
+                residual[a - 1] = left if left > eps else 0.0
+    return FractionalSchedule(tuple(entries))
 
 
 def brute_force_max_independent_sets(cg: ConflictGraph) -> set[frozenset[int]]:

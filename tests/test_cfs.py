@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from multiflow import (
+    Node,
     ValidationError,
     build_conflict_graph,
+    build_network,
     cfs_length_bound,
     cfs_schedule,
     closed_neighborhoods,
@@ -18,6 +20,8 @@ from multiflow import (
 )
 
 from helpers import (
+    loop_cfs_schedule,
+    loop_coding_first_mwis,
     make_conflict_graph,
     random_demand,
     random_network,
@@ -79,6 +83,45 @@ def test_mwis_respects_candidates_and_independence():
             assert cg.adjacency[v - 1] & picked
         first = next(v for v in omega.order if v in cands)
         assert first in picked
+
+
+def weight3_network(rng):
+    """Random geometric network with every node coding up to degree 3."""
+    count = int(rng.integers(8, 15))
+    nodes = [
+        Node(i + 1, float(rng.uniform(0, 2.5)), float(rng.uniform(0, 2.5)), 1.0, 1.5)
+        for i in range(count)
+    ]
+    return build_network(nodes, coding_nodes=range(1, count + 1), max_coding_degree=3)
+
+
+def oracle_demands(rng, net):
+    yield np.zeros(net.link_count)
+    # few distinct values: equal residuals make ties decide every pick
+    yield rng.choice([0.0, 0.25, 0.5], net.link_count)
+    yield np.full(net.link_count, 0.1)
+    # leftovers of 1e-10 must survive the 1e-12 residual cutoff; decimal
+    # rates leave rounding leftovers below it
+    yield rng.choice([0.25, 0.25 + 1e-10, 0.5], net.link_count)
+    yield rng.choice([0.1, 0.2, 0.3], net.link_count)
+    yield random_demand(rng, net)
+
+
+def test_cfs_matches_loop_oracle_exactly():
+    rng = np.random.default_rng(89)
+    networks = [random_network(rng) for _ in range(40)]
+    networks += [weight3_network(rng) for _ in range(6)]
+    networks += [relay_plain(), relay_coded()]
+    assert max(net.max_weight for net in networks) == 3
+    for net in networks:
+        gh = build_conflict_graph(net, "hyperarc")
+        omega = coding_first_ordering(gh)
+        for d in oracle_demands(rng, net):
+            got = cfs_schedule(net, gh, omega, d)
+            assert got.entries == loop_cfs_schedule(net, gh, omega, d).entries
+        for _ in range(5):
+            cands = {v for v in range(1, gh.vertex_count + 1) if rng.random() < 0.5} or {1}
+            assert coding_first_mwis(cands, omega, gh) == loop_coding_first_mwis(cands, omega, gh)
 
 
 def test_canonical_trace():

@@ -10,6 +10,7 @@ from multiflow import (
     build_conflict_graph,
     build_network,
     closed_neighborhoods,
+    distance,
     enumerate_schedulable_sets,
     hyperarcs_conflict,
     inductive_schedulable_number,
@@ -19,6 +20,7 @@ from multiflow import (
 from helpers import (
     brute_force_max_independent_sets,
     make_conflict_graph,
+    pairwise_adjacency,
     random_graph,
     random_network,
     relay_coded,
@@ -103,6 +105,76 @@ def test_canonical_conflict_graphs_are_complete():
     assert gh.sublinks[4] == frozenset({3, 4})
     assert not gh.is_independent([1, 5])
     assert gh.is_independent([5])
+
+
+def coded_geometric_network(seed: int):
+    """40 to 60 nodes at two per unit area, every node coding at degree 2."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(40, 61))
+    side = float(np.sqrt(count / 2.0))
+    nodes = [
+        Node(i + 1, float(rng.uniform(0, side)), float(rng.uniform(0, side)), 1.0, 1.5)
+        for i in range(count)
+    ]
+    return build_network(nodes, coding_nodes=range(1, count + 1), max_coding_degree=2)
+
+
+def assert_matches_pairwise(net):
+    for level in ("link", "hyperarc"):
+        g = build_conflict_graph(net, level)
+        expected = pairwise_adjacency(net, level)
+        assert g.adjacency == expected
+        assert g.edge_count == sum(len(a) for a in expected) // 2
+        assert not g.matrix.flags.writeable
+
+
+def test_graphs_match_pairwise_oracle_on_random_networks():
+    rng = np.random.default_rng(101)
+    for _ in range(120):
+        assert_matches_pairwise(random_network(rng))
+    assert_matches_pairwise(relay_plain())
+    assert_matches_pairwise(relay_coded())
+    assert_matches_pairwise(build_network([]))
+    assert_matches_pairwise(build_network([Node(1, 0.0, 0.0, 1.0, 1.0), Node(2, 5.0, 0.0, 1.0, 1.0)]))
+
+
+def test_graphs_match_pairwise_oracle_on_coded_geometric_networks():
+    for seed in (1, 2, 3):
+        net = coded_geometric_network(seed)
+        assert 40 <= len(net.nodes) <= 60 and net.max_weight == 2
+        assert_matches_pairwise(net)
+
+
+def tie_network(nudge: bool):
+    # node 3 sits exactly rho = 1.5 from node 2 (a 3-4-5 offset), or one
+    # ulp of y farther; node 3 also broadcasts to {4, 5}
+    y3 = np.nextafter(1.2, 2.0) if nudge else 1.2
+    nodes = [
+        Node(1, -1.0, 0.0, 1.2, 1.5),
+        Node(2, 0.0, 0.0, 1.2, 1.5),
+        Node(3, 0.9, y3, 1.2, 1.5),
+        Node(4, 0.9, 2.2, 1.2, 1.5),
+        Node(5, 1.9, 1.2, 1.2, 1.5),
+    ]
+    return build_network(nodes, hyperarcs=[(3, (4, 5))])
+
+
+def test_interference_tie_is_an_edge_in_both_matrices():
+    for nudge in (False, True):
+        net = tie_network(nudge)
+        g = build_conflict_graph(net, "link")
+        gh = build_conflict_graph(net, "hyperarc")
+        a = net.find_link(1, 2).index
+        b = net.find_link(3, 4).index
+        coded = net.hyperarcs[-1]
+        assert coded.heads == frozenset({4, 5})
+        tie = distance(net.node(3), net.node(2))
+        assert tie > 1.5 if nudge else tie == 1.5
+        assert g.conflicts(a, b) is (not nudge)
+        assert gh.conflicts(a, b) is (not nudge)
+        assert gh.conflicts(coded.index, a) is (not nudge)
+        assert gh.matrix[a - 1, coded.index - 1] == (not nudge)
+        assert_matches_pairwise(net)
 
 
 def test_unknown_level_rejected():

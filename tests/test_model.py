@@ -171,6 +171,21 @@ def test_generate_hyperarcs_all_combinations():
         generate_hyperarcs(net, [1], max_coding_degree=1)
 
 
+def test_build_network_coding_nodes_match_generate_hyperarcs():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        nodes = random_network(rng, allow_coding=False).nodes
+        ids = [nd.id for nd in nodes]
+        coding = [i for i in ids if rng.random() < 0.6] or ids[:1]
+        for degree in (2, 3):
+            built = build_network(nodes, coding_nodes=coding, max_coding_degree=degree)
+            assert built.hyperarcs == generate_hyperarcs(build_network(nodes), coding, degree)
+    with pytest.raises(ValidationError):
+        build_network(relay_nodes(), coding_nodes=[3], max_coding_degree=1)
+    # the degree is capped by the out-degree, so a huge one is cheap
+    assert build_network(relay_nodes(), coding_nodes=[3], max_coding_degree=10**12).hyperarc_count == 5
+
+
 def test_build_network_explicit_hyperarcs_win():
     net = build_network(relay_nodes(), hyperarcs=[(3, (1, 2))], coding_nodes=[3])
     assert net.hyperarc_count == 5
