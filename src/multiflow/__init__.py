@@ -8,25 +8,13 @@ schedules with a provable length guarantee when exact enumeration is
 out of reach.
 """
 
-from .cfs import (
-    CodingFirstOrdering,
-    cfs_length_bound,
-    cfs_schedule,
-    coding_first_mwis,
-    coding_first_ordering,
-    inductive_polytope_membership,
-)
+from .cfs import cfs_length_bound, cfs_schedule, coding_first_ordering
 from .conflict import (
-    DEFAULT_ENUMERATION_CAP,
     ConflictGraph,
-    Neighborhoods,
     SchedulableSetCatalog,
     build_conflict_graph,
     closed_neighborhoods,
     enumerate_schedulable_sets,
-    hyperarcs_conflict,
-    inductive_schedulable_number,
-    links_conflict,
 )
 from .errors import (
     EnumerationCapError,
@@ -34,90 +22,46 @@ from .errors import (
     UncoverableDemandError,
     ValidationError,
 )
-from .instance import (
-    Instance,
-    demo_instances,
-    load_demand,
-    load_instance,
-    parse_demand,
-    parse_instance,
-)
-from .lp import LinearProgram, LpOutcome, normalized_rows, solve_lp
+from .instance import load_demand, load_instance
 from .mmf import (
     Commodity,
-    Membership,
     MmfSolution,
-    demand_vector,
-    flow_value,
     optimal_fractional_schedule,
     polytope_membership,
     solve_mmf,
-    validate_demand,
 )
-from .model import (
-    DEFAULT_MAX_CODING_DEGREE,
-    Hyperarc,
-    Link,
-    Network,
-    Node,
-    build_links,
-    build_network,
-    distance,
-    generate_hyperarcs,
-)
-from .schedule import FractionalSchedule, link_capacity_function
+from .model import Network, Node, build_network
+from .schedule import FractionalSchedule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CodingFirstOrdering",
+    # model and loading
     "Commodity",
-    "ConflictGraph",
-    "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_MAX_CODING_DEGREE",
-    "EnumerationCapError",
-    "FractionalSchedule",
-    "Hyperarc",
-    "Instance",
-    "LinearProgram",
-    "Link",
-    "LpOutcome",
-    "Membership",
-    "MmfSolution",
-    "Neighborhoods",
-    "Network",
     "Node",
+    "Network",
+    "build_network",
+    "load_instance",
+    "load_demand",
+    # conflict graphs
+    "build_conflict_graph",
+    "ConflictGraph",
+    "enumerate_schedulable_sets",
     "SchedulableSetCatalog",
+    "closed_neighborhoods",
+    # exact LP answers
+    "solve_mmf",
+    "MmfSolution",
+    "optimal_fractional_schedule",
+    "polytope_membership",
+    # greedy scheduler
+    "FractionalSchedule",
+    "coding_first_ordering",
+    "cfs_schedule",
+    "cfs_length_bound",
+    # errors
+    "ValidationError",
+    "EnumerationCapError",
     "SolverError",
     "UncoverableDemandError",
-    "ValidationError",
-    "build_conflict_graph",
-    "build_links",
-    "build_network",
-    "cfs_length_bound",
-    "cfs_schedule",
-    "closed_neighborhoods",
-    "coding_first_mwis",
-    "coding_first_ordering",
-    "demand_vector",
-    "demo_instances",
-    "distance",
-    "enumerate_schedulable_sets",
-    "flow_value",
-    "generate_hyperarcs",
-    "hyperarcs_conflict",
-    "inductive_polytope_membership",
-    "inductive_schedulable_number",
-    "link_capacity_function",
-    "links_conflict",
-    "load_demand",
-    "load_instance",
-    "normalized_rows",
-    "optimal_fractional_schedule",
-    "parse_demand",
-    "parse_instance",
-    "polytope_membership",
-    "solve_lp",
-    "solve_mmf",
-    "validate_demand",
 ]

@@ -21,16 +21,7 @@ import numpy as np
 from .conflict import ConflictGraph, Neighborhoods, sublink_index
 from .errors import SolverError, ValidationError
 from .model import Network
-from .schedule import FractionalSchedule
-
-__all__ = [
-    "CodingFirstOrdering",
-    "coding_first_ordering",
-    "coding_first_mwis",
-    "cfs_schedule",
-    "cfs_length_bound",
-    "inductive_polytope_membership",
-]
+from .schedule import FractionalSchedule, check_per_link
 
 _RESIDUAL_EPS = 1e-12
 
@@ -90,14 +81,8 @@ def cfs_schedule(
     n = network.link_count
     if gh.link_count != n:
         raise ValidationError("conflict graph does not match the network")
-    d = np.asarray(demand, dtype=float)
-    if d.shape != (n,):
-        raise ValidationError(f"demand has shape {d.shape}, expected ({n},)")
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise ValidationError("demand must be finite and nonnegative")
-
     # residual demand per link plus a trailing +inf under the index padding
-    padded = np.append(d, np.inf)
+    padded = np.append(check_per_link(demand, n), np.inf)
     index = sublink_index(gh.sublinks, gh.link_count)
     order = np.array(omega.order, dtype=np.intp) - 1
     entries: list[tuple[frozenset[int], float]] = []
@@ -120,16 +105,7 @@ def cfs_schedule(
 
 def cfs_length_bound(demand, neighborhoods: Neighborhoods) -> float:
     """Worst closed-neighborhood demand: the greedy length never exceeds it."""
-    d = np.asarray(demand, dtype=float)
-    if d.shape != (len(neighborhoods.sets),):
-        raise ValidationError(
-            f"demand has shape {d.shape}, expected ({len(neighborhoods.sets)},)"
-        )
+    d = check_per_link(demand, len(neighborhoods.sets))
     return max(
         (float(sum(d[a - 1] for a in nb)) for nb in neighborhoods.sets), default=0.0
     )
-
-
-def inductive_polytope_membership(demand, neighborhoods: Neighborhoods) -> bool:
-    """Sufficient schedulability test: every closed-neighborhood demand fits one unit."""
-    return cfs_length_bound(demand, neighborhoods) <= 1.0 + 1e-12

@@ -21,8 +21,6 @@ from .errors import EnumerationCapError, SolverError, ValidationError
 from .instance import demo_instances, load_demand, load_instance
 from .mmf import optimal_fractional_schedule, solve_mmf
 
-__all__ = ["main", "render_json"]
-
 _TINY = 1e-12
 
 
@@ -195,9 +193,34 @@ def cmd_demo(args) -> dict:
     return {"written": written}
 
 
-def _kv(rows: list[tuple[str, str]]) -> list[str]:
-    width = max(len(k) for k, _ in rows)
-    return [f"{k.ljust(width)}  {v}" for k, v in rows]
+# the scalar report keys each command's table lists first, in this order
+_SCALARS = {
+    "solve": ("mode", "throughput", "schedule_length"),
+    "compare": ("plain_throughput", "coding_throughput", "absolute_gain", "relative_gain"),
+    "inspect": (
+        "links",
+        "hyperarcs",
+        "link_graph",
+        "hyperarc_graph",
+        "max_conflict_degree",
+        "inductive_schedulable_number",
+        "catalog_size",
+    ),
+    "schedule": ("algorithm", "length", "neighborhood_bound", "optimal_length", "ratio"),
+    "demo": (),
+}
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, dict):  # a conflict graph's size
+        return f"{value['vertices']} vertices, {value['edges']} edges"
+    return str(value)
+
+
+def _joined(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
 def _grid(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -206,96 +229,32 @@ def _grid(header: list[str], rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
 
 
-def _table_solve(report: dict) -> list[str]:
-    lines = _kv(
-        [
-            ("mode", report["mode"]),
-            ("throughput", _fmt(report["throughput"])),
-            ("schedule_length", _fmt(report["schedule_length"])),
-        ]
-    )
-    if report["commodities"]:
-        rows = []
-        for com in report["commodities"]:
-            flow = " ".join(f"{key}:{_fmt(rate)}" for key, rate in sorted(com["flow"].items()))
-            rows.append([f"{com['source']}->{com['sink']}", _fmt(com["value"]), flow])
-        lines += [""] + _grid(["commodity", "value", "flow"], rows)
-    if report["schedule"]:
-        rows = [
+def _table(command: str, report: dict) -> list[str]:
+    """The aligned text view of a command's report."""
+    rows = [(key, _cell(report[key])) for key in _SCALARS[command] if key in report]
+    width = max((len(key) for key, _ in rows), default=0)
+    lines = [f"{key.ljust(width)}  {value}" for key, value in rows]
+    if report.get("commodities"):
+        grid = [
             [
-                _fmt(entry["lambda"]),
-                ",".join(str(v) for v in entry["hyperarcs"]),
-                ",".join(str(v) for v in entry["links"]),
+                f"{com['source']}->{com['sink']}",
+                _fmt(com["value"]),
+                " ".join(f"{key}:{_fmt(rate)}" for key, rate in sorted(com["flow"].items())),
             ]
-            for entry in report["schedule"]
+            for com in report["commodities"]
         ]
-        lines += [""] + _grid(["lambda", "hyperarcs", "links"], rows)
-    return lines
-
-
-def _table_compare(report: dict) -> list[str]:
-    rows = [
-        ("plain_throughput", _fmt(report["plain_throughput"])),
-        ("coding_throughput", _fmt(report["coding_throughput"])),
-        ("absolute_gain", _fmt(report["absolute_gain"])),
-    ]
-    if "relative_gain" in report:
-        rows.append(("relative_gain", _fmt(report["relative_gain"])))
-    return _kv(rows)
-
-
-def _table_inspect(report: dict) -> list[str]:
-    rows = [
-        ("links", str(report["links"])),
-        ("hyperarcs", str(report["hyperarcs"])),
-        ("link_graph", f"{report['link_graph']['vertices']} vertices, {report['link_graph']['edges']} edges"),
-        ("hyperarc_graph", f"{report['hyperarc_graph']['vertices']} vertices, {report['hyperarc_graph']['edges']} edges"),
-        ("max_conflict_degree", str(report["max_conflict_degree"])),
-    ]
-    if "inductive_schedulable_number" in report:
-        rows.append(("inductive_schedulable_number", str(report["inductive_schedulable_number"])))
-    if "catalog_size" in report:
-        rows.append(("catalog_size", str(report["catalog_size"])))
-    lines = _kv(rows)
+        lines += [""] + _grid(["commodity", "value", "flow"], grid)
+    if report.get("schedule"):
+        # solve entries list hyperarcs and their links; schedule entries one set
+        columns = ("hyperarcs", "links") if command == "solve" else ("set",)
+        grid = [[_fmt(e["lambda"])] + [_joined(e[c]) for c in columns] for e in report["schedule"]]
+        lines += [""] + _grid(["lambda", "hyperarcs", "links"][: 1 + len(columns)], grid)
     if "catalog" in report:
         lines.append("catalog")
-        lines += ["  {" + ",".join(str(a) for a in ls) + "}" for ls in report["catalog"]]
+        lines += ["  {" + _joined(ls) + "}" for ls in report["catalog"]]
     if "note" in report:
         lines.append(report["note"])
-    return lines
-
-
-def _table_schedule(report: dict) -> list[str]:
-    rows = [
-        ("algorithm", report["algorithm"]),
-        ("length", _fmt(report["length"])),
-        ("neighborhood_bound", _fmt(report["neighborhood_bound"])),
-    ]
-    if "optimal_length" in report:
-        rows.append(("optimal_length", _fmt(report["optimal_length"])))
-    if "ratio" in report:
-        rows.append(("ratio", _fmt(report["ratio"])))
-    lines = _kv(rows)
-    if report["schedule"]:
-        grid_rows = [
-            [_fmt(entry["lambda"]), ",".join(str(v) for v in entry["set"])]
-            for entry in report["schedule"]
-        ]
-        lines += [""] + _grid(["lambda", "hyperarcs"], grid_rows)
-    return lines
-
-
-def _table_demo(report: dict) -> list[str]:
-    return [f"wrote {path}" for path in report["written"]]
-
-
-_TABLES = {
-    "solve": _table_solve,
-    "compare": _table_compare,
-    "inspect": _table_inspect,
-    "schedule": _table_schedule,
-    "demo": _table_demo,
-}
+    return lines + [f"wrote {path}" for path in report.get("written", ())]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,5 +318,5 @@ def main(argv=None) -> int:
     if args.format == "json":
         print(render_json(report))
     else:
-        print("\n".join(_TABLES[args.command](report)))
+        print("\n".join(_table(args.command, report)))
     return 0

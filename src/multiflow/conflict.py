@@ -16,47 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EnumerationCapError, ValidationError
-from .model import Hyperarc, Link, Network, Node, distance
-
-__all__ = [
-    "DEFAULT_ENUMERATION_CAP",
-    "ConflictGraph",
-    "SchedulableSetCatalog",
-    "Neighborhoods",
-    "links_conflict",
-    "hyperarcs_conflict",
-    "build_conflict_graph",
-    "enumerate_schedulable_sets",
-    "closed_neighborhoods",
-    "inductive_schedulable_number",
-]
+from .model import Network, distance
 
 DEFAULT_ENUMERATION_CAP = 24
-
-
-def _endpoints_conflict(i: int, j: int, i2: int, j2: int, nodes: Mapping[int, Node]) -> bool:
-    # transmitter of one within interference range of the other's receiver
-    return (
-        distance(nodes[i2], nodes[j]) <= nodes[i2].interf_radius
-        or distance(nodes[i], nodes[j2]) <= nodes[i].interf_radius
-    )
-
-
-def links_conflict(l: Link, l2: Link, nodes: Mapping[int, Node]) -> bool:
-    """Protocol-model interference test for two distinct links."""
-    return _endpoints_conflict(l.tail, l.head, l2.tail, l2.head, nodes)
-
-
-def hyperarcs_conflict(h: Hyperarc, h2: Hyperarc, nodes: Mapping[int, Node]) -> bool:
-    """Existential sub-link test: true when some sub-link pair interferes."""
-    return any(
-        _endpoints_conflict(h.tail, j, h2.tail, j2, nodes) for j in h.heads for j2 in h2.heads
-    )
 
 
 def sublink_index(sublinks: tuple[frozenset[int], ...], link_count: int) -> np.ndarray:
@@ -96,11 +63,19 @@ class ConflictGraph:
         """Neighbor sets per vertex, derived from the matrix on first use."""
         return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.matrix)
 
+    def _rows(self, vertices: Iterable[int]) -> np.ndarray:
+        # 0-based matrix rows; numpy would read 0 and negative ids from the end
+        idx = np.array(list(vertices), dtype=np.intp)
+        if np.any((idx < 1) | (idx > self.vertex_count)):
+            raise ValidationError(f"vertex ids must lie in 1..{self.vertex_count}")
+        return idx - 1
+
     def conflicts(self, u: int, v: int) -> bool:
-        return bool(self.matrix[u - 1, v - 1])
+        i, j = self._rows((u, v))
+        return bool(self.matrix[i, j])
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
-        idx = np.array(sorted(set(vertices)), dtype=np.intp) - 1
+        idx = self._rows(sorted(set(vertices)))
         return not self.matrix[np.ix_(idx, idx)].any()
 
 

@@ -12,22 +12,13 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import DEFAULT_MAX_CODING_DEGREE, Network, Node, build_network
-from .mmf import Commodity, validate_demand
-
-__all__ = [
-    "Instance",
-    "parse_instance",
-    "load_instance",
-    "parse_demand",
-    "load_demand",
-    "demo_instances",
-]
+from .mmf import Commodity
 
 _TOP_FIELDS = {
     "nodes",
@@ -175,17 +166,21 @@ def parse_instance(data: Any) -> Instance:
     return Instance(network=network, commodities=tuple(commodities), bandwidth=bandwidth)
 
 
-def load_instance(path: str | Path) -> Instance:
-    """Parse an instance file, mapping JSON errors to ValidationError."""
+def _read_json(path: str | Path) -> Any:
+    # file and JSON errors become ValidationError
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return parse_instance(data)
+
+
+def load_instance(path: str | Path) -> Instance:
+    """Parse an instance file, mapping JSON errors to ValidationError."""
+    return parse_instance(_read_json(path))
 
 
 def parse_demand(data: Any, network: Network) -> np.ndarray:
@@ -199,19 +194,12 @@ def parse_demand(data: Any, network: Network) -> np.ndarray:
         if value < 0:
             raise ValidationError(f"demand[{key!r}]: must be nonnegative")
         d[index - 1] = value
-    return validate_demand(network, d)
+    return d
 
 
 def load_demand(path: str | Path, network: Network) -> np.ndarray:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return parse_demand(data, network)
+    """Parse a demand file for a network, mapping JSON errors to ValidationError."""
+    return parse_demand(_read_json(path), network)
 
 
 def demo_instances() -> dict[str, dict]:

@@ -8,6 +8,12 @@ keeps the pivoting cycle-free and deterministic; identical inputs produce
 bit-identical outputs. The solver is meant for small dense problems and
 fails loudly (SolverError) instead of limping through numerical trouble.
 
+No row is ever dropped, so every optimal outcome carries a dual. An
+artificial's column starts as the exact negation of its constraint's slack
+column, and every pivot keeps that negation bitwise (IEEE rounding is
+sign-symmetric), so a basic artificial, a unit column, always has the
+slack's -1 entry in its row to pivot on.
+
 An optional exact mode re-checks the returned basis in rational
 arithmetic. Only the basic structural columns against the tight rows (rows
 whose slack is nonbasic) are solved, with the transpose for the duals, by
@@ -25,17 +31,6 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 
-__all__ = [
-    "FEASIBILITY_EPS",
-    "COMPARISON_EPS",
-    "LinearProgram",
-    "LpOutcome",
-    "normalized_rows",
-    "solve_lp",
-]
-
-FEASIBILITY_EPS = 1e-9   # per-row feasibility slack, scaled by the row max-norm
-COMPARISON_EPS = 1e-6    # tolerance for comparing objective values externally
 _PIVOT_EPS = 1e-9
 _PIVOT_FLOOR = 1e-11
 _RELATIONS = ("<=", "=", ">=")
@@ -74,9 +69,8 @@ class LinearProgram:
 class LpOutcome:
     """Solver result: status is "optimal", "infeasible", or "unbounded".
 
-    ``x``, ``value`` and ``dual`` are set only for optimal outcomes; the
-    dual is aligned with the normalized (all "<=") rows, and phase 1 never
-    drops a row in practice, so optimal outcomes carry one. ``exact_value``
+    ``x``, ``value`` and ``dual`` are set exactly for optimal outcomes;
+    the dual is aligned with the normalized (all "<=") rows. ``exact_value``
     carries the rational objective when the exact re-check ran.
     """
 
@@ -113,8 +107,7 @@ class _Simplex:
 
     def __init__(self, objective: np.ndarray, A: np.ndarray, b: np.ndarray):
         self.n = int(objective.size)
-        m = A.shape[0]
-        self.slack_cols = m
+        self.m = m = A.shape[0]
         # rows with negative bounds start infeasible and get an artificial
         sigma = np.where(b < 0, -1.0, 1.0)
         self.art_rows = np.flatnonzero(b < 0)
@@ -131,16 +124,11 @@ class _Simplex:
         self.basis = list(range(self.n, self.n + m))
         for k, r in enumerate(self.art_rows):
             self.basis[r] = self.n + m + k
-        self.kept_rows = list(range(m))
         self.objective = objective
-
-    @property
-    def m(self) -> int:
-        return self.T.shape[0]
 
     def phase1_cost(self) -> np.ndarray:
         cost = np.zeros(self.ncols)
-        cost[self.n + self.slack_cols :] = -1.0
+        cost[self.n + self.m :] = -1.0
         return cost
 
     def phase2_cost(self) -> np.ndarray:
@@ -149,7 +137,7 @@ class _Simplex:
         return cost
 
     def artificial_sum(self) -> float:
-        first_art = self.n + self.slack_cols
+        first_art = self.n + self.m
         return float(
             sum(self.T[i, -1] for i in range(self.m) if self.basis[i] >= first_art)
         )
@@ -188,29 +176,16 @@ class _Simplex:
         raise SolverError("simplex iteration limit exceeded")
 
     def drive_out_artificials(self) -> None:
-        """After a feasible phase 1, remove artificials from the basis.
+        """After a feasible phase 1, pivot each basic artificial out of the basis.
 
-        A basic artificial sits at value zero; pivot it onto any usable
-        column, or drop its row entirely when the row has become all-zero
-        (a redundant constraint).
+        It sits at value zero and goes to the first usable column; the
+        slack of its own constraint, the negation of its unit column, is one.
         """
-        first_art = self.n + self.slack_cols
-        drop = []
+        first_art = self.n + self.m
         for i in range(self.m):
-            if self.basis[i] < first_art:
-                continue
-            row = self.T[i, :first_art]
-            usable = np.flatnonzero(np.abs(row) > _PIVOT_EPS)
-            if usable.size:
+            if self.basis[i] >= first_art:
+                usable = np.flatnonzero(np.abs(self.T[i, :first_art]) > _PIVOT_EPS)
                 self._pivot(i, int(usable[0]))
-            else:
-                drop.append(i)
-        if drop:
-            keep = [i for i in range(self.m) if i not in drop]
-            self.T = self.T[keep]
-            self._update = np.empty_like(self.T)
-            self.basis = [self.basis[i] for i in keep]
-            self.kept_rows = [self.kept_rows[i] for i in keep]
 
     def solution(self) -> np.ndarray:
         xfull = np.zeros(self.ncols)
@@ -219,13 +194,9 @@ class _Simplex:
         x[(x < 0) & (x > -10 * _PIVOT_EPS)] = 0.0
         return x
 
-    def dual(self, cost: np.ndarray) -> np.ndarray | None:
-        if self.kept_rows != list(range(self.slack_cols)):
-            return None  # rows were dropped; skip the dual certificate
+    def dual(self, cost: np.ndarray) -> np.ndarray:
         basis = np.asarray(self.basis)
-        reduced = cost[: self.n + self.slack_cols] - cost[basis] @ self.T[
-            :, : self.n + self.slack_cols
-        ]
+        reduced = cost[: self.n + self.m] - cost[basis] @ self.T[:, : self.n + self.m]
         return -reduced[self.n :]
 
 
@@ -332,7 +303,7 @@ def solve_lp(p: LinearProgram, exact_check: bool = False) -> LpOutcome:
         sx.drive_out_artificials()
 
     cost2 = sx.phase2_cost()
-    status = sx.run_phase(cost2, sx.n + sx.slack_cols)
+    status = sx.run_phase(cost2, sx.n + sx.m)
     if status == "unbounded":
         return LpOutcome("unbounded")
     x = sx.solution()
@@ -340,5 +311,5 @@ def solve_lp(p: LinearProgram, exact_check: bool = False) -> LpOutcome:
     dual = sx.dual(cost2)
     exact = None
     if exact_check:
-        exact = _exact_certificate(p.objective, A, b, sx.kept_rows, sx.basis)
+        exact = _exact_certificate(p.objective, A, b, list(range(sx.m)), sx.basis)
     return LpOutcome("optimal", value, x, dual, exact)

@@ -7,10 +7,10 @@ capacity rows coupling total flow to the bought shares, and a unit budget
 on the shares. Link bandwidths divide the flow terms in the capacity
 rows, so a link of bandwidth 2 carries twice the flow per unit of airtime.
 
-The same catalog machinery answers membership queries (is a per-link
-demand rate achievable within one time unit?) and computes optimal
-fractional schedules, whose length is the minimum total airtime needed to
-serve a demand vector.
+One covering LP over the same catalog computes optimal fractional
+schedules, whose length is the minimum total airtime needed to serve a
+demand vector, and answers membership queries with it: a per-link demand
+is achievable within one time unit exactly when that length is at most 1.
 """
 
 from __future__ import annotations
@@ -30,24 +30,11 @@ from .conflict import (
 from .errors import SolverError, UncoverableDemandError, ValidationError
 from .lp import LinearProgram, solve_lp
 from .model import Network
-from .schedule import FractionalSchedule, link_capacity_function
-
-__all__ = [
-    "MODES",
-    "Commodity",
-    "MmfSolution",
-    "Membership",
-    "flow_value",
-    "demand_vector",
-    "validate_demand",
-    "solve_mmf",
-    "polytope_membership",
-    "optimal_fractional_schedule",
-    "link_capacity_function",
-]
+from .schedule import FractionalSchedule, check_per_link
 
 MODES = ("plain", "coding")
 _WEIGHT_EPS = 1e-12
+_LENGTH_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,16 +85,7 @@ def flow_value(network: Network, flow, source: int) -> float:
 
 def validate_demand(network: Network, demand) -> np.ndarray:
     """Check a per-link vector: right length, finite, nonnegative."""
-    d = np.asarray(demand, dtype=float)
-    if d.shape != (network.link_count,):
-        raise ValidationError(
-            f"per-link vector has shape {d.shape}, expected ({network.link_count},)"
-        )
-    if not np.all(np.isfinite(d)):
-        raise ValidationError("per-link vector has non-finite entries")
-    if np.any(d < 0):
-        raise ValidationError("per-link vector has negative entries")
-    return d.copy()
+    return check_per_link(demand, network.link_count)
 
 
 def demand_vector(network: Network, amounts: Mapping[tuple[int, int], float]) -> np.ndarray:
@@ -124,13 +102,9 @@ def demand_vector(network: Network, amounts: Mapping[tuple[int, int], float]) ->
 def _validate_bandwidth(network: Network, bandwidth) -> np.ndarray:
     if bandwidth is None:
         return np.ones(network.link_count)
-    b = np.asarray(bandwidth, dtype=float)
-    if b.shape != (network.link_count,):
-        raise ValidationError(
-            f"bandwidth vector has shape {b.shape}, expected ({network.link_count},)"
-        )
-    if not np.all(np.isfinite(b)) or np.any(b <= 0):
-        raise ValidationError("bandwidths must be finite and positive")
+    b = check_per_link(bandwidth, network.link_count, "bandwidth")
+    if np.any(b <= 0):
+        raise ValidationError("bandwidths must be positive")
     return b
 
 
@@ -172,32 +146,26 @@ def solve_mmf(
             exact_throughput=Fraction(0) if exact_check else None,
         )
 
-    nsets = len(catalog)
-    nvars = k * n + nsets
+    # inflow[p, a]: +1 when link a enters the p-th node, -1 when it leaves it
+    position = {node.id: p for p, node in enumerate(network.nodes)}
+    inflow = np.zeros((len(position), n))
+    for lk in network.links:
+        inflow[position[lk.head], lk.index - 1] = 1.0
+        inflow[position[lk.tail], lk.index - 1] = -1.0
+    nvars = k * n + len(catalog)
     # variable layout: commodity i's flow on link a at i*n + (a-1), then shares
     c = np.zeros(nvars)
-    for i, com in enumerate(commodities):
-        for lk in network.links_out(com.source):
-            c[i * n + lk.index - 1] += 1.0
-        for lk in network.links_in(com.source):
-            c[i * n + lk.index - 1] -= 1.0
-
     rows: list[tuple[np.ndarray, str, float]] = []
     for i, com in enumerate(commodities):
-        for node in network.nodes:
-            if node.id in (com.source, com.sink):
-                continue
-            row = np.zeros(nvars)
-            for lk in network.links_in(node.id):
-                row[i * n + lk.index - 1] += 1.0
-            for lk in network.links_out(node.id):
-                row[i * n + lk.index - 1] -= 1.0
-            if np.any(row):
+        c[i * n : (i + 1) * n] = 0.0 - inflow[position[com.source]]  # unlike -x, no -0.0
+        for p, node in enumerate(network.nodes):
+            if node.id not in (com.source, com.sink) and inflow[p].any():
+                row = np.zeros(nvars)
+                row[i * n : (i + 1) * n] = inflow[p]
                 rows.append((row, "=", 0.0))
     for a in range(n):
         row = np.zeros(nvars)
-        for i in range(k):
-            row[i * n + a] = 1.0 / bw[a]
+        row[a : k * n : n] = 1.0 / bw[a]
         row[k * n :] = -catalog.incidence[:, a]
         rows.append((row, "<=", 0.0))
     budget = np.zeros(nvars)
@@ -222,34 +190,38 @@ def solve_mmf(
     )
 
 
+def _covering_shares(demand, catalog: SchedulableSetCatalog) -> tuple[dict[int, float], float]:
+    # minimize the total share subject to covering every link's demand
+    d = check_per_link(demand, catalog.link_count)
+    covered = frozenset().union(*catalog.sublink_sets)
+    missing = [a + 1 for a in range(catalog.link_count) if d[a] > 0 and (a + 1) not in covered]
+    if missing:
+        raise UncoverableDemandError(
+            f"links {missing} have positive demand but appear in no schedulable set"
+        )
+    if len(catalog) == 0:
+        return {}, 0.0
+    rows = [(catalog.incidence[:, a], ">=", float(d[a])) for a in range(catalog.link_count)]
+    out = solve_lp(LinearProgram(-np.ones(len(catalog)), rows))
+    if out.status != "optimal":
+        raise SolverError(f"schedule LP ended {out.status}")
+    return {j: float(v) for j, v in enumerate(out.x) if v > _WEIGHT_EPS}, float(-out.value)
+
+
 def polytope_membership(demand, catalog: SchedulableSetCatalog) -> Membership:
     """Can the catalog's sets cover the demand within one time unit?
 
-    Feasibility of: shares >= 0, sum of shares <= 1, coverage of every
-    link's demand. Returns the covering shares as a certificate when
-    inside.
+    Inside exactly when the optimal fractional schedule is at most 1 + 1e-9
+    long; its shares (by catalog position) are then the certificate. A demand
+    on a link no set covers is outside.
     """
-    d = np.asarray(demand, dtype=float)
-    if d.shape != (catalog.link_count,):
-        raise ValidationError(
-            f"demand has shape {d.shape}, expected ({catalog.link_count},)"
-        )
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise ValidationError("demand must be finite and nonnegative")
-    nsets = len(catalog)
-    if nsets == 0:
-        return Membership(inside=bool(np.all(d <= 0)), certificate={} if np.all(d <= 0) else None)
-    rows: list[tuple[np.ndarray, str, float]] = []
-    for a in range(catalog.link_count):
-        rows.append((catalog.incidence[:, a], ">=", float(d[a])))
-    rows.append((np.ones(nsets), "<=", 1.0))
-    out = solve_lp(LinearProgram(np.zeros(nsets), rows))
-    if out.status == "infeasible":
+    try:
+        shares, length = _covering_shares(demand, catalog)
+    except UncoverableDemandError:
         return Membership(inside=False)
-    if out.status != "optimal":
-        raise SolverError(f"membership LP ended {out.status}")
-    cert = {j: float(v) for j, v in enumerate(out.x) if v > _WEIGHT_EPS}
-    return Membership(inside=True, certificate=cert)
+    if length > 1.0 + _LENGTH_EPS:
+        return Membership(inside=False)
+    return Membership(inside=True, certificate=shares)
 
 
 def optimal_fractional_schedule(
@@ -261,31 +233,6 @@ def optimal_fractional_schedule(
     demand. Returns the schedule and its exact LP length; lengths above
     one mean the demand is outside the unit-time region.
     """
-    d = np.asarray(demand, dtype=float)
-    if d.shape != (catalog.link_count,):
-        raise ValidationError(
-            f"demand has shape {d.shape}, expected ({catalog.link_count},)"
-        )
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise ValidationError("demand must be finite and nonnegative")
-    covered = frozenset().union(*catalog.sublink_sets) if len(catalog) else frozenset()
-    missing = [a + 1 for a in range(catalog.link_count) if d[a] > 0 and (a + 1) not in covered]
-    if missing:
-        raise UncoverableDemandError(
-            f"links {missing} have positive demand but appear in no schedulable set"
-        )
-    nsets = len(catalog)
-    if nsets == 0:
-        return FractionalSchedule(()), 0.0
-    rows: list[tuple[np.ndarray, str, float]] = []
-    for a in range(catalog.link_count):
-        rows.append((catalog.incidence[:, a], ">=", float(d[a])))
-    out = solve_lp(LinearProgram(-np.ones(nsets), rows))
-    if out.status != "optimal":
-        raise SolverError(f"schedule LP ended {out.status}")
-    entries = tuple(
-        (catalog.hyperarc_sets[j], float(v))
-        for j, v in enumerate(out.x)
-        if v > _WEIGHT_EPS
-    )
-    return FractionalSchedule(entries), float(-out.value)
+    shares, length = _covering_shares(demand, catalog)
+    entries = tuple((catalog.hyperarc_sets[j], v) for j, v in shares.items())
+    return FractionalSchedule(entries), length

@@ -14,21 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ValidationError
-
-__all__ = [
-    "DEFAULT_MAX_CODING_DEGREE",
-    "Node",
-    "Link",
-    "Hyperarc",
-    "Network",
-    "distance",
-    "build_links",
-    "build_network",
-    "generate_hyperarcs",
-]
 
 DEFAULT_MAX_CODING_DEGREE = 3
 

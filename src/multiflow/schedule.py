@@ -1,37 +1,24 @@
-"""Fractional schedules and the per-link delivered-rate function."""
+"""Fractional schedules, their delivered per-link rates, and the per-link vector check."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import Network
 
-__all__ = ["FractionalSchedule", "link_capacity_function"]
 
-
-def link_capacity_function(
-    weighted_sets: Iterable[tuple[Iterable[int], float]], link_count: int
-) -> np.ndarray:
-    """Per-link delivered rate of a weighted collection of link sets.
-
-    Each pair is (link indices, weight); a link's rate is the sum of the
-    weights of the sets containing it.
-    """
-    rates = np.zeros(link_count)
-    for links, lam in weighted_sets:
-        lam = float(lam)
-        if not math.isfinite(lam):
-            raise ValidationError("non-finite schedule weight")
-        for a in links:
-            if not 1 <= a <= link_count:
-                raise ValidationError(f"link index {a} outside 1..{link_count}")
-            rates[a - 1] += lam
-    return rates
+def check_per_link(values, link_count: int, name: str = "demand") -> np.ndarray:
+    """A per-link vector as a new float array: right length, finite, nonnegative."""
+    v = np.array(values, dtype=float)
+    if v.shape != (link_count,):
+        raise ValidationError(f"{name} has shape {v.shape}, expected ({link_count},)")
+    if not np.all(np.isfinite(v)) or np.any(v < 0):
+        raise ValidationError(f"{name} must be finite and nonnegative")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,4 +63,7 @@ class FractionalSchedule:
 
     def capacity(self, network: Network) -> np.ndarray:
         """The delivered per-link rates of this schedule on a network."""
-        return link_capacity_function(self.sublink_sets(network), network.link_count)
+        rates = np.zeros(network.link_count)
+        for links, lam in self.sublink_sets(network):
+            rates[[a - 1 for a in links]] += lam
+        return rates

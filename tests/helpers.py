@@ -2,8 +2,8 @@
 
 The oracles here are deliberately independent of the package internals:
 maximal independent sets come from filtering every vertex subset,
-conflict graphs from testing every vertex pair with the public pairwise
-predicates, greedy schedules from set-based loops, linear programs are
+conflict graphs from testing every vertex pair with the pairwise
+protocol-model predicates below, greedy schedules from set-based loops, linear programs are
 solved by enumerating basis vertices with exact rational arithmetic, and
 a simplex basis is certified by dense rational Gauss-Jordan over every
 row.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
@@ -27,9 +28,8 @@ from multiflow import (
     build_conflict_graph,
     build_network,
     closed_neighborhoods,
-    hyperarcs_conflict,
-    links_conflict,
 )
+from multiflow.model import Hyperarc, Link, distance
 
 # ---------------------------------------------------------------------------
 # canonical two-way relay fixtures
@@ -94,6 +94,26 @@ def make_conflict_graph(
     )
 
 
+def _endpoints_conflict(i: int, j: int, i2: int, j2: int, nodes: Mapping[int, Node]) -> bool:
+    # transmitter of one within interference range of the other's receiver
+    return (
+        distance(nodes[i2], nodes[j]) <= nodes[i2].interf_radius
+        or distance(nodes[i], nodes[j2]) <= nodes[i].interf_radius
+    )
+
+
+def links_conflict(l: Link, l2: Link, nodes: Mapping[int, Node]) -> bool:
+    """Protocol-model interference test for two distinct links."""
+    return _endpoints_conflict(l.tail, l.head, l2.tail, l2.head, nodes)
+
+
+def hyperarcs_conflict(h: Hyperarc, h2: Hyperarc, nodes: Mapping[int, Node]) -> bool:
+    """Existential sub-link test: true when some sub-link pair interferes."""
+    return any(
+        _endpoints_conflict(h.tail, j, h2.tail, j2, nodes) for j in h.heads for j2 in h2.heads
+    )
+
+
 def pairwise_adjacency(network: Network, level: str) -> tuple[frozenset[int], ...]:
     """Neighbor sets of the conflict graph, by testing every vertex pair."""
     if level == "link":
@@ -110,7 +130,7 @@ def pairwise_adjacency(network: Network, level: str) -> tuple[frozenset[int], ..
 
 
 def loop_coding_first_mwis(candidates, omega, gh: ConflictGraph) -> frozenset[int]:
-    """Set-based reference for ``multiflow.coding_first_mwis``."""
+    """Set-based reference for ``multiflow.cfs.coding_first_mwis``."""
     remaining = set(candidates)
     if not remaining:
         raise ValidationError("empty candidate set")

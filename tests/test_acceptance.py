@@ -15,12 +15,11 @@ from multiflow import (
     closed_neighborhoods,
     coding_first_ordering,
     enumerate_schedulable_sets,
-    inductive_schedulable_number,
     optimal_fractional_schedule,
-    solve_lp,
     solve_mmf,
-    LinearProgram,
 )
+from multiflow.conflict import inductive_schedulable_number
+from multiflow.lp import LinearProgram, solve_lp
 
 from helpers import (
     brute_force_lp,

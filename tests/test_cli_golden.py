@@ -1,0 +1,66 @@
+"""Byte-for-byte pins of the command line's stdout on the two demo relays.
+
+Each digest is the sha256 of everything one ``multiflow`` run prints, in
+both output formats, so any change to a number, a JSON byte or a table
+column shows up here. The ``schedule`` runs use the README's demand file.
+"""
+
+import hashlib
+
+import pytest
+
+from multiflow.cli import main
+
+README_DEMAND = '{"1-3": 0.25, "3-2": 0.125}'
+
+RUNS = {
+    "solve": [],
+    "compare": [],
+    "inspect": [],
+    "schedule-cfs": ["--demand", "{demand}", "--algorithm", "cfs"],
+    "schedule-exact": ["--demand", "{demand}", "--algorithm", "exact"],
+}
+
+GOLDEN = {
+    "two_way_relay_coded compare json": "d7e47385735ea2e44ad3539cc104af5ba0cd4f8c30290b132dca18c660be2e87",
+    "two_way_relay_coded compare table": "34397b4ba4b2428f35668750796444d5262bff71bf0dc198afd04f5c0ecd2a23",
+    "two_way_relay_coded inspect json": "5763f23f43134d0c5c481a3a89154cc840861f9170bf3758df029e5521fb000d",
+    "two_way_relay_coded inspect table": "aae89931d9df796c58476c913ee18fe2de442cc87ce9d29a3de5678d6d6b84d0",
+    "two_way_relay_coded schedule-cfs json": "85727c1c10d03343dd330d9056f92189eff76c2e8969295fc8f43abad5ef0932",
+    "two_way_relay_coded schedule-cfs table": "e1d3db002517f110d02f64c1766ca60ee830eb280f2dc7b73504e4901ff2281b",
+    "two_way_relay_coded schedule-exact json": "cfe095677c14b21f192459dd8398f87fc69384e1e2512be382ff23c2d42b3e30",
+    "two_way_relay_coded schedule-exact table": "627fc36d4b3b061ecec9768f6200c474d1ebc5170c06033817816f5156bde909",
+    "two_way_relay_coded solve json": "23d7f44f2f2c2c968c3a385ab8a24616ac2198885a95f98c294a8fbda9cef98f",
+    "two_way_relay_coded solve table": "ae7de21cd0b00981ffa0a2c029a41175b3cbbb5420207ef68b83ef7008e79ec9",
+    "two_way_relay_plain compare json": "267a798c7a1a1cc5f022b217d14e4baea43c9098b8eb964be097d8233809ebd8",
+    "two_way_relay_plain compare table": "cc4e8ea1b9091e66b21d76a8da9615ba0be11ea16ab4dcd44846a6d8b13a39ac",
+    "two_way_relay_plain inspect json": "0efe6f5ebca1f3ef2e948e46a2d9414c3581dda1641dc2a7a49d3416103ee391",
+    "two_way_relay_plain inspect table": "53a0f330cc03ee9f9d19d547ef2d434e60a42aee62862eb40ec004f697b41392",
+    "two_way_relay_plain schedule-cfs json": "85727c1c10d03343dd330d9056f92189eff76c2e8969295fc8f43abad5ef0932",
+    "two_way_relay_plain schedule-cfs table": "e1d3db002517f110d02f64c1766ca60ee830eb280f2dc7b73504e4901ff2281b",
+    "two_way_relay_plain schedule-exact json": "cfe095677c14b21f192459dd8398f87fc69384e1e2512be382ff23c2d42b3e30",
+    "two_way_relay_plain schedule-exact table": "627fc36d4b3b061ecec9768f6200c474d1ebc5170c06033817816f5156bde909",
+    "two_way_relay_plain solve json": "8af5c4869197be177f59a53117701a32f908e3c61b84b9f3bd3f760a76ca7f55",
+    "two_way_relay_plain solve table": "798c324ea9894ce136f64560251581e822f2abef67902a11b32a5c4e4a9fd48e",
+}
+
+
+def cli_digest(capsys, directory, demo, run, fmt):
+    """sha256 of one run's stdout, with the demos and demand written to ``directory``."""
+    assert main(["demo", "--dir", str(directory)]) == 0
+    demand = directory / "demand.json"
+    demand.write_text(README_DEMAND + "\n")
+    capsys.readouterr()
+    extra = [arg.format(demand=demand) for arg in RUNS[run]]
+    command = run.split("-")[0]
+    code = main([command, str(directory / f"{demo}.json"), *extra, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("run", sorted(RUNS))
+@pytest.mark.parametrize("demo", ["two_way_relay_plain", "two_way_relay_coded"])
+def test_cli_stdout_matches_golden_digest(tmp_path, capsys, demo, run, fmt):
+    assert cli_digest(capsys, tmp_path, demo, run, fmt) == GOLDEN[f"{demo} {run} {fmt}"]

@@ -10,15 +10,15 @@ from multiflow import (
     build_conflict_graph,
     build_network,
     closed_neighborhoods,
-    distance,
     enumerate_schedulable_sets,
-    hyperarcs_conflict,
-    inductive_schedulable_number,
-    links_conflict,
 )
+from multiflow.conflict import inductive_schedulable_number
+from multiflow.model import distance
 
 from helpers import (
     brute_force_max_independent_sets,
+    hyperarcs_conflict,
+    links_conflict,
     make_conflict_graph,
     pairwise_adjacency,
     random_graph,
@@ -105,6 +105,23 @@ def test_canonical_conflict_graphs_are_complete():
     assert gh.sublinks[4] == frozenset({3, 4})
     assert not gh.is_independent([1, 5])
     assert gh.is_independent([5])
+
+
+@pytest.mark.parametrize("graph", ["link", "hyperarc"])
+def test_vertex_ids_outside_the_graph_are_rejected(graph):
+    # numpy would read 0 and -1 as the last vertex's row
+    g = build_conflict_graph(relay_plain() if graph == "link" else relay_coded(), graph)
+    for bad in (0, -1, g.vertex_count + 1):
+        with pytest.raises(ValidationError):
+            g.conflicts(bad, 1)
+        with pytest.raises(ValidationError):
+            g.conflicts(1, bad)
+        with pytest.raises(ValidationError):
+            g.is_independent([bad, 1])
+        with pytest.raises(ValidationError):
+            g.is_independent([bad])
+    assert g.is_independent([]) and g.is_independent([g.vertex_count])
+    assert g.conflicts(1, g.vertex_count) and not g.conflicts(1, 1)
 
 
 def coded_geometric_network(seed: int):

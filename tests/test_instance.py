@@ -1,19 +1,18 @@
 """JSON instance and demand parsing."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from multiflow import (
     ValidationError,
-    demo_instances,
     load_demand,
     load_instance,
-    parse_demand,
-    parse_instance,
     solve_mmf,
 )
+from multiflow.instance import demo_instances, parse_demand, parse_instance
 
 
 def canonical_data(coded=True):
@@ -168,3 +167,15 @@ def test_demo_instances_solve_to_known_throughputs():
     # demo payloads are valid JSON end to end
     for data in demos.values():
         assert parse_instance(json.loads(json.dumps(data)))
+
+
+def test_readme_instance_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Instance files", 1)[1]
+    inst = parse_instance(json.loads(section.split("```json\n", 1)[1].split("```", 1)[0]))
+    net = inst.network
+    assert (net.link_count, net.hyperarc_count, len(inst.commodities)) == (4, 5, 2)
+    expected = np.ones(4)
+    for tail, head in ((3, 1), (3, 2)):
+        expected[net.find_link(tail, head).index - 1] = 2.0
+    assert np.array_equal(inst.bandwidth, expected)

@@ -8,16 +8,13 @@ import pytest
 import multiflow.lp as lp_module
 from multiflow import (
     Commodity,
-    LinearProgram,
     Node,
     SolverError,
     ValidationError,
     build_network,
-    normalized_rows,
-    solve_lp,
     solve_mmf,
 )
-from multiflow.lp import _exact_certificate, _Simplex
+from multiflow.lp import LinearProgram, _exact_certificate, _Simplex, normalized_rows, solve_lp
 
 from helpers import (
     brute_force_lp,
@@ -324,13 +321,39 @@ def test_buffered_pivot_matches_outer_product_update():
         random_pivots(rng, _Simplex(rng.uniform(-5.0, 5.0, n), A, b), 8)
 
 
-def test_buffered_pivot_after_a_row_drop():
-    A = np.array([[1.0, 1.0], [-1.0, -2.0], [2.0, -1.0], [-1.0, 0.0]])
-    b = np.array([4.0, -1.0, 3.0, -0.5])
-    sx = _Simplex(np.array([1.0, 1.0]), A, b)
-    first_art = sx.n + sx.slack_cols
-    sx.T[1, :first_art] = 0.0  # make row 1 look redundant, so phase 1 drops it
-    sx.drive_out_artificials()
-    assert sx.kept_rows == [0, 2, 3]
-    assert sx._update.shape == sx.T.shape == (3, sx.ncols + 1)
-    random_pivots(np.random.default_rng(37), sx, 12)
+def test_artificial_columns_stay_negated_slack_columns():
+    """Phase 1 never meets an all-zero row, so no row is dropped and the dual is set.
+
+    Each artificial column starts as the exact negation of its constraint's
+    slack column and every pivot keeps that bitwise, so a basic artificial
+    (a unit column) always has a -1 slack entry in its row to pivot on.
+    """
+    rng = np.random.default_rng(43)
+    phase1_runs = driven_out = 0
+    for _ in range(600):
+        objective, rows = random_lp(rng)
+        A, b = normalized_rows(LinearProgram(objective, rows))
+        sx = _Simplex(np.asarray(objective, dtype=float), A, b)
+        if sx.art_rows.size == 0:
+            continue
+        slack = sx.n + sx.art_rows
+        art = sx.n + sx.m + np.arange(sx.art_rows.size)
+        pivot = sx._pivot
+
+        def checked_pivot(row, col):
+            pivot(row, col)
+            assert np.array_equal(sx.T[:, slack], -sx.T[:, art])
+
+        sx._pivot = checked_pivot
+        assert np.array_equal(sx.T[:, slack], -sx.T[:, art])
+        assert sx.run_phase(sx.phase1_cost(), sx.ncols) == "optimal"
+        phase1_runs += 1
+        if sx.artificial_sum() <= 1e-7 * max(1.0, float(np.abs(b).max())):
+            driven_out += sum(j >= sx.n + sx.m for j in sx.basis)
+            sx.drive_out_artificials()
+            assert all(j < sx.n + sx.m for j in sx.basis) and sx.T.shape[0] == sx.m
+        out = solve_lp(LinearProgram(objective, rows))
+        if out.status == "optimal":
+            assert out.dual is not None and out.dual.shape == (sx.m,)
+    assert phase1_runs >= 200
+    assert driven_out >= 50  # basic artificials at zero after phase 1 do occur

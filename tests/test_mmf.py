@@ -14,14 +14,12 @@ from multiflow import (
     UncoverableDemandError,
     ValidationError,
     build_conflict_graph,
-    demand_vector,
     enumerate_schedulable_sets,
-    flow_value,
     optimal_fractional_schedule,
     polytope_membership,
     solve_mmf,
-    validate_demand,
 )
+from multiflow.mmf import demand_vector, flow_value, validate_demand
 
 from helpers import (
     assert_valid_solution,

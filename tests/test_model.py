@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from multiflow import (
-    DEFAULT_MAX_CODING_DEGREE,
-    Hyperarc,
-    Link,
     Node,
     ValidationError,
-    build_links,
     build_network,
+)
+from multiflow.model import (
+    build_links,
+    DEFAULT_MAX_CODING_DEGREE,
     distance,
     generate_hyperarcs,
+    Hyperarc,
+    Link,
 )
 
 from helpers import random_network, relay_coded, relay_nodes, relay_plain
