@@ -14,8 +14,6 @@ masks out its row of the hyperarc conflict matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .conflict import ConflictGraph, Neighborhoods, sublink_index
@@ -48,23 +46,6 @@ def _coding_first_scan(free: np.ndarray, order: np.ndarray, matrix: np.ndarray) 
         free &= ~matrix[order[k], order]
         free[k] = False
     return np.array(picked, dtype=np.intp)
-
-
-def coding_first_mwis(
-    candidates: Iterable[int], omega: CodingFirstOrdering, gh: ConflictGraph
-) -> frozenset[int]:
-    """Greedy maximal independent set scanned in coding-first order.
-
-    Scans the ordering, keeps candidates, and adds every vertex not in
-    conflict with one already chosen. The result always contains the
-    first candidate in the ordering.
-    """
-    remaining = set(candidates)
-    if not remaining:
-        raise ValidationError("empty candidate set")
-    mask = np.array([v in remaining for v in range(1, gh.vertex_count + 1)], dtype=bool)
-    order = np.array(omega.order, dtype=np.intp) - 1
-    return frozenset((_coding_first_scan(mask[order], order, gh.matrix) + 1).tolist())
 
 
 def cfs_schedule(

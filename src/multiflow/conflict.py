@@ -10,6 +10,16 @@ Each graph is one read-only boolean matrix. Distances come from
 ``math.hypot`` for every node pair (numpy's hypot may round a tie the other
 way); one broadcast tests every link pair, and a hyperarc takes the link
 rows and columns of its sub-links.
+
+The catalog comes from Bron-Kerbosch with pivoting on the complement
+graph, each vertex set a Python int with bit v-1 for vertex v. The found
+sets are unpacked into one boolean member matrix, which scatters into the
+incidence matrix and splits into frozensets. Catalog order is ascending
+sorted vertex tuple; maximal sets never nest, so that is descending row
+order read as binary numbers with vertex 1 the top bit, and numpy sorts
+the packed rows without building tuples. The inductive schedulable number
+is the largest entry of ``incidence @ closed``, with ``closed`` the 0/1
+closed-neighborhood matrix of the links, taken a block of sets at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from .errors import EnumerationCapError, ValidationError
 from .model import Network, distance
 
 DEFAULT_ENUMERATION_CAP = 24
+_ISN_ROWS = 4096
 
 
 def sublink_index(sublinks: tuple[frozenset[int], ...], link_count: int) -> np.ndarray:
@@ -137,28 +148,53 @@ class SchedulableSetCatalog:
         return len(self.hyperarc_sets)
 
 
-def _maximal_independent_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
-    # Bron-Kerbosch with pivot, run on the complement graph.
+def _bits(x: int):
+    # positions of the set bits of x, lowest first
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
+    # Bron-Kerbosch with pivot on the complement graph over int bitmasks (bit
+    # v-1 is vertex v); one bool row per maximal set, in catalog order
     n = cg.vertex_count
     if n == 0:
-        return ()
-    allv = frozenset(range(1, n + 1))
-    nonadj = tuple(allv - cg.adjacency[v - 1] - {v} for v in range(1, n + 1))
-    found: list[frozenset[int]] = []
+        return np.zeros((0, 0), dtype=bool)
+    nonadj = np.logical_not(cg.matrix)
+    np.fill_diagonal(nonadj, False)
+    compat = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(nonadj, axis=1, bitorder="little")
+    ]
+    found: list[int] = []
 
-    def expand(chosen: tuple[int, ...], cand: set[int], excl: set[int]) -> None:
+    def expand(chosen: int, cand: int, excl: int) -> None:
         if not cand and not excl:
-            found.append(frozenset(chosen))
+            found.append(chosen)
             return
-        pivot = max(sorted(cand | excl), key=lambda u: len(cand & nonadj[u - 1]))
-        for v in sorted(cand - nonadj[pivot - 1]):
-            expand(chosen + (v,), cand & nonadj[v - 1], excl & nonadj[v - 1])
-            cand = cand - {v}
-            excl = excl | {v}
+        pivot = max(_bits(cand | excl), key=lambda u: (cand & compat[u]).bit_count())
+        for v in _bits(cand & ~compat[pivot]):
+            expand(chosen | 1 << v, cand & compat[v], excl & compat[v])
+            cand ^= 1 << v
+            excl |= 1 << v
 
-    expand((), set(allv), set())
-    found.sort(key=lambda s: tuple(sorted(s)))
-    return tuple(found)
+    expand(0, (1 << n) - 1, 0)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in found), dtype=np.uint8)
+    member = np.unpackbits(packed.reshape(len(found), width), axis=1, count=n, bitorder="little")
+    # maximal sets never nest, so ascending sorted-vertex-tuple order is
+    # descending row order with vertex 1 as the most significant bit
+    order = np.lexsort(~np.packbits(member, axis=1).T[::-1])
+    return member.view(bool)[order]
+
+
+def _row_sets(rows: np.ndarray) -> tuple[frozenset[int], ...]:
+    # the 1-based column ids of each row's nonzero entries
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    ids = (np.nonzero(rows)[1] + 1).tolist()
+    return tuple(frozenset(ids[b:e]) for b, e in zip([0, *ends], ends))
 
 
 def enumerate_schedulable_sets(
@@ -175,19 +211,24 @@ def enumerate_schedulable_sets(
             f"{cg.vertex_count} vertices exceed the exact enumeration cap of {cap}; "
             f"raise the cap or use the greedy scheduler"
         )
-    sets = _maximal_independent_sets(cg)
-    sublink_sets = tuple(
-        frozenset().union(*(cg.sublinks[v - 1] for v in s)) for s in sets
-    )
-    incidence = np.zeros((len(sets), cg.link_count))
-    for k, ls in enumerate(sublink_sets):
-        for a in ls:
-            incidence[k, a - 1] = 1.0
+    member = _maximal_independent_sets(cg)
+    sets = _row_sets(member)
+    n = cg.link_count
+    rows, verts = np.nonzero(member)
+    links = sublink_index(cg.sublinks, n)[verts]
+    real = links < n
+    incidence = np.zeros((len(member), n))
+    incidence[np.broadcast_to(rows[:, None], links.shape)[real], links[real]] = 1.0
+    del member, rows, verts, links, real
+    if all(s == {v} for v, s in enumerate(cg.sublinks, 1)):
+        sublink_sets = sets
+    else:
+        sublink_sets = _row_sets(incidence)
     return SchedulableSetCatalog(
         hyperarc_sets=sets,
         sublink_sets=sublink_sets,
         incidence=incidence,
-        link_count=cg.link_count,
+        link_count=n,
     )
 
 
@@ -221,6 +262,9 @@ def inductive_schedulable_number(
         raise ValidationError("empty schedulable-set catalog")
     if not neighborhoods.sets:
         raise ValidationError("no links, so no conflict neighborhoods")
-    return max(
-        len(ls & nb) for ls in catalog.sublink_sets for nb in neighborhoods.sets
-    )
+    closed = np.zeros((catalog.link_count, len(neighborhoods.sets)))
+    for e, nb in enumerate(neighborhoods.sets):
+        closed[[a - 1 for a in nb], e] = 1.0
+    # overlap counts for _ISN_ROWS sets at a time, never a catalog-sized product
+    blocks = range(0, len(catalog), _ISN_ROWS)
+    return int(max((catalog.incidence[k : k + _ISN_ROWS] @ closed).max() for k in blocks))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -86,17 +86,6 @@ def flow_value(network: Network, flow, source: int) -> float:
 def validate_demand(network: Network, demand) -> np.ndarray:
     """Check a per-link vector: right length, finite, nonnegative."""
     return check_per_link(demand, network.link_count)
-
-
-def demand_vector(network: Network, amounts: Mapping[tuple[int, int], float]) -> np.ndarray:
-    """Build a per-link vector from a mapping of (tail, head) to rate."""
-    d = np.zeros(network.link_count)
-    for (tail, head), value in amounts.items():
-        lk = network.find_link(tail, head)
-        if lk is None:
-            raise ValidationError(f"({tail}, {head}) is not a link of this network")
-        d[lk.index - 1] = float(value)
-    return validate_demand(network, d)
 
 
 def _validate_bandwidth(network: Network, bandwidth) -> np.ndarray:
@@ -193,8 +182,7 @@ def solve_mmf(
 def _covering_shares(demand, catalog: SchedulableSetCatalog) -> tuple[dict[int, float], float]:
     # minimize the total share subject to covering every link's demand
     d = check_per_link(demand, catalog.link_count)
-    covered = frozenset().union(*catalog.sublink_sets)
-    missing = [a + 1 for a in range(catalog.link_count) if d[a] > 0 and (a + 1) not in covered]
+    missing = (np.flatnonzero((d > 0) & ~catalog.incidence.any(axis=0)) + 1).tolist()
     if missing:
         raise UncoverableDemandError(
             f"links {missing} have positive demand but appear in no schedulable set"

@@ -238,21 +238,6 @@ def _coded_head_sets(network: Network, coding_nodes: Iterable[int], degree: int)
     return coded
 
 
-def generate_hyperarcs(
-    network: Network,
-    coding_nodes: Iterable[int],
-    max_coding_degree: int = DEFAULT_MAX_CODING_DEGREE,
-) -> tuple[Hyperarc, ...]:
-    """Enumerate the hyperarc set for a choice of coding nodes.
-
-    Returns every weight-1 hyperarc plus, for each coding node i, one
-    hyperarc (i, J) per subset J of i's out-neighbors with
-    2 <= |J| <= max_coding_degree, in the canonical ordering.
-    """
-    coded = _coded_head_sets(network, coding_nodes, max_coding_degree)
-    return Network(network.nodes, coded).hyperarcs
-
-
 def build_network(
     nodes: Iterable[Node],
     hyperarcs: Iterable[tuple[int, Iterable[int]]] | None = None,

@@ -1,12 +1,13 @@
 """Shared fixtures, random generators, and brute-force oracles for the tests.
 
 The oracles here are deliberately independent of the package internals:
-maximal independent sets come from filtering every vertex subset,
-conflict graphs from testing every vertex pair with the pairwise
-protocol-model predicates below, greedy schedules from set-based loops, linear programs are
-solved by enumerating basis vertices with exact rational arithmetic, and
-a simplex basis is certified by dense rational Gauss-Jordan over every
-row.
+maximal independent sets come from filtering every vertex subset or from
+a frozenset Bron-Kerbosch, catalogs and the inductive schedulable number
+from set loops, conflict graphs from testing every vertex pair with the
+pairwise protocol-model predicates below, greedy schedules from set-based
+loops, linear programs are solved by enumerating basis vertices with exact
+rational arithmetic, and a simplex basis is certified by dense rational
+Gauss-Jordan over every row.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from multiflow import (
     FractionalSchedule,
     Network,
     Node,
+    SchedulableSetCatalog,
     SolverError,
     ValidationError,
     build_conflict_graph,
     build_network,
     closed_neighborhoods,
 )
-from multiflow.model import Hyperarc, Link, distance
+from multiflow.cfs import _coding_first_scan
+from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link, _coded_head_sets, distance
 
 # ---------------------------------------------------------------------------
 # canonical two-way relay fixtures
@@ -129,8 +132,37 @@ def pairwise_adjacency(network: Network, level: str) -> tuple[frozenset[int], ..
     return tuple(frozenset(a) for a in adj)
 
 
+def generate_hyperarcs(
+    network: Network,
+    coding_nodes,
+    max_coding_degree: int = DEFAULT_MAX_CODING_DEGREE,
+) -> tuple[Hyperarc, ...]:
+    """The hyperarcs ``build_network`` generates for a choice of coding nodes.
+
+    Every weight-1 hyperarc plus, for each coding node i, one hyperarc
+    (i, J) per subset J of i's out-neighbors with
+    2 <= |J| <= max_coding_degree, in the canonical ordering.
+    """
+    coded = _coded_head_sets(network, coding_nodes, max_coding_degree)
+    return Network(network.nodes, coded).hyperarcs
+
+
+def coding_first_mwis(candidates, omega, gh: ConflictGraph) -> frozenset[int]:
+    """One coding-first scan of ``multiflow.cfs`` over a candidate set.
+
+    Scans the ordering, keeps candidates, and adds every vertex not in
+    conflict with one already chosen, as each ``cfs_schedule`` round does.
+    """
+    remaining = set(candidates)
+    if not remaining:
+        raise ValidationError("empty candidate set")
+    mask = np.array([v in remaining for v in range(1, gh.vertex_count + 1)], dtype=bool)
+    order = np.array(omega.order, dtype=np.intp) - 1
+    return frozenset((_coding_first_scan(mask[order], order, gh.matrix) + 1).tolist())
+
+
 def loop_coding_first_mwis(candidates, omega, gh: ConflictGraph) -> frozenset[int]:
-    """Set-based reference for ``multiflow.cfs.coding_first_mwis``."""
+    """Set-based reference for ``coding_first_mwis``."""
     remaining = set(candidates)
     if not remaining:
         raise ValidationError("empty candidate set")
@@ -164,6 +196,55 @@ def loop_cfs_schedule(network: Network, gh: ConflictGraph, omega, demand) -> Fra
                 left = residual[a - 1] - lam
                 residual[a - 1] = left if left > eps else 0.0
     return FractionalSchedule(tuple(entries))
+
+
+def loop_maximal_independent_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
+    """Frozenset Bron-Kerbosch with pivot on the complement graph, sorted by vertex tuple.
+
+    Reference for the bitmask enumeration in ``multiflow.conflict``: the
+    same pivot rule, with every candidate and excluded set a Python set.
+    """
+    n = cg.vertex_count
+    if n == 0:
+        return ()
+    allv = frozenset(range(1, n + 1))
+    nonadj = tuple(allv - cg.adjacency[v - 1] - {v} for v in range(1, n + 1))
+    found: list[frozenset[int]] = []
+
+    def expand(chosen: tuple[int, ...], cand: set[int], excl: set[int]) -> None:
+        if not cand and not excl:
+            found.append(frozenset(chosen))
+            return
+        pivot = max(sorted(cand | excl), key=lambda u: len(cand & nonadj[u - 1]))
+        for v in sorted(cand - nonadj[pivot - 1]):
+            expand(chosen + (v,), cand & nonadj[v - 1], excl & nonadj[v - 1])
+            cand = cand - {v}
+            excl = excl | {v}
+
+    expand((), set(allv), set())
+    found.sort(key=lambda s: tuple(sorted(s)))
+    return tuple(found)
+
+
+def loop_schedulable_sets(cg: ConflictGraph) -> SchedulableSetCatalog:
+    """Set-loop reference for ``multiflow.enumerate_schedulable_sets`` (no cap)."""
+    sets = loop_maximal_independent_sets(cg)
+    sublink_sets = tuple(frozenset().union(*(cg.sublinks[v - 1] for v in s)) for s in sets)
+    incidence = np.zeros((len(sets), cg.link_count))
+    for k, ls in enumerate(sublink_sets):
+        for a in ls:
+            incidence[k, a - 1] = 1.0
+    return SchedulableSetCatalog(
+        hyperarc_sets=sets,
+        sublink_sets=sublink_sets,
+        incidence=incidence,
+        link_count=cg.link_count,
+    )
+
+
+def loop_inductive_schedulable_number(catalog: SchedulableSetCatalog, neighborhoods) -> int:
+    """Set-loop reference for ``inductive_schedulable_number`` (nonempty inputs)."""
+    return max(len(ls & nb) for ls in catalog.sublink_sets for nb in neighborhoods.sets)
 
 
 def brute_force_max_independent_sets(cg: ConflictGraph) -> set[frozenset[int]]:

@@ -15,10 +15,10 @@ from multiflow import (
     enumerate_schedulable_sets,
     optimal_fractional_schedule,
 )
-from multiflow.cfs import coding_first_mwis
 from multiflow.conflict import inductive_schedulable_number
 
 from helpers import (
+    coding_first_mwis,
     loop_cfs_schedule,
     loop_coding_first_mwis,
     make_conflict_graph,

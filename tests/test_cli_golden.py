@@ -1,11 +1,13 @@
-"""Byte-for-byte pins of the command line's stdout on the two demo relays.
+"""Byte-for-byte pins of the command line's stdout on the demo relays and 4x4 grids.
 
 Each digest is the sha256 of everything one ``multiflow`` run prints, in
 both output formats, so any change to a number, a JSON byte or a table
 column shows up here. The ``schedule`` runs use the README's demand file.
+The grid digests pin ``inspect``'s full catalog listing on larger graphs.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -64,3 +66,35 @@ def cli_digest(capsys, directory, demo, run, fmt):
 @pytest.mark.parametrize("demo", ["two_way_relay_plain", "two_way_relay_coded"])
 def test_cli_stdout_matches_golden_digest(tmp_path, capsys, demo, run, fmt):
     assert cli_digest(capsys, tmp_path, demo, run, fmt) == GOLDEN[f"{demo} {run} {fmt}"]
+
+
+GRID_GOLDEN = {
+    # 48 vertices, 830 sets
+    "grid_4x4_plain": "6b76d29f7f280aacdc921099d560677ecd97936000e2cae2e1d78ca3d47c7a99",
+    # 100 hyperarc vertices, 2,861 sets
+    "grid_4x4_coded": "c1d0e5b17ce428082f178ac57bddfc5e6c95f7b90338dea69a89d75bd4e553c5",
+}
+
+
+def grid_instance(width: int, height: int, coded: bool) -> dict:
+    """Unit-spaced grid with r = 1 and rho = 1.5; coded grids broadcast to pairs."""
+    nodes = [
+        {"id": y * width + x + 1, "x": float(x), "y": float(y), "r": 1.0, "rho": 1.5}
+        for y in range(height)
+        for x in range(width)
+    ]
+    inst: dict = {"nodes": nodes}
+    if coded:
+        inst["coding_nodes"] = [nd["id"] for nd in nodes]
+        inst["max_coding_degree"] = 2
+    return inst
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GOLDEN))
+def test_inspect_json_on_4x4_grids_matches_golden_digest(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(grid_instance(4, 4, name.endswith("coded"))))
+    code = main(["inspect", str(path), "--cap", "100", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_GOLDEN[name]

@@ -1,5 +1,8 @@
 """Conflict graphs, schedulable-set enumeration, and neighborhood bounds."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,8 @@ from helpers import (
     brute_force_max_independent_sets,
     hyperarcs_conflict,
     links_conflict,
+    loop_inductive_schedulable_number,
+    loop_schedulable_sets,
     make_conflict_graph,
     pairwise_adjacency,
     random_graph,
@@ -248,6 +253,87 @@ def test_catalog_order_is_deterministic():
         (2, 4),
         (2, 5),
     ]
+
+
+def random_edges(rng, n: int, p: float) -> list[tuple[int, int]]:
+    return [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+
+
+def link_neighborhoods(graph):
+    """Closed neighborhoods of a synthetic graph read as a link-level graph."""
+    return closed_neighborhoods(replace(graph, level="link"))
+
+
+def coded_grid(width: int, height: int):
+    """Unit-spaced grid, r = 1 and rho = 1.5, every node coding up to degree 2."""
+    nodes = [
+        Node(y * width + x + 1, float(x), float(y), 1.0, 1.5)
+        for y in range(height)
+        for x in range(width)
+    ]
+    return build_network(nodes, coding_nodes=range(1, width * height + 1), max_coding_degree=2)
+
+
+def assert_catalog_matches_loop_oracle(cg, nb) -> None:
+    got = enumerate_schedulable_sets(cg, cap=cg.vertex_count)
+    want = loop_schedulable_sets(cg)
+    # tuple equality pins the order as well as every entry
+    assert got.hyperarc_sets == want.hyperarc_sets
+    assert got.sublink_sets == want.sublink_sets
+    assert got.incidence.dtype == np.float64
+    assert np.array_equal(got.incidence, want.incidence)
+    assert got.link_count == want.link_count
+    if len(want):
+        assert inductive_schedulable_number(got, nb) == loop_inductive_schedulable_number(want, nb)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 100])
+def test_catalog_matches_loop_oracle_on_random_graphs(n):
+    # 8, 64 and 65 vertices sit on byte and machine-word boundaries of the masks
+    rng = np.random.default_rng(100 + n)
+    for _ in range(1 if n > 9 else 6):
+        p = 0.5 if n > 9 else float(rng.uniform(0.1, 0.9))
+        cg = make_conflict_graph(n, random_edges(rng, n, p))
+        assert_catalog_matches_loop_oracle(cg, link_neighborhoods(cg))
+        # the same graph with 1 to 3 sub-links per vertex, some links in no vertex
+        links = n // 2 + 3
+        sublinks = [
+            (rng.choice(links, size=int(rng.integers(1, 4)), replace=False) + 1).tolist()
+            for _ in range(n)
+        ]
+        coded = make_conflict_graph(
+            n, random_edges(rng, n, p), sublinks=sublinks, link_count=links
+        )
+        link_graph = make_conflict_graph(links, random_edges(rng, links, 0.3))
+        assert_catalog_matches_loop_oracle(coded, link_neighborhoods(link_graph))
+
+
+@pytest.mark.parametrize("n", [1, 9, 70])
+def test_catalog_matches_loop_oracle_on_edgeless_and_complete_graphs(n):
+    edgeless = make_conflict_graph(n, [])
+    complete = make_conflict_graph(n, itertools.combinations(range(1, n + 1), 2))
+    assert_catalog_matches_loop_oracle(edgeless, link_neighborhoods(edgeless))
+    assert_catalog_matches_loop_oracle(complete, link_neighborhoods(complete))
+    assert enumerate_schedulable_sets(edgeless, cap=n).hyperarc_sets == (
+        frozenset(range(1, n + 1)),
+    )
+    assert len(enumerate_schedulable_sets(complete, cap=n)) == n
+
+
+@pytest.mark.parametrize(
+    "net",
+    [relay_plain(), relay_coded(), coded_grid(3, 3), coded_grid(4, 3)],
+    ids=["relay_plain", "relay_coded", "coded_3x3", "coded_4x3"],
+)
+def test_catalog_matches_loop_oracle_on_networks(net):
+    nb = closed_neighborhoods(build_conflict_graph(net, "link"))
+    for level in ("link", "hyperarc"):
+        assert_catalog_matches_loop_oracle(build_conflict_graph(net, level), nb)
+
+
+def test_link_level_catalog_shares_its_sets():
+    catalog = enumerate_schedulable_sets(build_conflict_graph(coded_grid(3, 2), "link"))
+    assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
 
 
 def test_closed_neighborhoods_canonical():

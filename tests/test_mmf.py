@@ -19,7 +19,8 @@ from multiflow import (
     polytope_membership,
     solve_mmf,
 )
-from multiflow.mmf import demand_vector, flow_value, validate_demand
+from multiflow.instance import parse_demand
+from multiflow.mmf import flow_value, validate_demand
 
 from helpers import (
     assert_valid_solution,
@@ -115,15 +116,15 @@ def test_solve_validation():
         solve_mmf(net, relay_commodities(), bandwidth=np.zeros(4))
 
 
-def test_flow_value_and_demand_vector():
+def test_flow_value_and_parse_demand():
     net = relay_plain()
-    d = demand_vector(net, {(1, 3): 0.25, (3, 2): 0.25})
+    d = parse_demand({"1-3": 0.25, "3-2": 0.25}, net)
     assert d.tolist() == [0.25, 0.0, 0.0, 0.25]
     assert abs(flow_value(net, d, 1) - 0.25) <= 1e-12
     assert abs(flow_value(net, d, 3)) <= 1e-12
     assert abs(flow_value(net, d, 2) + 0.25) <= 1e-12
-    with pytest.raises(ValidationError):
-        demand_vector(net, {(1, 2): 1.0})
+    with pytest.raises(ValidationError, match="not a link"):
+        parse_demand({"1-2": 1.0}, net)
 
 
 def test_validate_demand():
@@ -218,6 +219,23 @@ def test_uncoverable_demand():
     # zero demand on the uncovered link is fine
     sched, length = optimal_fractional_schedule(np.array([0.5, 0.0]), catalog)
     assert abs(length - 0.5) <= 1e-9
+
+
+def test_uncoverable_demand_names_every_missing_link():
+    # links 2 and 3 lie in no set
+    catalog = SchedulableSetCatalog(
+        hyperarc_sets=(frozenset({1}), frozenset({2})),
+        sublink_sets=(frozenset({1}), frozenset({4})),
+        incidence=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+        link_count=4,
+    )
+    expected = "links [2, 3] have positive demand but appear in no schedulable set"
+    with pytest.raises(UncoverableDemandError) as err:
+        optimal_fractional_schedule(np.array([0.5, 0.25, 0.125, 0.5]), catalog)
+    assert str(err.value) == expected
+    assert not polytope_membership(np.array([0.0, 0.0, 0.125, 0.0]), catalog).inside
+    sched, length = optimal_fractional_schedule(np.array([0.5, 0.0, 0.0, 0.25]), catalog)
+    assert abs(length - 0.75) <= 1e-9
 
 
 def test_membership_agrees_with_schedule_length():

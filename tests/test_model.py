@@ -12,12 +12,11 @@ from multiflow.model import (
     build_links,
     DEFAULT_MAX_CODING_DEGREE,
     distance,
-    generate_hyperarcs,
     Hyperarc,
     Link,
 )
 
-from helpers import random_network, relay_coded, relay_nodes, relay_plain
+from helpers import generate_hyperarcs, random_network, relay_coded, relay_nodes, relay_plain
 
 
 def test_node_validation():
