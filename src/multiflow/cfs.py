@@ -13,7 +13,6 @@ masks out its row of the hyperarc conflict matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from .conflict import ConflictGraph, Neighborhoods, sublink_index
@@ -24,17 +23,9 @@ from .schedule import FractionalSchedule, check_per_link
 _RESIDUAL_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class CodingFirstOrdering:
-    """Hyperarc vertices sorted by descending weight, then ascending index."""
-
-    order: tuple[int, ...]
-
-
-def coding_first_ordering(gh: ConflictGraph) -> CodingFirstOrdering:
-    """The scan order used by the greedy scheduler."""
-    order = sorted(range(1, gh.vertex_count + 1), key=lambda v: (-gh.weights[v - 1], v))
-    return CodingFirstOrdering(order=tuple(order))
+def coding_first_ordering(gh: ConflictGraph) -> tuple[int, ...]:
+    """The greedy's scan order: vertices by descending weight, then ascending index."""
+    return tuple(v for _, v in sorted((-len(s), v) for v, s in enumerate(gh.sublinks, 1)))
 
 
 def _coding_first_scan(free: np.ndarray, order: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -49,7 +40,7 @@ def _coding_first_scan(free: np.ndarray, order: np.ndarray, matrix: np.ndarray) 
 
 
 def cfs_schedule(
-    network: Network, gh: ConflictGraph, omega: CodingFirstOrdering, demand
+    network: Network, gh: ConflictGraph, ordering, demand
 ) -> FractionalSchedule:
     """Greedy fractional schedule delivering the demand exactly.
 
@@ -57,15 +48,17 @@ def cfs_schedule(
     demand over its sub-links, zero-demand vertices leave for good, one
     conflict-free set is chosen coding-first, runs for the smallest
     assigned demand among its members, and that time is subtracted from
-    every sub-link it serves.
+    every sub-link it serves. The ordering must list every vertex once.
     """
     n = network.link_count
     if gh.link_count != n:
         raise ValidationError("conflict graph does not match the network")
+    if sorted(ordering) != list(range(1, gh.vertex_count + 1)):
+        raise ValidationError(f"the ordering is not a permutation of 1..{gh.vertex_count}")
     # residual demand per link plus a trailing +inf under the index padding
     padded = np.append(check_per_link(demand, n), np.inf)
     index = sublink_index(gh.sublinks, gh.link_count)
-    order = np.array(omega.order, dtype=np.intp) - 1
+    order = np.array(ordering, dtype=np.intp) - 1
     entries: list[tuple[frozenset[int], float]] = []
     for _ in range(n + 2):
         assigned = padded[index].min(axis=1)

@@ -25,7 +25,6 @@ closed-neighborhood matrix of the links, taken a block of sets at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -50,29 +49,23 @@ class ConflictGraph:
     """A conflict graph with 1-based vertices aligned to link or hyperarc indices.
 
     ``sublinks[v-1]`` holds the link indices delivered by vertex v, which
-    is ``{v}`` itself at link level. ``matrix[u-1, v-1]`` is true when u and
-    v conflict; the matrix is read-only and symmetric with a false diagonal.
+    is ``{v}`` itself at link level; their count is v's weight.
+    ``matrix[u-1, v-1]`` is true when u and v conflict; the matrix is
+    read-only and symmetric with a false diagonal.
     """
 
     level: str
-    items: tuple
-    weights: tuple[int, ...]
     sublinks: tuple[frozenset[int], ...]
     link_count: int
     matrix: np.ndarray
 
     @property
     def vertex_count(self) -> int:
-        return len(self.items)
+        return len(self.sublinks)
 
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.matrix)) // 2
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets per vertex, derived from the matrix on first use."""
-        return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.matrix)
 
     def _rows(self, vertices: Iterable[int]) -> np.ndarray:
         # 0-based matrix rows; numpy would read 0 and negative ids from the end
@@ -93,13 +86,9 @@ class ConflictGraph:
 def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph:
     """Build the conflict graph of a network at link or hyperarc level."""
     if level == "link":
-        items: tuple = network.links
         sublinks = tuple(frozenset((lk.index,)) for lk in network.links)
-        weights = tuple(1 for _ in network.links)
     elif level == "hyperarc":
-        items = network.hyperarcs
         sublinks = tuple(network.sublink_indices(h) for h in network.hyperarcs)
-        weights = tuple(h.weight for h in network.hyperarcs)
     else:
         raise ValidationError(f"unknown conflict graph level {level!r}")
 
@@ -120,14 +109,7 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
     matrix = touched[:, index].any(axis=2)
     np.fill_diagonal(matrix, False)
     matrix.flags.writeable = False
-    return ConflictGraph(
-        level=level,
-        items=items,
-        weights=weights,
-        sublinks=sublinks,
-        link_count=network.link_count,
-        matrix=matrix,
-    )
+    return ConflictGraph(level=level, sublinks=sublinks, link_count=n, matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)

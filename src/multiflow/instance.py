@@ -31,7 +31,7 @@ _TOP_FIELDS = {
 _NODE_FIELDS = {"id", "x", "y", "r", "rho"}
 _HYPERARC_FIELDS = {"tail", "heads"}
 _COMMODITY_FIELDS = {"source", "sink"}
-_LINK_KEY = re.compile(r"^(-?\d+)-(-?\d+)$")
+_LINK_KEY = re.compile(r"(-?\d+)-(-?\d+)", re.ASCII)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,15 +76,26 @@ def _require_list(value: Any, where: str) -> list:
     return value
 
 
-def _parse_link_key(key: str, network: Network, where: str) -> int:
-    match = _LINK_KEY.match(key) if isinstance(key, str) else None
-    if match is None:
-        raise ValidationError(f"{where}: key {key!r} is not of the form \"tail-head\"")
-    tail, head = int(match.group(1)), int(match.group(2))
-    lk = network.find_link(tail, head)
-    if lk is None:
-        raise ValidationError(f"{where}: ({tail}, {head}) is not a link of this network")
-    return lk.index
+def _link_rates(out: np.ndarray, entries: dict, network: Network, where: str, positive: bool):
+    # write each "tail-head" entry into the per-link vector out, one key per link
+    named: dict[int, str] = {}
+    for key in sorted(entries):
+        match = _LINK_KEY.fullmatch(key) if isinstance(key, str) else None
+        if match is None:
+            raise ValidationError(f"{where}: key {key!r} is not of the form \"tail-head\"")
+        tail, head = int(match.group(1)), int(match.group(2))
+        lk = network.find_link(tail, head)
+        if lk is None:
+            raise ValidationError(f"{where}: ({tail}, {head}) is not a link of this network")
+        if lk.index in named:
+            raise ValidationError(f"{where}: keys {named[lk.index]!r} and {key!r} name one link")
+        named[lk.index] = key
+        value = _require_number(entries[key], f"{where}[{key!r}]")
+        if value < 0 or (positive and value == 0):
+            sign = "positive" if positive else "nonnegative"
+            raise ValidationError(f"{where}[{key!r}]: must be {sign}")
+        out[lk.index - 1] = value
+    return out
 
 
 def parse_instance(data: Any) -> Instance:
@@ -130,8 +141,6 @@ def parse_instance(data: Any) -> Instance:
     degree = DEFAULT_MAX_CODING_DEGREE
     if "max_coding_degree" in top:
         degree = _require_int(top["max_coding_degree"], "max_coding_degree")
-        if degree < 2:
-            raise ValidationError("max_coding_degree: must be at least 2")
 
     network = build_network(
         nodes, hyperarcs=hyperarcs, coding_nodes=coding_nodes, max_coding_degree=degree
@@ -155,25 +164,27 @@ def parse_instance(data: Any) -> Instance:
         entries = top["bandwidth"]
         if not isinstance(entries, dict):
             raise ValidationError("bandwidth: expected an object")
-        bandwidth = np.ones(network.link_count)
-        for key in sorted(entries):
-            index = _parse_link_key(key, network, "bandwidth")
-            value = _require_number(entries[key], f"bandwidth[{key!r}]")
-            if value <= 0:
-                raise ValidationError(f"bandwidth[{key!r}]: must be positive")
-            bandwidth[index - 1] = value
+        bandwidth = _link_rates(np.ones(network.link_count), entries, network, "bandwidth", True)
 
     return Instance(network=network, commodities=tuple(commodities), bandwidth=bandwidth)
 
 
 def _read_json(path: str | Path) -> Any:
-    # file and JSON errors become ValidationError
+    # file and JSON errors, and an object naming one key twice, become ValidationError
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            twice = next(key for key in keys if keys.count(key) > 1)
+            raise ValidationError(f"{path}: duplicate key {twice!r}")
+        return obj
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
@@ -187,14 +198,7 @@ def parse_demand(data: Any, network: Network) -> np.ndarray:
     """Per-link demand from a mapping of "tail-head" keys to rates."""
     if not isinstance(data, dict):
         raise ValidationError("demand: expected an object mapping \"tail-head\" to rates")
-    d = np.zeros(network.link_count)
-    for key in sorted(data):
-        index = _parse_link_key(key, network, "demand")
-        value = _require_number(data[key], f"demand[{key!r}]")
-        if value < 0:
-            raise ValidationError(f"demand[{key!r}]: must be nonnegative")
-        d[index - 1] = value
-    return d
+    return _link_rates(np.zeros(network.link_count), data, network, "demand", False)
 
 
 def load_demand(path: str | Path, network: Network) -> np.ndarray:

@@ -237,20 +237,20 @@ def _sparse_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[
 
 
 def _exact_certificate(
-    objective: np.ndarray, A: np.ndarray, b: np.ndarray, kept: list[int], basis: list[int]
+    objective: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list[int]
 ) -> Fraction:
     """Re-check the final basis with rational arithmetic; return the exact objective.
 
     Rows whose slack is basic are set aside (dual 0, slack b_r - a_r.x), so
     only the basic structural columns against the tight rows are solved;
-    then every row (unkept ones too), sign and reduced cost is confirmed
+    then every basic value, slacks too, and every reduced cost is confirmed
     exactly. Any failure raises SolverError rather than a doubtful value.
     """
     n, m = int(objective.size), A.shape[0]
     structural = [j for j in basis if j < n]
     slack_rows = [j - n for j in basis if j >= n]
-    tight = sorted(set(kept).difference(slack_rows))
-    # a repeated or unkept slack leaves more tight rows than structural columns
+    tight = sorted(set(range(m)).difference(slack_rows))
+    # a repeated slack leaves more tight rows than structural columns
     if len(tight) != len(structural):
         raise SolverError("exact verification failed: singular basis")
     rows, cols = [{} for _ in tight], [{} for _ in structural]
@@ -266,8 +266,6 @@ def _exact_certificate(
         lhs[r] += Fraction(v) * support[k][1]
     if any(v < 0 for v in z) or any(lhs[r] > bF[r] for r in slack_rows):
         raise SolverError("exact verification failed: negative basic variable")
-    if any(lhs[i] > bF[i] for i in range(m)):
-        raise SolverError("exact verification failed: constraint violated")
     cF = [Fraction(v) for v in objective.tolist()]
     w = _sparse_solve(cols, [cF[j] for j in structural])
     if w is None:
@@ -311,5 +309,5 @@ def solve_lp(p: LinearProgram, exact_check: bool = False) -> LpOutcome:
     dual = sx.dual(cost2)
     exact = None
     if exact_check:
-        exact = _exact_certificate(p.objective, A, b, list(range(sx.m)), sx.basis)
+        exact = _exact_certificate(p.objective, A, b, sx.basis)
     return LpOutcome("optimal", value, x, dual, exact)

@@ -77,15 +77,11 @@ class Membership:
 
 def flow_value(network: Network, flow, source: int) -> float:
     """Net rate leaving the source: outflow minus inflow."""
-    f = validate_demand(network, flow)
-    out = sum(f[lk.index - 1] for lk in network.links_out(source))
-    into = sum(f[lk.index - 1] for lk in network.links_in(source))
+    f = check_per_link(flow, network.link_count)
+    network.node(source)
+    out = sum(f[lk.index - 1] for lk in network.links if lk.tail == source)
+    into = sum(f[lk.index - 1] for lk in network.links if lk.head == source)
     return float(out - into)
-
-
-def validate_demand(network: Network, demand) -> np.ndarray:
-    """Check a per-link vector: right length, finite, nonnegative."""
-    return check_per_link(demand, network.link_count)
 
 
 def _validate_bandwidth(network: Network, bandwidth) -> np.ndarray:

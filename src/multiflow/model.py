@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -60,10 +60,6 @@ class Link:
     def __post_init__(self) -> None:
         if self.tail == self.head:
             raise ValidationError(f"link ({self.tail}, {self.head}): tail equals head")
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.tail, self.head)
 
 
 @dataclass(frozen=True)
@@ -125,53 +121,34 @@ class Network:
         self._node_map = {nd.id: nd for nd in self._nodes}
         self._links = build_links(self._nodes)
         self._by_ends = {(lk.tail, lk.head): lk for lk in self._links}
-        out: dict[int, list[Link]] = {nd.id: [] for nd in self._nodes}
-        inc: dict[int, list[Link]] = {nd.id: [] for nd in self._nodes}
-        for lk in self._links:
-            out[lk.tail].append(lk)
-            inc[lk.head].append(lk)
-        self._out = {nid: tuple(ls) for nid, ls in out.items()}
-        self._in = {nid: tuple(ls) for nid, ls in inc.items()}
 
         seen: set[tuple[int, frozenset[int]]] = set()
-        coded_sets: list[tuple[int, frozenset[int]]] = []
         for tail, heads in coded:
-            hs = frozenset(heads)
-            self._validate_heads(tail, hs)
-            if len(hs) == 1:
+            arc = Hyperarc(tail, heads, 0)  # rejects empty heads and the tail among them
+            if tail not in self._node_map:
+                raise ValidationError(f"hyperarc tail {tail}: unknown node id")
+            hs = sorted(arc.heads)
+            for j in hs:
+                if j not in self._node_map:
+                    raise ValidationError(f"hyperarc ({tail}, {hs}): unknown head id {j}")
+                if (tail, j) not in self._by_ends:
+                    raise ValidationError(
+                        f"hyperarc ({tail}, {hs}): sub-link ({tail}, {j}) is not a link"
+                    )
+            if arc.weight == 1:
                 continue  # already present as the weight-1 hyperarc of that link
-            if (tail, hs) in seen:
-                raise ValidationError(f"duplicate hyperarc ({tail}, {sorted(hs)})")
-            seen.add((tail, hs))
-            coded_sets.append((tail, hs))
-        coded_sets.sort(key=lambda th: (th[0], len(th[1]), tuple(sorted(th[1]))))
+            if (tail, arc.heads) in seen:
+                raise ValidationError(f"duplicate hyperarc ({tail}, {hs})")
+            seen.add((tail, arc.heads))
+        coded_sets = sorted(seen, key=lambda th: (th[0], len(th[1]), tuple(sorted(th[1]))))
         arcs = [Hyperarc(lk.tail, frozenset((lk.head,)), lk.index) for lk in self._links]
         base = len(self._links)
         arcs.extend(Hyperarc(t, hs, base + k + 1) for k, (t, hs) in enumerate(coded_sets))
         self._hyperarcs = tuple(arcs)
 
-    def _validate_heads(self, tail: int, heads: frozenset[int]) -> None:
-        if tail not in self._node_map:
-            raise ValidationError(f"hyperarc tail {tail}: unknown node id")
-        if not heads:
-            raise ValidationError(f"hyperarc at node {tail}: empty head set")
-        for j in sorted(heads):
-            if j == tail:
-                raise ValidationError(f"hyperarc at node {tail}: tail listed among heads")
-            if j not in self._node_map:
-                raise ValidationError(f"hyperarc ({tail}, {sorted(heads)}): unknown head id {j}")
-            if (tail, j) not in self._by_ends:
-                raise ValidationError(
-                    f"hyperarc ({tail}, {sorted(heads)}): sub-link ({tail}, {j}) is not a link"
-                )
-
     @property
     def nodes(self) -> tuple[Node, ...]:
         return self._nodes
-
-    @property
-    def node_map(self) -> Mapping[int, Node]:
-        return self._node_map
 
     @property
     def links(self) -> tuple[Link, ...]:
@@ -202,40 +179,33 @@ class Network:
     def find_link(self, tail: int, head: int) -> Link | None:
         return self._by_ends.get((tail, head))
 
-    def links_out(self, node_id: int) -> tuple[Link, ...]:
-        self.node(node_id)
-        return self._out[node_id]
-
-    def links_in(self, node_id: int) -> tuple[Link, ...]:
-        self.node(node_id)
-        return self._in[node_id]
-
-    def out_neighbors(self, node_id: int) -> tuple[int, ...]:
-        return tuple(lk.head for lk in self.links_out(node_id))
-
-    def sub_links(self, arc: Hyperarc) -> tuple[Link, ...]:
-        """The links (tail, j) delivered by a hyperarc, sorted by index."""
+    def sublink_indices(self, arc: Hyperarc) -> frozenset[int]:
+        """The indices of the links (tail, j) a hyperarc delivers."""
         try:
-            found = [self._by_ends[(arc.tail, j)] for j in arc.heads]
+            return frozenset(self._by_ends[(arc.tail, j)].index for j in arc.heads)
         except KeyError:
             raise ValidationError(
                 f"hyperarc ({arc.tail}, {sorted(arc.heads)}) does not belong to this network"
             ) from None
-        return tuple(sorted(found, key=lambda lk: lk.index))
-
-    def sublink_indices(self, arc: Hyperarc) -> frozenset[int]:
-        return frozenset(lk.index for lk in self.sub_links(arc))
 
 
-def _coded_head_sets(network: Network, coding_nodes: Iterable[int], degree: int) -> list:
-    if degree < 2:
-        raise ValidationError(f"max_coding_degree must be at least 2, got {degree}")
-    coded: list[tuple[int, frozenset[int]]] = []
-    for nid in sorted(set(coding_nodes)):
-        nbrs = sorted(network.out_neighbors(nid))
-        for size in range(2, min(degree, len(nbrs)) + 1):
-            coded.extend((nid, frozenset(combo)) for combo in itertools.combinations(nbrs, size))
-    return coded
+def _coded_head_sets(nodes: tuple[Node, ...], coding_nodes: Iterable[int], degree: int) -> list:
+    # every head set of 2..degree out-neighbors of each coding node, grouped in
+    # one pass over the links, which come sorted by (tail, head)
+    links = build_links(nodes)
+    outs: dict[int, list[int]] = {nid: [] for nid in sorted(set(coding_nodes))}
+    unknown = set(outs).difference(nd.id for nd in nodes)
+    if unknown:
+        raise ValidationError(f"unknown node id {min(unknown)}")
+    for lk in links:
+        if lk.tail in outs:
+            outs[lk.tail].append(lk.head)
+    return [
+        (nid, frozenset(combo))
+        for nid, nbrs in outs.items()
+        for size in range(2, min(degree, len(nbrs)) + 1)
+        for combo in itertools.combinations(nbrs, size)
+    ]
 
 
 def build_network(
@@ -248,11 +218,11 @@ def build_network(
 
     Explicit head sets win when both are given; otherwise the coding-node
     generator supplies them. With neither, the hyperarcs are exactly the
-    links.
+    links. ``max_coding_degree`` must be at least 2 whichever applies.
     """
-    base = Network(nodes)
-    if hyperarcs is not None:
-        return Network(base.nodes, hyperarcs)
-    if coding_nodes:
-        return Network(base.nodes, _coded_head_sets(base, coding_nodes, max_coding_degree))
-    return base
+    if max_coding_degree < 2:
+        raise ValidationError(f"max_coding_degree must be at least 2, got {max_coding_degree}")
+    nodes = tuple(nodes)
+    if hyperarcs is None and coding_nodes:
+        hyperarcs = _coded_head_sets(nodes, coding_nodes, max_coding_degree)
+    return Network(nodes, hyperarcs or ())

@@ -48,22 +48,15 @@ class FractionalSchedule:
     def length(self) -> float:
         return float(sum(lam for _, lam in self.entries))
 
-    def sublink_sets(self, network: Network) -> list[tuple[frozenset[int], float]]:
-        """Expand each entry's hyperarcs into the union of their sub-links."""
+    def capacity(self, network: Network) -> np.ndarray:
+        """The delivered per-link rates: each entry serves the union of its hyperarcs' sub-links."""
         arcs = network.hyperarcs
-        expanded = []
+        rates = np.zeros(network.link_count)
         for vertices, lam in self.entries:
             links: frozenset[int] = frozenset()
             for v in sorted(vertices):
                 if not 1 <= v <= len(arcs):
                     raise ValidationError(f"hyperarc index {v} outside 1..{len(arcs)}")
                 links |= network.sublink_indices(arcs[v - 1])
-            expanded.append((links, lam))
-        return expanded
-
-    def capacity(self, network: Network) -> np.ndarray:
-        """The delivered per-link rates of this schedule on a network."""
-        rates = np.zeros(network.link_count)
-        for links, lam in self.sublink_sets(network):
             rates[[a - 1 for a in links]] += lam
         return rates

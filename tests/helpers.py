@@ -66,13 +66,7 @@ def relay_commodities() -> tuple[Commodity, Commodity]:
 # synthetic conflict graphs
 
 
-def make_conflict_graph(
-    n: int,
-    edges,
-    weights=None,
-    sublinks=None,
-    link_count=None,
-) -> ConflictGraph:
+def make_conflict_graph(n: int, edges, sublinks=None, link_count=None) -> ConflictGraph:
     """Build a conflict graph directly, without any geometry behind it."""
     matrix = np.zeros((n, n), dtype=bool)
     for u, v in edges:
@@ -85,16 +79,16 @@ def make_conflict_graph(
         sublinks = tuple(frozenset(s) for s in sublinks)
         if link_count is None:
             link_count = max((max(s) for s in sublinks if s), default=0)
-    if weights is None:
-        weights = tuple(len(s) for s in sublinks)
-    return ConflictGraph(
-        level="hyperarc",
-        items=tuple(range(1, n + 1)),
-        weights=tuple(weights),
-        sublinks=sublinks,
-        link_count=link_count,
-        matrix=matrix,
-    )
+    return ConflictGraph(level="hyperarc", sublinks=sublinks, link_count=link_count, matrix=matrix)
+
+
+def neighbor_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
+    """The 1-based neighbors of each vertex, read off the conflict matrix."""
+    return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in cg.matrix)
+
+
+def node_map(network: Network) -> dict[int, Node]:
+    return {nd.id: nd for nd in network.nodes}
 
 
 def _endpoints_conflict(i: int, j: int, i2: int, j2: int, nodes: Mapping[int, Node]) -> bool:
@@ -123,7 +117,7 @@ def pairwise_adjacency(network: Network, level: str) -> tuple[frozenset[int], ..
         items, conflict = network.links, links_conflict
     else:
         items, conflict = network.hyperarcs, hyperarcs_conflict
-    nodes = network.node_map
+    nodes = node_map(network)
     adj: list[set[int]] = [set() for _ in items]
     for p, q in itertools.combinations(range(len(items)), 2):
         if conflict(items[p], items[q], nodes):
@@ -143,7 +137,7 @@ def generate_hyperarcs(
     (i, J) per subset J of i's out-neighbors with
     2 <= |J| <= max_coding_degree, in the canonical ordering.
     """
-    coded = _coded_head_sets(network, coding_nodes, max_coding_degree)
+    coded = _coded_head_sets(network.nodes, coding_nodes, max_coding_degree)
     return Network(network.nodes, coded).hyperarcs
 
 
@@ -157,19 +151,24 @@ def coding_first_mwis(candidates, omega, gh: ConflictGraph) -> frozenset[int]:
     if not remaining:
         raise ValidationError("empty candidate set")
     mask = np.array([v in remaining for v in range(1, gh.vertex_count + 1)], dtype=bool)
-    order = np.array(omega.order, dtype=np.intp) - 1
+    order = np.array(omega, dtype=np.intp) - 1
     return frozenset((_coding_first_scan(mask[order], order, gh.matrix) + 1).tolist())
 
 
-def loop_coding_first_mwis(candidates, omega, gh: ConflictGraph) -> frozenset[int]:
-    """Set-based reference for ``coding_first_mwis``."""
+def loop_coding_first_mwis(candidates, omega, gh: ConflictGraph, adjacency=None) -> frozenset[int]:
+    """Set-based reference for ``coding_first_mwis``.
+
+    ``adjacency`` defaults to ``neighbor_sets(gh)``; callers that scan one
+    graph many times pass it in once.
+    """
     remaining = set(candidates)
     if not remaining:
         raise ValidationError("empty candidate set")
+    adjacency = neighbor_sets(gh) if adjacency is None else adjacency
     chosen: list[int] = []
     taken: set[int] = set()
-    for v in omega.order:
-        if v in remaining and not (gh.adjacency[v - 1] & taken):
+    for v in omega:
+        if v in remaining and not (adjacency[v - 1] & taken):
             chosen.append(v)
             taken.add(v)
     return frozenset(chosen)
@@ -180,6 +179,7 @@ def loop_cfs_schedule(network: Network, gh: ConflictGraph, omega, demand) -> Fra
     eps = 1e-12
     residual = np.asarray(demand, dtype=float).copy()
     surviving = set(range(1, gh.vertex_count + 1))
+    adjacency = neighbor_sets(gh)
     entries: list[tuple[frozenset[int], float]] = []
     while surviving:
         assigned = {
@@ -188,7 +188,7 @@ def loop_cfs_schedule(network: Network, gh: ConflictGraph, omega, demand) -> Fra
         surviving = {v for v in surviving if assigned[v] > eps}
         if not surviving:
             break
-        picked = loop_coding_first_mwis(surviving, omega, gh)
+        picked = loop_coding_first_mwis(surviving, omega, gh, adjacency)
         lam = min(assigned[v] for v in picked)
         entries.append((picked, float(lam)))
         for v in picked:
@@ -208,7 +208,7 @@ def loop_maximal_independent_sets(cg: ConflictGraph) -> tuple[frozenset[int], ..
     if n == 0:
         return ()
     allv = frozenset(range(1, n + 1))
-    nonadj = tuple(allv - cg.adjacency[v - 1] - {v} for v in range(1, n + 1))
+    nonadj = tuple(allv - nb - {v} for v, nb in enumerate(neighbor_sets(cg), 1))
     found: list[frozenset[int]] = []
 
     def expand(chosen: tuple[int, ...], cand: set[int], excl: set[int]) -> None:
@@ -250,14 +250,15 @@ def loop_inductive_schedulable_number(catalog: SchedulableSetCatalog, neighborho
 def brute_force_max_independent_sets(cg: ConflictGraph) -> set[frozenset[int]]:
     """All maximal independent sets, by filtering every subset of vertices."""
     verts = list(range(1, cg.vertex_count + 1))
+    adjacency = neighbor_sets(cg)
     found = set()
     for mask in range(1 << len(verts)):
         subset = [verts[i] for i in range(len(verts)) if mask >> i & 1]
-        if any(v in cg.adjacency[u - 1] for u, v in itertools.combinations(subset, 2)):
+        if any(v in adjacency[u - 1] for u, v in itertools.combinations(subset, 2)):
             continue
         chosen = set(subset)
         extendable = any(
-            v not in chosen and not (cg.adjacency[v - 1] & chosen) for v in verts
+            v not in chosen and not (adjacency[v - 1] & chosen) for v in verts
         )
         if not extendable:
             found.add(frozenset(chosen))
@@ -342,8 +343,8 @@ def brute_force_lp(objective, rows):
     return "optimal", best
 
 
-def dense_certificate(objective, A, b, kept, basis) -> Fraction:
-    """The exact basis re-check as dense Gauss-Jordan over every kept row.
+def dense_certificate(objective, A, b, basis) -> Fraction:
+    """The exact basis re-check as dense Gauss-Jordan over every row.
 
     Reference for ``multiflow.lp._exact_certificate``: it converts all of
     ``A`` to Fractions, solves the full basis system and its transpose,
@@ -355,40 +356,31 @@ def dense_certificate(objective, A, b, kept, basis) -> Fraction:
     cF = [Fraction(float(v)) for v in objective]
     AF = [[Fraction(float(v)) for v in row] for row in A]
     bF = [Fraction(float(v)) for v in b]
-    mk = len(kept)
 
     def column(j: int) -> list[Fraction]:
         if j < n:
-            return [AF[i][j] for i in kept]
-        return [Fraction(1) if r == j - n else Fraction(0) for r in kept]
+            return [AF[i][j] for i in range(m)]
+        return [Fraction(1) if r == j - n else Fraction(0) for r in range(m)]
 
     cols = [column(j) for j in basis]
-    Bmat = [[cols[c][r] for c in range(mk)] for r in range(mk)]
-    z = _exact_gauss(Bmat, [bF[i] for i in kept])
+    Bmat = [[cols[c][r] for c in range(m)] for r in range(m)]
+    z = _exact_gauss(Bmat, bF)
     if z is None:
         raise SolverError("exact verification failed: singular basis")
     if any(v < 0 for v in z):
         raise SolverError("exact verification failed: negative basic variable")
-    xF = [Fraction(0)] * n
-    for pos, j in enumerate(basis):
-        if j < n:
-            xF[j] = z[pos]
-    for i in range(m):
-        lhs = sum(AF[i][j] * xF[j] for j in range(n))
-        if lhs > bF[i]:
-            raise SolverError("exact verification failed: constraint violated")
     cB = [cF[j] if j < n else Fraction(0) for j in basis]
-    Bt = [[Bmat[r][c] for r in range(mk)] for c in range(mk)]
+    Bt = [[Bmat[r][c] for r in range(m)] for c in range(m)]
     w = _exact_gauss(Bt, cB)
     if w is None:
         raise SolverError("exact verification failed: singular basis transpose")
     for j in range(n + m):
         cj = cF[j] if j < n else Fraction(0)
         col = column(j)
-        r = cj - sum(w[i] * col[i] for i in range(mk))
+        r = cj - sum(w[i] * col[i] for i in range(m))
         if r > 0:
             raise SolverError("exact verification failed: positive reduced cost")
-    return sum(cB[i] * z[i] for i in range(mk))
+    return sum(cB[i] * z[i] for i in range(m))
 
 
 def random_lp(rng):
@@ -451,12 +443,11 @@ def random_network(
         if not 1 <= net.link_count <= 16:
             continue
         if allow_coding and rng.random() < 0.75:
-            eligible = sorted(
-                nd.id for nd in net.nodes if len(net.out_neighbors(nd.id)) >= 2
-            )
+            heads = {nd.id: [lk.head for lk in net.links if lk.tail == nd.id] for nd in net.nodes}
+            eligible = sorted(nid for nid, outs in heads.items() if len(outs) >= 2)
             coded = []
             for tail in eligible[: int(rng.integers(0, 3))]:
-                outs = sorted(net.out_neighbors(tail))
+                outs = heads[tail]
                 size = int(rng.integers(2, min(3, len(outs)) + 1))
                 picked = rng.choice(len(outs), size=size, replace=False)
                 coded.append((tail, tuple(outs[i] for i in picked)))
@@ -510,7 +501,7 @@ def assert_valid_solution(net: Network, commodities, sol, bandwidth=None) -> Non
         for node in net.nodes:
             if node.id in (com.source, com.sink):
                 continue
-            inflow = sum(sol.flows[i, lk.index - 1] for lk in net.links_in(node.id))
-            outflow = sum(sol.flows[i, lk.index - 1] for lk in net.links_out(node.id))
+            inflow = sum(sol.flows[i, lk.index - 1] for lk in net.links if lk.head == node.id)
+            outflow = sum(sol.flows[i, lk.index - 1] for lk in net.links if lk.tail == node.id)
             assert abs(inflow - outflow) <= 1e-6
     assert abs(sum(sol.per_commodity) - sol.throughput) <= 1e-6

@@ -22,6 +22,7 @@ from helpers import (
     loop_cfs_schedule,
     loop_coding_first_mwis,
     make_conflict_graph,
+    neighbor_sets,
     random_demand,
     random_network,
     relay_coded,
@@ -37,22 +38,18 @@ def coded_setup():
 
 def test_ordering_puts_heavy_arcs_first():
     _, _, omega = coded_setup()
-    assert omega.order == (5, 1, 2, 3, 4)
+    assert omega == (5, 1, 2, 3, 4)
 
 
 def test_ordering_breaks_ties_by_index():
-    cg = make_conflict_graph(
-        4, [], weights=(1, 2, 2, 1), sublinks=[{1}, {1, 2}, {3, 4}, {3}]
-    )
-    assert coding_first_ordering(cg).order == (2, 3, 1, 4)
+    cg = make_conflict_graph(4, [], sublinks=[{1}, {1, 2}, {3, 4}, {3}])
+    assert coding_first_ordering(cg) == (2, 3, 1, 4)
 
 
 def test_mwis_greedy_properties():
-    cg = make_conflict_graph(
-        3, [(1, 2)], weights=(2, 1, 1), sublinks=[{1, 2}, {1}, {3}]
-    )
+    cg = make_conflict_graph(3, [(1, 2)], sublinks=[{1, 2}, {1}, {3}])
     omega = coding_first_ordering(cg)
-    assert omega.order == (1, 2, 3)
+    assert omega == (1, 2, 3)
     picked = coding_first_mwis({1, 2, 3}, omega, cg)
     assert picked == frozenset({1, 3})
     # restricted to later candidates the scan starts there
@@ -78,9 +75,10 @@ def test_mwis_respects_candidates_and_independence():
         assert picked <= cands
         assert cg.is_independent(picked)
         # maximal within the candidates
+        adjacency = neighbor_sets(cg)
         for v in cands - picked:
-            assert cg.adjacency[v - 1] & picked
-        first = next(v for v in omega.order if v in cands)
+            assert adjacency[v - 1] & picked
+        first = next(v for v in omega if v in cands)
         assert first in picked
 
 
@@ -224,3 +222,12 @@ def test_inductive_membership():
     nb = closed_neighborhoods(build_conflict_graph(net, "link"))
     assert cfs_length_bound(np.full(4, 0.25), nb) <= 1.0 + 1e-12
     assert not cfs_length_bound(np.full(4, 1.0 / 3.0), nb) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "ordering", [(0, 1, 2, 3, 4), (5, 1, 2), (7, 1, 2, 3, 4), (5, 5, 1, 2, 3, 4), ()]
+)
+def test_cfs_rejects_an_ordering_that_is_not_a_permutation(ordering):
+    net, gh, _ = coded_setup()
+    with pytest.raises(ValidationError, match=r"not a permutation of 1\.\.5"):
+        cfs_schedule(net, gh, ordering, np.full(4, 0.25))

@@ -179,3 +179,48 @@ def test_readme_instance_example_parses():
     for tail, head in ((3, 1), (3, 2)):
         expected[net.find_link(tail, head).index - 1] = 2.0
     assert np.array_equal(inst.bandwidth, expected)
+
+
+@pytest.mark.parametrize(
+    "field, entries",
+    [
+        ("demand", {"1-3": 0.25, "01-3": 0.5}),
+        ("demand", {"3-1": 0.5, "3-01": 0.5}),
+        ("bandwidth", {"3-1": 2.0, "03-1": 4.0}),
+        ("bandwidth", {"3-1": 2.0, "3-0001": 2.0}),
+    ],
+)
+def test_two_keys_for_one_link_are_rejected(field, entries):
+    data = canonical_data()
+    net = parse_instance(data).network
+    with pytest.raises(ValidationError, match=f"^{field}: keys .* name one link$"):
+        if field == "demand":
+            parse_demand(entries, net)
+        else:
+            parse_instance({**data, "bandwidth": entries})
+
+
+@pytest.mark.parametrize("key", ["1-3\n", "١-3", "1-３", " 1-3", "1 -3", "1-3-"])
+def test_link_keys_are_ascii_digits_only(key):
+    data = canonical_data()
+    net = parse_instance(data).network
+    with pytest.raises(ValidationError, match="is not of the form"):
+        parse_demand({key: 0.5}, net)
+    with pytest.raises(ValidationError, match="is not of the form"):
+        parse_instance({**data, "bandwidth": {key: 2.0}})
+
+
+def test_json_files_reject_a_repeated_key(tmp_path):
+    net = parse_instance(canonical_data()).network
+    demand = tmp_path / "demand.json"
+    demand.write_text('{"1-3": 0.25, "1-3": 0.5}')
+    with pytest.raises(ValidationError, match="duplicate key '1-3'"):
+        load_demand(demand, net)
+    text = json.dumps(canonical_data())
+    instance = tmp_path / "instance.json"
+    # a second "r" inside the first node
+    instance.write_text(text.replace('"r": 1.0,', '"r": 1.0, "r": 2.0,', 1))
+    with pytest.raises(ValidationError, match="duplicate key 'r'"):
+        load_instance(instance)
+    instance.write_text(text)
+    assert load_instance(instance).network.link_count == 4

@@ -192,11 +192,11 @@ def certificates(monkeypatch):
     """Route every exact check through both certificates; collect what they saw."""
     seen = []
 
-    def both(objective, A, b, kept, basis):
-        value = _exact_certificate(objective, A, b, kept, basis)
+    def both(objective, A, b, basis):
+        value = _exact_certificate(objective, A, b, basis)
         assert type(value) is Fraction
-        assert value == dense_certificate(objective, A, b, kept, basis)
-        seen.append((objective, A, b, kept, basis, value))
+        assert value == dense_certificate(objective, A, b, basis)
+        seen.append((objective, A, b, basis, value))
         return value
 
     monkeypatch.setattr(lp_module, "_exact_certificate", both)
@@ -221,12 +221,13 @@ def test_sparse_certificate_matches_dense_oracle_on_random_lps(certificates):
     assert len(certificates) == 80
     assert with_duplicates >= 20
     assert sum(bool(np.any(b < 0)) for _, _, b, *_ in certificates) >= 20  # artificials
-    # a row outside the kept rows is still checked: the sum of all rows is
-    # implied by them, so appending it unkept must not change the value
-    for objective, A, b, kept, basis, value in certificates:
+    # the sum of all rows is implied by them: appending it with its slack
+    # basic must not change the value
+    for objective, A, b, basis, value in certificates:
         A2, b2 = np.vstack([A, A.sum(axis=0)]), np.append(b, b.sum())
-        assert _exact_certificate(objective, A2, b2, kept, basis) == value
-        assert dense_certificate(objective, A2, b2, kept, basis) == value
+        basis2 = basis + [objective.size + A.shape[0]]
+        assert _exact_certificate(objective, A2, b2, basis2) == value
+        assert dense_certificate(objective, A2, b2, basis2) == value
 
 
 def coded_grid_3x3():
@@ -247,8 +248,8 @@ def test_sparse_certificate_matches_dense_oracle_on_throughput_lps(certificates)
     assert len(certificates) == len(cases)
 
 
-# max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18, and x + y <= 7 left out
-# of the kept rows; columns 0, 1 are x, y and 2 + r is the slack of row r
+# max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18, and optionally x + y <= 7;
+# columns 0, 1 are x, y and 2 + r is the slack of row r
 TEXTBOOK_C = np.array([3.0, 5.0])
 TEXTBOOK_A = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0], [1.0, 1.0]])
 TEXTBOOK_B = np.array([4.0, 12.0, 18.0, 7.0])
@@ -256,7 +257,7 @@ TEXTBOOK_B = np.array([4.0, 12.0, 18.0, 7.0])
 
 def test_certificate_of_the_optimal_basis():
     for certify in (_exact_certificate, dense_certificate):
-        value = certify(TEXTBOOK_C, TEXTBOOK_A[:3], TEXTBOOK_B[:3], [0, 1, 2], [2, 1, 0])
+        value = certify(TEXTBOOK_C, TEXTBOOK_A[:3], TEXTBOOK_B[:3], [2, 1, 0])
         assert value == 36
 
 
@@ -264,9 +265,9 @@ def test_certificate_of_the_optimal_basis():
     "sign, rows, basis, message",
     [
         (1, 3, [0, 0, 2], "singular basis"),  # x twice
-        (1, 4, [0, 1, 5], "singular basis"),  # the slack of a row that is not kept
+        (1, 4, [0, 1, 2, 2], "singular basis"),  # the slack of x <= 4 twice
         (1, 3, [0, 2, 3], "negative basic variable"),  # x = 6 overruns x <= 4
-        (1, 4, [0, 1, 2], "constraint violated"),  # (2, 6) breaks the unkept x + y <= 7
+        (1, 4, [0, 1, 2, 5], "negative basic variable"),  # (2, 6) overruns x + y <= 7
         (1, 3, [0, 3, 4], "positive reduced cost"),  # the vertex (4, 0): y should enter
         (1, 3, [2, 3, 4], "positive reduced cost"),  # the origin
         (-1, 3, [0, 1, 2], "positive reduced cost"),  # minimizing at (2, 6): negative duals
@@ -275,7 +276,7 @@ def test_certificate_of_the_optimal_basis():
 def test_tampered_basis_is_rejected(sign, rows, basis, message):
     for certify in (_exact_certificate, dense_certificate):
         with pytest.raises(SolverError, match=message):
-            certify(sign * TEXTBOOK_C, TEXTBOOK_A[:rows], TEXTBOOK_B[:rows], [0, 1, 2], basis)
+            certify(sign * TEXTBOOK_C, TEXTBOOK_A[:rows], TEXTBOOK_B[:rows], basis)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from multiflow import (
     solve_mmf,
 )
 from multiflow.instance import parse_demand
-from multiflow.mmf import flow_value, validate_demand
+from multiflow.mmf import flow_value
+from multiflow.schedule import check_per_link
 
 from helpers import (
     assert_valid_solution,
@@ -123,19 +124,21 @@ def test_flow_value_and_parse_demand():
     assert abs(flow_value(net, d, 1) - 0.25) <= 1e-12
     assert abs(flow_value(net, d, 3)) <= 1e-12
     assert abs(flow_value(net, d, 2) + 0.25) <= 1e-12
+    with pytest.raises(ValidationError, match="unknown node id 9"):
+        flow_value(net, d, 9)
     with pytest.raises(ValidationError, match="not a link"):
         parse_demand({"1-2": 1.0}, net)
 
 
 def test_validate_demand():
-    net = relay_plain()
+    n = relay_plain().link_count
     with pytest.raises(ValidationError):
-        validate_demand(net, [1.0, 2.0])
+        check_per_link([1.0, 2.0], n)
     with pytest.raises(ValidationError):
-        validate_demand(net, [1.0, 1.0, 1.0, -0.1])
+        check_per_link([1.0, 1.0, 1.0, -0.1], n)
     with pytest.raises(ValidationError):
-        validate_demand(net, [1.0, 1.0, 1.0, float("nan")])
-    out = validate_demand(net, [0.0, 0.1, 0.2, 0.3])
+        check_per_link([1.0, 1.0, 1.0, float("nan")], n)
+    out = check_per_link([0.0, 0.1, 0.2, 0.3], n)
     assert out.shape == (4,)
 
 

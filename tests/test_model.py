@@ -8,6 +8,7 @@ from multiflow import (
     ValidationError,
     build_network,
 )
+from multiflow.instance import parse_instance
 from multiflow.model import (
     build_links,
     DEFAULT_MAX_CODING_DEGREE,
@@ -41,7 +42,7 @@ def test_distance():
 
 def test_link_validation():
     lk = Link(1, 2, 1)
-    assert lk.endpoints == (1, 2)
+    assert (lk.tail, lk.head, lk.index) == (1, 2, 1)
     with pytest.raises(ValidationError):
         Link(1, 1, 1)
 
@@ -99,7 +100,6 @@ def test_network_canonical_hyperarcs():
     assert net.max_weight == 2
     assert net.hyperarc_count == 5
     coded = net.hyperarcs[4]
-    assert [lk.index for lk in net.sub_links(coded)] == [3, 4]
     assert net.sublink_indices(coded) == frozenset({3, 4})
 
 
@@ -156,7 +156,7 @@ def test_generate_hyperarcs_all_combinations():
         Node(4, 1.0, 1.0, 1.0, 1.5),
     ]
     net = build_network(nodes)
-    assert net.out_neighbors(1) == (2, 3, 4)
+    assert [lk.head for lk in net.links if lk.tail == 1] == [2, 3, 4]
     arcs = generate_hyperarcs(net, [1], max_coding_degree=3)
     extra = [(h.tail, tuple(sorted(h.heads))) for h in arcs[net.link_count :]]
     assert extra == [
@@ -168,8 +168,8 @@ def test_generate_hyperarcs_all_combinations():
     pairs_only = generate_hyperarcs(net, [1], max_coding_degree=2)
     assert len(pairs_only) == net.link_count + 3
     assert DEFAULT_MAX_CODING_DEGREE == 3
-    with pytest.raises(ValidationError):
-        generate_hyperarcs(net, [1], max_coding_degree=1)
+    with pytest.raises(ValidationError, match="max_coding_degree must be at least 2, got 1"):
+        build_network(nodes, coding_nodes=[1], max_coding_degree=1)
 
 
 def test_build_network_coding_nodes_match_generate_hyperarcs():
@@ -187,6 +187,59 @@ def test_build_network_coding_nodes_match_generate_hyperarcs():
     assert build_network(relay_nodes(), coding_nodes=[3], max_coding_degree=10**12).hyperarc_count == 5
 
 
+def relay_data(**fields) -> dict:
+    """The relay's nodes as instance-file data, plus the given fields."""
+    nodes = [
+        {"id": nd.id, "x": nd.x, "y": nd.y, "r": nd.comm_radius, "rho": nd.interf_radius}
+        for nd in relay_nodes()
+    ]
+    return {"nodes": nodes, **fields}
+
+
+# one malformed hyperarc per fault, and the one message each fault raises
+MALFORMED_HYPERARCS = [
+    ([(3, [])], "hyperarc at node 3: empty head set"),
+    ([(3, [3, 1])], "hyperarc at node 3: tail listed among heads"),
+    ([(9, [1, 2])], "hyperarc tail 9: unknown node id"),
+    ([(3, [1, 9])], "hyperarc (3, [1, 9]): unknown head id 9"),
+    ([(2, [1, 3])], "hyperarc (2, [1, 3]): sub-link (2, 1) is not a link"),
+    ([(3, [1, 2]), (3, [2, 1])], "duplicate hyperarc (3, [1, 2])"),
+]
+
+
+@pytest.mark.parametrize("hyperarcs, message", MALFORMED_HYPERARCS)
+def test_each_hyperarc_fault_has_one_message(hyperarcs, message):
+    with pytest.raises(ValidationError) as err:
+        build_network(relay_nodes(), hyperarcs=hyperarcs)
+    assert str(err.value) == message
+    data = relay_data(hyperarcs=[{"tail": tail, "heads": heads} for tail, heads in hyperarcs])
+    with pytest.raises(ValidationError) as err:
+        parse_instance(data)
+    assert str(err.value) == message
+    tail, heads = hyperarcs[0]
+    if tail in heads or not heads:  # the two faults Hyperarc itself rejects
+        with pytest.raises(ValidationError) as err:
+            Hyperarc(tail, frozenset(heads), 1)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"coding_nodes": [3]}, {"hyperarcs": [{"tail": 3, "heads": [1, 2]}]}, {}],
+    ids=["coding-nodes", "hyperarcs", "neither"],
+)
+def test_max_coding_degree_below_two_is_rejected_on_every_path(fields):
+    message = "max_coding_degree must be at least 2, got 1"
+    arcs = [(h["tail"], h["heads"]) for h in fields.get("hyperarcs", ())] or None
+    with pytest.raises(ValidationError) as err:
+        coding = fields.get("coding_nodes")
+        build_network(relay_nodes(), hyperarcs=arcs, coding_nodes=coding, max_coding_degree=1)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        parse_instance(relay_data(max_coding_degree=1, **fields))
+    assert str(err.value) == message
+
+
 def test_build_network_explicit_hyperarcs_win():
     net = build_network(relay_nodes(), hyperarcs=[(3, (1, 2))], coding_nodes=[3])
     assert net.hyperarc_count == 5
@@ -199,16 +252,14 @@ def test_network_lookups():
         net.node(42)
     assert net.find_link(1, 3).index == 1
     assert net.find_link(1, 2) is None
-    assert [lk.index for lk in net.links_out(3)] == [3, 4]
-    assert [lk.index for lk in net.links_in(3)] == [1, 2]
-    assert net.out_neighbors(3) == (1, 2)
+    assert net.find_link(3, 2).index == 4
 
 
 def test_sub_links_reject_foreign_hyperarc():
     net = relay_coded()
     foreign = Hyperarc(2, frozenset({1}), 9)
     with pytest.raises(ValidationError):
-        net.sub_links(foreign)
+        net.sublink_indices(foreign)
 
 
 def test_random_networks_are_consistent():
@@ -223,5 +274,6 @@ def test_random_networks_are_consistent():
             assert 0 < d <= tail.comm_radius
         assert [lk.index for lk in net.links] == list(range(1, net.link_count + 1))
         for h in net.hyperarcs:
-            for lk in net.sub_links(h):
-                assert lk.tail == h.tail and lk.head in h.heads
+            links = [net.links[a - 1] for a in net.sublink_indices(h)]
+            assert {lk.head for lk in links} == h.heads
+            assert all(lk.tail == h.tail for lk in links)
