@@ -79,7 +79,6 @@ def cfs_schedule(
 
 def cfs_length_bound(demand, neighborhoods: Neighborhoods) -> float:
     """Worst closed-neighborhood demand: the greedy length never exceeds it."""
-    d = check_per_link(demand, len(neighborhoods.sets))
-    return max(
-        (float(sum(d[a - 1] for a in nb)) for nb in neighborhoods.sets), default=0.0
-    )
+    d = check_per_link(demand, len(neighborhoods.closed))
+    # Python sum in ascending link order; a BLAS product may round differently
+    return max((float(sum(d[row])) for row in neighborhoods.closed), default=0.0)

@@ -140,7 +140,7 @@ def cmd_inspect(args) -> dict:
         return report
     report["catalog_size"] = len(catalog)
     report["catalog"] = [sorted(ls) for ls in catalog.sublink_sets]
-    if len(catalog) and nb.sets:
+    if len(catalog) and nb.closed.size:
         report["inductive_schedulable_number"] = inductive_schedulable_number(catalog, nb)
     return report
 
@@ -184,12 +184,15 @@ def cmd_schedule(args) -> dict:
 
 def cmd_demo(args) -> dict:
     out = Path(args.dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, data in demo_instances().items():
-        path = out / f"{name}.json"
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        written.append(str(path))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, data in demo_instances().items():
+            path = out / f"{name}.json"
+            path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+            written.append(str(path))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc}") from None
     return {"written": written}
 
 

@@ -6,10 +6,10 @@ hyperarcs conflict when any pair of their sub-links does, so hyperarcs
 sharing a tail always conflict. Schedulable sets are the independent sets
 of these graphs; the catalog enumerates the maximal ones.
 
-Each graph is one read-only boolean matrix. Distances come from
-``math.hypot`` for every node pair (numpy's hypot may round a tie the other
-way); one broadcast tests every link pair, and a hyperarc takes the link
-rows and columns of its sub-links.
+Each graph is one read-only boolean matrix. Distances come from the
+network's ``distances`` table (``math.hypot``; numpy's hypot may round a
+tie the other way); one broadcast tests every link pair, and a hyperarc
+takes the link rows and columns of its sub-links.
 
 The catalog comes from Bron-Kerbosch with pivoting on the complement
 graph, each vertex set a Python int with bit v-1 for vertex v. The found
@@ -18,7 +18,7 @@ incidence matrix and splits into frozensets. Catalog order is ascending
 sorted vertex tuple; maximal sets never nest, so that is descending row
 order read as binary numbers with vertex 1 the top bit, and numpy sorts
 the packed rows without building tuples. The inductive schedulable number
-is the largest entry of ``incidence @ closed``, with ``closed`` the 0/1
+is the largest entry of ``incidence @ closed``, with ``closed`` the
 closed-neighborhood matrix of the links, taken a block of sets at a time.
 """
 
@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EnumerationCapError, ValidationError
-from .model import Network, distance
+from .model import Network
 
 DEFAULT_ENUMERATION_CAP = 24
 _ISN_ROWS = 4096
@@ -93,7 +93,6 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
         raise ValidationError(f"unknown conflict graph level {level!r}")
 
     nodes = network.nodes
-    dist = np.array([[distance(u, v) for v in nodes] for u in nodes], ndmin=2)
     position = {nd.id: p for p, nd in enumerate(nodes)}
     tails = [position[lk.tail] for lk in network.links]
     heads = [position[lk.head] for lk in network.links]
@@ -102,7 +101,7 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
     # hit[a, b]: the transmitter of link a reaches the receiver of link b,
     # so the diagonal is true; the trailing false row and column absorb padding
     hit = np.zeros((n + 1, n + 1), dtype=bool)
-    hit[:n, :n] = dist[np.ix_(tails, heads)] <= rho[:, None]
+    hit[:n, :n] = network.distances[np.ix_(tails, heads)] <= rho[:, None]
     index = sublink_index(sublinks, n)
     # touched[u, b]: some sub-link of u conflicts with link b
     touched = (hit | hit.T)[index].any(axis=1)
@@ -214,12 +213,15 @@ def enumerate_schedulable_sets(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neighborhoods:
-    """Closed conflict neighborhoods of every link, plus the maximum degree."""
+    """Closed link neighborhoods: read-only ``closed[a-1, b-1]`` is a == b or a conflict."""
 
-    sets: tuple[frozenset[int], ...]
-    max_conflict_degree: int
+    closed: np.ndarray
+
+    @property
+    def max_conflict_degree(self) -> int:
+        return int(np.count_nonzero(self.closed, axis=1).max(initial=1)) - 1
 
 
 def closed_neighborhoods(g: ConflictGraph) -> Neighborhoods:
@@ -227,9 +229,8 @@ def closed_neighborhoods(g: ConflictGraph) -> Neighborhoods:
     if g.level != "link":
         raise ValidationError("closed neighborhoods are defined over the link-level graph")
     closed = g.matrix | np.eye(g.vertex_count, dtype=bool)
-    sets = tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in closed)
-    degree = max((len(s) - 1 for s in sets), default=0)
-    return Neighborhoods(sets=sets, max_conflict_degree=degree)
+    closed.flags.writeable = False
+    return Neighborhoods(closed)
 
 
 def inductive_schedulable_number(
@@ -242,11 +243,9 @@ def inductive_schedulable_number(
     """
     if not catalog.sublink_sets:
         raise ValidationError("empty schedulable-set catalog")
-    if not neighborhoods.sets:
+    if not neighborhoods.closed.size:
         raise ValidationError("no links, so no conflict neighborhoods")
-    closed = np.zeros((catalog.link_count, len(neighborhoods.sets)))
-    for e, nb in enumerate(neighborhoods.sets):
-        closed[[a - 1 for a in nb], e] = 1.0
     # overlap counts for _ISN_ROWS sets at a time, never a catalog-sized product
     blocks = range(0, len(catalog), _ISN_ROWS)
+    closed = neighborhoods.closed
     return int(max((catalog.incidence[k : k + _ISN_ROWS] @ closed).max() for k in blocks))

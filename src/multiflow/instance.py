@@ -79,7 +79,7 @@ def _require_list(value: Any, where: str) -> list:
 def _link_rates(out: np.ndarray, entries: dict, network: Network, where: str, positive: bool):
     # write each "tail-head" entry into the per-link vector out, one key per link
     named: dict[int, str] = {}
-    for key in sorted(entries):
+    for key in sorted(entries, key=str):  # a non-string key fails below, not in the sort
         match = _LINK_KEY.fullmatch(key) if isinstance(key, str) else None
         if match is None:
             raise ValidationError(f"{where}: key {key!r} is not of the form \"tail-head\"")

@@ -1,12 +1,14 @@
 """Geometric wireless network model: nodes, directed links, broadcast hyperarcs.
 
 A node reaches receivers within its communication radius and occupies the
-medium within its interference radius, which is never smaller. Links are
-the ordered in-range pairs, indexed 1..n in lexicographic (tail, head)
-order. A hyperarc (i, J) is one broadcast transmission from node i heard
-by every head in J; its sub-links (i, j) for j in J must all exist as
-links, and every link doubles as the weight-1 hyperarc delivering just
-itself.
+medium within its interference radius, which is never smaller. Each
+network measures every node pair once, with ``math.hypot``; its links (the
+ordered in-range pairs, indexed 1..n in lexicographic (tail, head) order)
+and its conflict graphs all read that one table. A hyperarc (i, J) is one
+broadcast transmission from node i heard by every head in J; its sub-links
+(i, j) for j in J must all exist as links, and every link doubles as the
+weight-1 hyperarc delivering just itself. ``build_network`` is another
+name for the ``Network`` constructor.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -86,44 +90,59 @@ class Hyperarc:
         return len(self.heads)
 
 
-def build_links(nodes: Iterable[Node]) -> tuple[Link, ...]:
-    """Derive all links of a node set.
-
-    A link (i, j) exists when 0 < d(i, j) <= comm_radius(i); the relation
-    is asymmetric under heterogeneous radii. The result is ordered
-    lexicographically by (tail id, head id) and indexed from 1, and does
-    not depend on the input ordering.
-    """
-    ordered = sorted(nodes, key=lambda nd: nd.id)
-    ids = [nd.id for nd in ordered]
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValidationError(f"duplicate node ids: {dup}")
-    links = []
-    for u, v in itertools.permutations(ordered, 2):
-        d = distance(u, v)
-        if 0 < d <= u.comm_radius:
-            links.append((u.id, v.id))
-    return tuple(Link(t, h, k + 1) for k, (t, h) in enumerate(links))
-
-
 class Network:
-    """Immutable network over a node set.
+    """Immutable network: nodes, links from their geometry, and hyperarcs.
 
-    Links are derived from the geometry. Hyperarcs always contain one
-    weight-1 entry per link, with the link's index, followed by the coded
-    head sets sorted by (tail, weight, sorted heads). Instances are meant
-    to be treated as read-only after construction.
+    ``distances[p, q]`` is the ``math.hypot`` distance of the p-th and q-th
+    nodes in id order; link (i, j) exists when 0 < d(i, j) <= comm_radius(i).
+    Explicit head sets win over ``coding_nodes``, which give each coding
+    node every 2..``max_coding_degree`` subset of its out-neighbors; with
+    neither, the hyperarcs are the links. Hyperarcs list one weight-1 entry
+    per link, with its index, then the coded head sets sorted by (tail,
+    weight, sorted heads). Coding node ids must exist, and the degree must
+    be at least 2 whichever applies.
     """
 
-    def __init__(self, nodes: Iterable[Node], coded: Iterable[tuple[int, Iterable[int]]] = ()):
+    def __init__(
+        self,
+        nodes: Iterable[Node],
+        hyperarcs: Iterable[tuple[int, Iterable[int]]] | None = None,
+        coding_nodes: Iterable[int] | None = None,
+        max_coding_degree: int = DEFAULT_MAX_CODING_DEGREE,
+    ):
+        if max_coding_degree < 2:
+            raise ValidationError(f"max_coding_degree must be at least 2, got {max_coding_degree}")
         self._nodes = tuple(sorted(nodes, key=lambda nd: nd.id))
+        ids = [nd.id for nd in self._nodes]
+        if len(set(ids)) != len(ids):
+            dup = sorted({i for i in ids if ids.count(i) > 1})
+            raise ValidationError(f"duplicate node ids: {dup}")
         self._node_map = {nd.id: nd for nd in self._nodes}
-        self._links = build_links(self._nodes)
+        dist = [distance(u, v) for u in self._nodes for v in self._nodes]
+        self._distances = np.reshape(dist, (len(ids), len(ids)))
+        self._distances.flags.writeable = False
+        radius = np.array([nd.comm_radius for nd in self._nodes])
+        # row-major nonzero order is (tail id, head id) order
+        tails, heads = np.nonzero((self._distances > 0) & (self._distances <= radius[:, None]))
+        pairs = zip(tails.tolist(), heads.tolist())
+        self._links = tuple(Link(ids[t], ids[h], k + 1) for k, (t, h) in enumerate(pairs))
         self._by_ends = {(lk.tail, lk.head): lk for lk in self._links}
 
+        coding = sorted(set(coding_nodes or ()))
+        for nid in coding:
+            self.node(nid)  # an unknown id raises
+        if hyperarcs is None:
+            runs = itertools.groupby(self._links, key=lambda lk: lk.tail)  # links sort by tail
+            outs = {tail: [lk.head for lk in run] for tail, run in runs}
+            hyperarcs = [
+                (nid, combo)
+                for nid in coding
+                for size in range(2, min(max_coding_degree, len(outs.get(nid, ()))) + 1)
+                for combo in itertools.combinations(outs[nid], size)
+            ]
+
         seen: set[tuple[int, frozenset[int]]] = set()
-        for tail, heads in coded:
+        for tail, heads in hyperarcs:
             arc = Hyperarc(tail, heads, 0)  # rejects empty heads and the tail among them
             if tail not in self._node_map:
                 raise ValidationError(f"hyperarc tail {tail}: unknown node id")
@@ -149,6 +168,10 @@ class Network:
     @property
     def nodes(self) -> tuple[Node, ...]:
         return self._nodes
+
+    @property
+    def distances(self) -> np.ndarray:
+        return self._distances
 
     @property
     def links(self) -> tuple[Link, ...]:
@@ -189,40 +212,4 @@ class Network:
             ) from None
 
 
-def _coded_head_sets(nodes: tuple[Node, ...], coding_nodes: Iterable[int], degree: int) -> list:
-    # every head set of 2..degree out-neighbors of each coding node, grouped in
-    # one pass over the links, which come sorted by (tail, head)
-    links = build_links(nodes)
-    outs: dict[int, list[int]] = {nid: [] for nid in sorted(set(coding_nodes))}
-    unknown = set(outs).difference(nd.id for nd in nodes)
-    if unknown:
-        raise ValidationError(f"unknown node id {min(unknown)}")
-    for lk in links:
-        if lk.tail in outs:
-            outs[lk.tail].append(lk.head)
-    return [
-        (nid, frozenset(combo))
-        for nid, nbrs in outs.items()
-        for size in range(2, min(degree, len(nbrs)) + 1)
-        for combo in itertools.combinations(nbrs, size)
-    ]
-
-
-def build_network(
-    nodes: Iterable[Node],
-    hyperarcs: Iterable[tuple[int, Iterable[int]]] | None = None,
-    coding_nodes: Iterable[int] | None = None,
-    max_coding_degree: int = DEFAULT_MAX_CODING_DEGREE,
-) -> Network:
-    """Assemble a network from nodes plus either explicit or generated hyperarcs.
-
-    Explicit head sets win when both are given; otherwise the coding-node
-    generator supplies them. With neither, the hyperarcs are exactly the
-    links. ``max_coding_degree`` must be at least 2 whichever applies.
-    """
-    if max_coding_degree < 2:
-        raise ValidationError(f"max_coding_degree must be at least 2, got {max_coding_degree}")
-    nodes = tuple(nodes)
-    if hyperarcs is None and coding_nodes:
-        hyperarcs = _coded_head_sets(nodes, coding_nodes, max_coding_degree)
-    return Network(nodes, hyperarcs or ())
+build_network = Network

@@ -3,8 +3,10 @@
 The oracles here are deliberately independent of the package internals:
 maximal independent sets come from filtering every vertex subset or from
 a frozenset Bron-Kerbosch, catalogs and the inductive schedulable number
-from set loops, conflict graphs from testing every vertex pair with the
-pairwise protocol-model predicates below, greedy schedules from set-based
+from set loops, links from one ``distance`` call per ordered node pair,
+generated hyperarcs from ``itertools.combinations`` over those links,
+conflict graphs from testing every vertex pair with the pairwise
+protocol-model predicates below, greedy schedules from set-based
 loops, linear programs are solved by enumerating basis vertices with exact
 rational arithmetic, and a simplex basis is certified by dense rational
 Gauss-Jordan over every row.
@@ -32,7 +34,8 @@ from multiflow import (
     closed_neighborhoods,
 )
 from multiflow.cfs import _coding_first_scan
-from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link, _coded_head_sets, distance
+from multiflow.conflict import Neighborhoods
+from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link, distance
 
 # ---------------------------------------------------------------------------
 # canonical two-way relay fixtures
@@ -62,6 +65,15 @@ def relay_commodities() -> tuple[Commodity, Commodity]:
     return (Commodity(1, 2), Commodity(2, 1))
 
 
+def relay_data(**fields) -> dict:
+    """The relay's nodes as instance-file data, plus the given fields."""
+    nodes = [
+        {"id": nd.id, "x": nd.x, "y": nd.y, "r": nd.comm_radius, "rho": nd.interf_radius}
+        for nd in relay_nodes()
+    ]
+    return {"nodes": nodes, **fields}
+
+
 # ---------------------------------------------------------------------------
 # synthetic conflict graphs
 
@@ -85,6 +97,11 @@ def make_conflict_graph(n: int, edges, sublinks=None, link_count=None) -> Confli
 def neighbor_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
     """The 1-based neighbors of each vertex, read off the conflict matrix."""
     return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in cg.matrix)
+
+
+def closed_sets(neighborhoods: Neighborhoods) -> tuple[frozenset[int], ...]:
+    """The 1-based closed neighborhood of each link, read off ``closed``."""
+    return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in neighborhoods.closed)
 
 
 def node_map(network: Network) -> dict[int, Node]:
@@ -126,19 +143,42 @@ def pairwise_adjacency(network: Network, level: str) -> tuple[frozenset[int], ..
     return tuple(frozenset(a) for a in adj)
 
 
+def loop_links(nodes) -> list[tuple[int, int]]:
+    """Per-pair reference for ``Network.links``: (tail, head) in id order.
+
+    One ``distance`` call per ordered pair of distinct nodes; a link exists
+    when 0 < d <= the tail's communication radius.
+    """
+    ordered = sorted(nodes, key=lambda nd: nd.id)
+    return [
+        (u.id, v.id)
+        for u, v in itertools.permutations(ordered, 2)
+        if 0 < distance(u, v) <= u.comm_radius
+    ]
+
+
 def generate_hyperarcs(
     network: Network,
     coding_nodes,
     max_coding_degree: int = DEFAULT_MAX_CODING_DEGREE,
 ) -> tuple[Hyperarc, ...]:
-    """The hyperarcs ``build_network`` generates for a choice of coding nodes.
+    """Reference for the hyperarcs ``build_network`` generates for coding nodes.
 
-    Every weight-1 hyperarc plus, for each coding node i, one hyperarc
-    (i, J) per subset J of i's out-neighbors with
-    2 <= |J| <= max_coding_degree, in the canonical ordering.
+    Every weight-1 hyperarc of ``loop_links`` plus, for each coding node i,
+    one hyperarc (i, J) per subset J of i's out-neighbors with
+    2 <= |J| <= max_coding_degree, sorted by (tail, weight, sorted heads).
     """
-    coded = _coded_head_sets(network.nodes, coding_nodes, max_coding_degree)
-    return Network(network.nodes, coded).hyperarcs
+    links = loop_links(network.nodes)
+    outs = {tail: sorted(h for t, h in links if t == tail) for tail in set(coding_nodes)}
+    coded = sorted(
+        (tail, size, combo)
+        for tail, heads in outs.items()
+        for size in range(2, min(max_coding_degree, len(heads)) + 1)
+        for combo in itertools.combinations(heads, size)
+    )
+    arcs = [Hyperarc(t, frozenset((h,)), k) for k, (t, h) in enumerate(links, 1)]
+    arcs += [Hyperarc(t, frozenset(c), k) for k, (t, _, c) in enumerate(coded, len(arcs) + 1)]
+    return tuple(arcs)
 
 
 def coding_first_mwis(candidates, omega, gh: ConflictGraph) -> frozenset[int]:
@@ -244,7 +284,7 @@ def loop_schedulable_sets(cg: ConflictGraph) -> SchedulableSetCatalog:
 
 def loop_inductive_schedulable_number(catalog: SchedulableSetCatalog, neighborhoods) -> int:
     """Set-loop reference for ``inductive_schedulable_number`` (nonempty inputs)."""
-    return max(len(ls & nb) for ls in catalog.sublink_sets for nb in neighborhoods.sets)
+    return max(len(ls & nb) for ls in catalog.sublink_sets for nb in closed_sets(neighborhoods))
 
 
 def brute_force_max_independent_sets(cg: ConflictGraph) -> set[frozenset[int]]:

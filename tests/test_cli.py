@@ -6,6 +6,8 @@ import pytest
 
 from multiflow.cli import main
 
+from helpers import relay_data
+
 
 @pytest.fixture
 def demo_dir(tmp_path):
@@ -137,6 +139,23 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+def test_demo_into_an_unwritable_directory_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["demo", "--dir", str(blocker / "sub")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {blocker / 'sub'}: ")
+
+
+def test_unknown_coding_node_exits_1(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    arcs = [{"tail": 3, "heads": [1, 2]}]
+    path.write_text(json.dumps(relay_data(hyperarcs=arcs, coding_nodes=[99])))
+    assert main(["inspect", str(path)]) == 1
+    assert capsys.readouterr().err == "error: unknown node id 99\n"
 
 
 def test_exit_code_cap_exceeded(demo_dir, capsys, tmp_path):

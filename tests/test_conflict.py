@@ -20,6 +20,7 @@ from multiflow.model import distance
 
 from helpers import (
     brute_force_max_independent_sets,
+    closed_sets,
     hyperarcs_conflict,
     links_conflict,
     loop_inductive_schedulable_number,
@@ -342,7 +343,8 @@ def test_closed_neighborhoods_canonical():
     g = build_conflict_graph(relay_plain(), "link")
     nb = closed_neighborhoods(g)
     assert nb.max_conflict_degree == 3
-    assert all(s == frozenset({1, 2, 3, 4}) for s in nb.sets)
+    assert all(s == frozenset({1, 2, 3, 4}) for s in closed_sets(nb))
+    assert nb.closed.all() and not nb.closed.flags.writeable
     gh = build_conflict_graph(relay_coded(), "hyperarc")
     with pytest.raises(ValidationError):
         closed_neighborhoods(gh)

@@ -155,6 +155,13 @@ def test_parse_demand(tmp_path):
     assert load_demand(path, net).tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
+@pytest.mark.parametrize("entries", [{"1-3": 0.5, 5: 1.0}, {5: 1.0, "1-3": 0.5}, {None: 1.0}])
+def test_non_string_demand_keys_are_rejected(entries):
+    net = parse_instance(canonical_data()).network
+    with pytest.raises(ValidationError, match="is not of the form"):
+        parse_demand(entries, net)
+
+
 def test_demo_instances_solve_to_known_throughputs():
     demos = demo_instances()
     assert set(demos) == {"two_way_relay_plain", "two_way_relay_coded"}

@@ -9,15 +9,24 @@ from multiflow import (
     build_network,
 )
 from multiflow.instance import parse_instance
+from multiflow.conflict import build_conflict_graph
 from multiflow.model import (
-    build_links,
     DEFAULT_MAX_CODING_DEGREE,
     distance,
     Hyperarc,
     Link,
+    Network,
 )
 
-from helpers import generate_hyperarcs, random_network, relay_coded, relay_nodes, relay_plain
+from helpers import (
+    generate_hyperarcs,
+    loop_links,
+    random_network,
+    relay_coded,
+    relay_data,
+    relay_nodes,
+    relay_plain,
+)
 
 
 def test_node_validation():
@@ -57,7 +66,7 @@ def test_hyperarc_validation():
 
 
 def test_build_links_lex_order():
-    links = build_links(relay_nodes())
+    links = build_network(relay_nodes()).links
     assert [(lk.index, lk.tail, lk.head) for lk in links] == [
         (1, 1, 3),
         (2, 2, 3),
@@ -69,22 +78,22 @@ def test_build_links_lex_order():
 def test_link_exists_iff_within_radius_inclusive():
     # head exactly on the communication radius still gets a link
     nodes = [Node(1, 0.0, 0.0, 1.0, 1.0), Node(2, 1.0, 0.0, 1.0, 1.0)]
-    links = build_links(nodes)
+    links = build_network(nodes).links
     assert {(lk.tail, lk.head) for lk in links} == {(1, 2), (2, 1)}
     # just beyond the radius there is none
     nodes = [Node(1, 0.0, 0.0, 1.0, 1.0), Node(2, 1.0 + 1e-12, 0.0, 1.0, 1.0)]
-    assert build_links(nodes) == ()
+    assert build_network(nodes).links == ()
 
 
 def test_links_can_be_one_way():
     nodes = [Node(1, 0.0, 0.0, 2.0, 2.0), Node(2, 1.5, 0.0, 1.0, 1.0)]
-    links = build_links(nodes)
+    links = build_network(nodes).links
     assert {(lk.tail, lk.head) for lk in links} == {(1, 2)}
 
 
 def test_duplicate_node_ids_rejected():
     with pytest.raises(ValidationError):
-        build_links([Node(1, 0.0, 0.0, 1.0, 1.0), Node(1, 0.5, 0.0, 1.0, 1.0)])
+        build_network([Node(1, 0.0, 0.0, 1.0, 1.0), Node(1, 0.5, 0.0, 1.0, 1.0)])
 
 
 def test_network_canonical_hyperarcs():
@@ -187,15 +196,6 @@ def test_build_network_coding_nodes_match_generate_hyperarcs():
     assert build_network(relay_nodes(), coding_nodes=[3], max_coding_degree=10**12).hyperarc_count == 5
 
 
-def relay_data(**fields) -> dict:
-    """The relay's nodes as instance-file data, plus the given fields."""
-    nodes = [
-        {"id": nd.id, "x": nd.x, "y": nd.y, "r": nd.comm_radius, "rho": nd.interf_radius}
-        for nd in relay_nodes()
-    ]
-    return {"nodes": nodes, **fields}
-
-
 # one malformed hyperarc per fault, and the one message each fault raises
 MALFORMED_HYPERARCS = [
     ([(3, [])], "hyperarc at node 3: empty head set"),
@@ -243,6 +243,52 @@ def test_max_coding_degree_below_two_is_rejected_on_every_path(fields):
 def test_build_network_explicit_hyperarcs_win():
     net = build_network(relay_nodes(), hyperarcs=[(3, (1, 2))], coding_nodes=[3])
     assert net.hyperarc_count == 5
+
+
+def test_links_match_the_per_pair_oracle():
+    rng = np.random.default_rng(31)
+    node_sets = [random_network(rng, allow_coding=False).nodes for _ in range(120)]
+    # a head exactly on the radius (3-4-5 triangle, r = 5), and one-way links
+    node_sets.append([Node(1, 0.0, 0.0, 5.0, 5.0), Node(2, 3.0, 4.0, 5.0, 5.0)])
+    node_sets.append(
+        [Node(1, 0.0, 0.0, 2.0, 2.0), Node(2, 1.5, 0.0, 1.0, 1.0), Node(3, 0.0, 1.9, 1.0, 1.0)]
+    )
+    for nodes in node_sets:
+        net = Network(reversed(nodes))
+        assert [(lk.tail, lk.head) for lk in net.links] == loop_links(nodes)
+        assert [lk.index for lk in net.links] == list(range(1, net.link_count + 1))
+    assert [(lk.tail, lk.head) for lk in Network(node_sets[-2]).links] == [(1, 2), (2, 1)]
+    assert [(lk.tail, lk.head) for lk in Network(node_sets[-1]).links] == [(1, 2), (1, 3)]
+
+
+def test_network_measures_each_node_pair_once(monkeypatch):
+    calls = []
+
+    def counted(u, v):
+        calls.append((u.id, v.id))
+        return distance(u, v)
+
+    monkeypatch.setattr("multiflow.model.distance", counted)
+    ids = range(1, 10)
+    nodes = [{"id": i, "x": i % 3, "y": i // 3, "r": 1.0, "rho": 1.5} for i in ids]
+    data = {"nodes": nodes, "coding_nodes": list(ids), "max_coding_degree": 2}
+    net = parse_instance(data).network
+    assert net.max_weight == 2
+    for level in ("link", "hyperarc"):
+        build_conflict_graph(net, level)
+    assert sorted(calls) == [(u, v) for u in ids for v in ids]
+    assert net.distances.shape == (9, 9) and not net.distances.flags.writeable
+
+
+@pytest.mark.parametrize("hyperarcs", [None, [(3, (1, 2))]], ids=["generated", "explicit"])
+def test_unknown_coding_node_is_rejected_on_every_path(hyperarcs):
+    with pytest.raises(ValidationError) as err:
+        build_network(relay_nodes(), hyperarcs=hyperarcs, coding_nodes=[3, 99])
+    assert str(err.value) == "unknown node id 99"
+    arcs = {} if hyperarcs is None else {"hyperarcs": [{"tail": 3, "heads": [1, 2]}]}
+    with pytest.raises(ValidationError) as err:
+        parse_instance(relay_data(coding_nodes=[99], **arcs))
+    assert str(err.value) == "unknown node id 99"
 
 
 def test_network_lookups():
