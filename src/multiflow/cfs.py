@@ -7,15 +7,16 @@ picked vertices. Each round settles at least one link, so the loop runs
 at most once per link, and the produced schedule delivers the demand
 exactly. Its length never exceeds the worst closed-neighborhood demand,
 which also yields a simple sufficient test for fitting a unit time frame.
-Rounds run on arrays: residual demands form one vector, and each pick
-masks out its row of the hyperarc conflict matrix.
+Rounds run on arrays: residual demands form one vector read and settled
+through the graph's sub-link table, and each pick masks out its row of
+the hyperarc conflict matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .conflict import ConflictGraph, Neighborhoods, sublink_index
+from .conflict import ConflictGraph, Neighborhoods
 from .errors import SolverError, ValidationError
 from .model import Network
 from .schedule import FractionalSchedule, check_per_link
@@ -25,7 +26,8 @@ _RESIDUAL_EPS = 1e-12
 
 def coding_first_ordering(gh: ConflictGraph) -> tuple[int, ...]:
     """The greedy's scan order: vertices by descending weight, then ascending index."""
-    return tuple(v for _, v in sorted((-len(s), v) for v, s in enumerate(gh.sublinks, 1)))
+    weights = np.count_nonzero(gh.sublink_index < gh.link_count, axis=1)
+    return tuple((np.argsort(-weights, kind="stable") + 1).tolist())
 
 
 def _coding_first_scan(free: np.ndarray, order: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -57,11 +59,10 @@ def cfs_schedule(
         raise ValidationError(f"the ordering is not a permutation of 1..{gh.vertex_count}")
     # residual demand per link plus a trailing +inf under the index padding
     padded = np.append(check_per_link(demand, n), np.inf)
-    index = sublink_index(gh.sublinks, gh.link_count)
     order = np.array(ordering, dtype=np.intp) - 1
     entries: list[tuple[frozenset[int], float]] = []
     for _ in range(n + 2):
-        assigned = padded[index].min(axis=1)
+        assigned = padded[gh.sublink_index].min(axis=1)
         surviving = assigned > _RESIDUAL_EPS  # residuals never grow back
         if not surviving.any():
             break
@@ -69,7 +70,7 @@ def cfs_schedule(
         lam = float(assigned[picked].min())
         entries.append((frozenset((picked + 1).tolist()), lam))
         # picked vertices share no link, so each served link appears once
-        served = index[picked].ravel()
+        served = gh.sublink_index[picked].ravel()
         left = padded[served] - lam
         padded[served] = np.where(left > _RESIDUAL_EPS, left, 0.0)
     else:

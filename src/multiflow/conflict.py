@@ -9,17 +9,18 @@ of these graphs; the catalog enumerates the maximal ones.
 Each graph is one read-only boolean matrix. Distances come from the
 network's ``distances`` table (``math.hypot``; numpy's hypot may round a
 tie the other way); one broadcast tests every link pair, and a hyperarc
-takes the link rows and columns of its sub-links.
+takes the link rows and columns of its sub-links, read off the network's
+padded ``sublink_index`` table (one link per row at link level).
 
 The catalog comes from Bron-Kerbosch with pivoting on the complement
 graph, each vertex set a Python int with bit v-1 for vertex v. The found
-sets are unpacked into one boolean member matrix, which scatters into the
-incidence matrix and splits into frozensets. Catalog order is ascending
-sorted vertex tuple; maximal sets never nest, so that is descending row
-order read as binary numbers with vertex 1 the top bit, and numpy sorts
-the packed rows without building tuples. The inductive schedulable number
-is the largest entry of ``incidence @ closed``, with ``closed`` the
-closed-neighborhood matrix of the links, taken a block of sets at a time.
+sets are unpacked into one boolean member matrix, which scatters through
+the sub-link table into the incidence matrix and splits into frozensets.
+Catalog order is ascending sorted vertex tuple; maximal sets never nest,
+so that is descending row order read as binary numbers with vertex 1 the
+top bit, and numpy sorts the packed rows without building tuples. The
+inductive schedulable number is the largest entry of ``incidence @
+closed`` (``closed`` the links' closed neighborhoods), a block at a time.
 """
 
 from __future__ import annotations
@@ -36,32 +37,25 @@ DEFAULT_ENUMERATION_CAP = 24
 _ISN_ROWS = 4096
 
 
-def sublink_index(sublinks: tuple[frozenset[int], ...], link_count: int) -> np.ndarray:
-    """0-based sub-links, one row per vertex, short rows padded with ``link_count``."""
-    index = np.full((len(sublinks), max(map(len, sublinks), default=1)), link_count)
-    for v, s in enumerate(sublinks):
-        index[v, : len(s)] = sorted(a - 1 for a in s)
-    return index
-
-
 @dataclass(frozen=True, eq=False)
 class ConflictGraph:
     """A conflict graph with 1-based vertices aligned to link or hyperarc indices.
 
-    ``sublinks[v-1]`` holds the link indices delivered by vertex v, which
-    is ``{v}`` itself at link level; their count is v's weight.
+    ``sublink_index[v-1]`` lists the 0-based links vertex v delivers,
+    padded with ``link_count`` (``Network.sublink_index`` at hyperarc
+    level, v-1 alone at link level); its unpadded count is v's weight.
     ``matrix[u-1, v-1]`` is true when u and v conflict; the matrix is
     read-only and symmetric with a false diagonal.
     """
 
     level: str
-    sublinks: tuple[frozenset[int], ...]
+    sublink_index: np.ndarray
     link_count: int
     matrix: np.ndarray
 
     @property
     def vertex_count(self) -> int:
-        return len(self.sublinks)
+        return len(self.sublink_index)
 
     @property
     def edge_count(self) -> int:
@@ -85,10 +79,12 @@ class ConflictGraph:
 
 def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph:
     """Build the conflict graph of a network at link or hyperarc level."""
+    n = network.link_count
     if level == "link":
-        sublinks = tuple(frozenset((lk.index,)) for lk in network.links)
+        index = np.arange(n)[:, None]
+        index.flags.writeable = False
     elif level == "hyperarc":
-        sublinks = tuple(network.sublink_indices(h) for h in network.hyperarcs)
+        index = network.sublink_index
     else:
         raise ValidationError(f"unknown conflict graph level {level!r}")
 
@@ -97,18 +93,16 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
     tails = [position[lk.tail] for lk in network.links]
     heads = [position[lk.head] for lk in network.links]
     rho = np.array([nodes[p].interf_radius for p in tails])
-    n = network.link_count
     # hit[a, b]: the transmitter of link a reaches the receiver of link b,
     # so the diagonal is true; the trailing false row and column absorb padding
     hit = np.zeros((n + 1, n + 1), dtype=bool)
     hit[:n, :n] = network.distances[np.ix_(tails, heads)] <= rho[:, None]
-    index = sublink_index(sublinks, n)
     # touched[u, b]: some sub-link of u conflicts with link b
     touched = (hit | hit.T)[index].any(axis=1)
     matrix = touched[:, index].any(axis=2)
     np.fill_diagonal(matrix, False)
     matrix.flags.writeable = False
-    return ConflictGraph(level=level, sublinks=sublinks, link_count=n, matrix=matrix)
+    return ConflictGraph(level=level, sublink_index=index, link_count=n, matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +177,12 @@ def enumerate_schedulable_sets(
 ) -> SchedulableSetCatalog:
     """Enumerate every maximal independent set of the conflict graph.
 
-    Raises EnumerationCapError when the graph has more than ``cap``
-    vertices; large instances should use the greedy scheduler instead.
-    The output order is deterministic (sorted by vertex tuple).
+    Raises ValidationError for a negative ``cap`` and EnumerationCapError
+    above ``cap`` vertices, where the greedy scheduler fits instead. The
+    output order is deterministic (sorted by vertex tuple).
     """
+    if cap < 0:
+        raise ValidationError(f"the enumeration cap must be nonnegative, got {cap}")
     if cg.vertex_count > cap:
         raise EnumerationCapError(
             f"{cg.vertex_count} vertices exceed the exact enumeration cap of {cap}; "
@@ -196,12 +192,12 @@ def enumerate_schedulable_sets(
     sets = _row_sets(member)
     n = cg.link_count
     rows, verts = np.nonzero(member)
-    links = sublink_index(cg.sublinks, n)[verts]
+    links = cg.sublink_index[verts]
     real = links < n
     incidence = np.zeros((len(member), n))
     incidence[np.broadcast_to(rows[:, None], links.shape)[real], links[real]] = 1.0
     del member, rows, verts, links, real
-    if all(s == {v} for v, s in enumerate(cg.sublinks, 1)):
+    if np.array_equal(cg.sublink_index, np.arange(cg.vertex_count)[:, None]):
         sublink_sets = sets
     else:
         sublink_sets = _row_sets(incidence)

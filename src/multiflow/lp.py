@@ -158,7 +158,7 @@ class _Simplex:
     def run_phase(self, cost: np.ndarray, allowed: int) -> str:
         limit = 5000 + 200 * (self.m + self.ncols)
         for _ in range(limit):
-            basis = np.asarray(self.basis)
+            basis = np.asarray(self.basis, dtype=np.intp)
             reduced = cost[:allowed] - cost[basis] @ self.T[:, :allowed]
             improving = np.flatnonzero(reduced > _PIVOT_EPS)
             if improving.size == 0:
@@ -189,13 +189,13 @@ class _Simplex:
 
     def solution(self) -> np.ndarray:
         xfull = np.zeros(self.ncols)
-        xfull[np.asarray(self.basis)] = self.T[:, -1]
+        xfull[np.asarray(self.basis, dtype=np.intp)] = self.T[:, -1]
         x = xfull[: self.n].copy()
         x[(x < 0) & (x > -10 * _PIVOT_EPS)] = 0.0
         return x
 
     def dual(self, cost: np.ndarray) -> np.ndarray:
-        basis = np.asarray(self.basis)
+        basis = np.asarray(self.basis, dtype=np.intp)
         reduced = cost[: self.n + self.m] - cost[basis] @ self.T[:, : self.n + self.m]
         return -reduced[self.n :]
 
@@ -283,14 +283,6 @@ def _exact_certificate(
 def solve_lp(p: LinearProgram, exact_check: bool = False) -> LpOutcome:
     """Solve a linear program; see the module docstring for conventions."""
     A, b = normalized_rows(p)
-    n = p.num_vars
-    if A.shape[0] == 0:
-        # only the sign constraints remain
-        if np.any(p.objective > _PIVOT_EPS):
-            return LpOutcome("unbounded")
-        exact = Fraction(0) if exact_check else None
-        return LpOutcome("optimal", 0.0, np.zeros(n), np.zeros(0), exact)
-
     sx = _Simplex(p.objective, A, b)
     if sx.art_rows.size:
         status = sx.run_phase(sx.phase1_cost(), sx.ncols)

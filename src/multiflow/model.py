@@ -7,8 +7,9 @@ ordered in-range pairs, indexed 1..n in lexicographic (tail, head) order)
 and its conflict graphs all read that one table. A hyperarc (i, J) is one
 broadcast transmission from node i heard by every head in J; its sub-links
 (i, j) for j in J must all exist as links, and every link doubles as the
-weight-1 hyperarc delivering just itself. ``build_network`` is another
-name for the ``Network`` constructor.
+weight-1 hyperarc delivering just itself. One padded table, built with
+the hyperarcs, maps each to its sub-links for every reader of the
+network. ``build_network`` is another name for the ``Network`` constructor.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ class Network:
     neither, the hyperarcs are the links. Hyperarcs list one weight-1 entry
     per link, with its index, then the coded head sets sorted by (tail,
     weight, sorted heads). Coding node ids must exist, and the degree must
-    be at least 2 whichever applies.
+    be at least 2 whichever applies. Read-only ``sublink_index[h-1]`` lists
+    hyperarc h's 0-based link positions in ascending order, padded with
+    ``link_count`` up to the largest weight (at least one column).
     """
 
     def __init__(
@@ -128,41 +131,50 @@ class Network:
         self._links = tuple(Link(ids[t], ids[h], k + 1) for k, (t, h) in enumerate(pairs))
         self._by_ends = {(lk.tail, lk.head): lk for lk in self._links}
 
+        n = len(self._links)
         coding = sorted(set(coding_nodes or ()))
         for nid in coding:
             self.node(nid)  # an unknown id raises
         if hyperarcs is None:
-            runs = itertools.groupby(self._links, key=lambda lk: lk.tail)  # links sort by tail
-            outs = {tail: [lk.head for lk in run] for tail, run in runs}
-            hyperarcs = [
+            # out-link positions run in head order, so each combination is a table row
+            runs = itertools.groupby(range(n), key=lambda p: self._links[p].tail)
+            outs = {tail: list(run) for tail, run in runs}
+            rows = [
                 (nid, combo)
                 for nid in coding
                 for size in range(2, min(max_coding_degree, len(outs.get(nid, ()))) + 1)
                 for combo in itertools.combinations(outs[nid], size)
             ]
-
-        seen: set[tuple[int, frozenset[int]]] = set()
-        for tail, heads in hyperarcs:
-            arc = Hyperarc(tail, heads, 0)  # rejects empty heads and the tail among them
-            if tail not in self._node_map:
-                raise ValidationError(f"hyperarc tail {tail}: unknown node id")
-            hs = sorted(arc.heads)
-            for j in hs:
-                if j not in self._node_map:
-                    raise ValidationError(f"hyperarc ({tail}, {hs}): unknown head id {j}")
-                if (tail, j) not in self._by_ends:
-                    raise ValidationError(
-                        f"hyperarc ({tail}, {hs}): sub-link ({tail}, {j}) is not a link"
-                    )
-            if arc.weight == 1:
-                continue  # already present as the weight-1 hyperarc of that link
-            if (tail, arc.heads) in seen:
-                raise ValidationError(f"duplicate hyperarc ({tail}, {hs})")
-            seen.add((tail, arc.heads))
-        coded_sets = sorted(seen, key=lambda th: (th[0], len(th[1]), tuple(sorted(th[1]))))
+        else:  # explicit head sets as (tail, sub-link positions)
+            found: set[tuple[int, tuple[int, ...]]] = set()
+            for tail, heads in hyperarcs:
+                arc = Hyperarc(tail, heads, 0)  # rejects empty heads and the tail among them
+                if tail not in self._node_map:
+                    raise ValidationError(f"hyperarc tail {tail}: unknown node id")
+                hs = sorted(arc.heads)
+                for j in hs:
+                    if j not in self._node_map:
+                        raise ValidationError(f"hyperarc ({tail}, {hs}): unknown head id {j}")
+                    if (tail, j) not in self._by_ends:
+                        raise ValidationError(
+                            f"hyperarc ({tail}, {hs}): sub-link ({tail}, {j}) is not a link"
+                        )
+                if arc.weight == 1:
+                    continue  # already present as the weight-1 hyperarc of that link
+                row = tuple(self._by_ends[(tail, j)].index - 1 for j in hs)
+                if (tail, row) in found:
+                    raise ValidationError(f"duplicate hyperarc ({tail}, {hs})")
+                found.add((tail, row))
+            rows = sorted(found, key=lambda tr: (tr[0], len(tr[1]), tr[1]))
+        width = max((len(row) for _, row in rows), default=1)
+        table = np.full((n + len(rows), width), n, dtype=np.intp)
+        table[:n, 0] = np.arange(n)
         arcs = [Hyperarc(lk.tail, frozenset((lk.head,)), lk.index) for lk in self._links]
-        base = len(self._links)
-        arcs.extend(Hyperarc(t, hs, base + k + 1) for k, (t, hs) in enumerate(coded_sets))
+        for k, (tail, row) in enumerate(rows, n):
+            table[k, : len(row)] = row
+            arcs.append(Hyperarc(tail, frozenset(self._links[p].head for p in row), k + 1))
+        table.flags.writeable = False
+        self._sublink_index = table
         self._hyperarcs = tuple(arcs)
 
     @property
@@ -180,6 +192,10 @@ class Network:
     @property
     def hyperarcs(self) -> tuple[Hyperarc, ...]:
         return self._hyperarcs
+
+    @property
+    def sublink_index(self) -> np.ndarray:
+        return self._sublink_index
 
     @property
     def link_count(self) -> int:
@@ -201,15 +217,6 @@ class Network:
 
     def find_link(self, tail: int, head: int) -> Link | None:
         return self._by_ends.get((tail, head))
-
-    def sublink_indices(self, arc: Hyperarc) -> frozenset[int]:
-        """The indices of the links (tail, j) a hyperarc delivers."""
-        try:
-            return frozenset(self._by_ends[(arc.tail, j)].index for j in arc.heads)
-        except KeyError:
-            raise ValidationError(
-                f"hyperarc ({arc.tail}, {sorted(arc.heads)}) does not belong to this network"
-            ) from None
 
 
 build_network = Network

@@ -50,13 +50,13 @@ class FractionalSchedule:
 
     def capacity(self, network: Network) -> np.ndarray:
         """The delivered per-link rates: each entry serves the union of its hyperarcs' sub-links."""
-        arcs = network.hyperarcs
-        rates = np.zeros(network.link_count)
+        table, n = network.sublink_index, network.link_count
+        rates = np.zeros(n)
         for vertices, lam in self.entries:
-            links: frozenset[int] = frozenset()
-            for v in sorted(vertices):
-                if not 1 <= v <= len(arcs):
-                    raise ValidationError(f"hyperarc index {v} outside 1..{len(arcs)}")
-                links |= network.sublink_indices(arcs[v - 1])
-            rates[[a - 1 for a in links]] += lam
+            idx = sorted(vertices)
+            outside = [v for v in idx if not 1 <= v <= len(table)]
+            if outside:
+                raise ValidationError(f"hyperarc index {outside[0]} outside 1..{len(table)}")
+            links = np.unique(table[np.array(idx, dtype=np.intp) - 1])
+            rates[links[links < n]] += lam
         return rates

@@ -5,6 +5,7 @@ maximal independent sets come from filtering every vertex subset or from
 a frozenset Bron-Kerbosch, catalogs and the inductive schedulable number
 from set loops, links from one ``distance`` call per ordered node pair,
 generated hyperarcs from ``itertools.combinations`` over those links,
+sub-link rows from per-head link lookups, padded the old way,
 conflict graphs from testing every vertex pair with the pairwise
 protocol-model predicates below, greedy schedules from set-based
 loops, linear programs are solved by enumerating basis vertices with exact
@@ -74,8 +75,45 @@ def relay_data(**fields) -> dict:
     return {"nodes": nodes, **fields}
 
 
+def coded_grid(width: int, height: int, max_coding_degree: int = 2) -> Network:
+    """Unit-spaced grid, r = 1 and rho = 1.5, every node coding up to the given degree."""
+    nodes = [
+        Node(y * width + x + 1, float(x), float(y), 1.0, 1.5)
+        for y in range(height)
+        for x in range(width)
+    ]
+    return build_network(
+        nodes, coding_nodes=range(1, width * height + 1), max_coding_degree=max_coding_degree
+    )
+
+
 # ---------------------------------------------------------------------------
 # synthetic conflict graphs
+
+
+def sublink_indices(network: Network, arc: Hyperarc) -> frozenset[int]:
+    """Dict-lookup reference for one row of ``Network.sublink_index`` (1-based)."""
+    links = [network.find_link(arc.tail, j) for j in arc.heads]
+    if None in links:
+        raise ValidationError(
+            f"hyperarc ({arc.tail}, {sorted(arc.heads)}) does not belong to this network"
+        )
+    return frozenset(lk.index for lk in links)
+
+
+def padded_sublink_index(sublinks, link_count: int) -> np.ndarray:
+    """0-based sub-links, one row per vertex, short rows padded with ``link_count``."""
+    index = np.full((len(sublinks), max(map(len, sublinks), default=1)), link_count)
+    for v, s in enumerate(sublinks):
+        index[v, : len(s)] = sorted(a - 1 for a in s)
+    return index
+
+
+def sublink_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
+    """The 1-based link indices each vertex delivers, read off ``sublink_index``."""
+    return tuple(
+        frozenset((row[row < cg.link_count] + 1).tolist()) for row in cg.sublink_index
+    )
 
 
 def make_conflict_graph(n: int, edges, sublinks=None, link_count=None) -> ConflictGraph:
@@ -91,7 +129,8 @@ def make_conflict_graph(n: int, edges, sublinks=None, link_count=None) -> Confli
         sublinks = tuple(frozenset(s) for s in sublinks)
         if link_count is None:
             link_count = max((max(s) for s in sublinks if s), default=0)
-    return ConflictGraph(level="hyperarc", sublinks=sublinks, link_count=link_count, matrix=matrix)
+    index = padded_sublink_index(sublinks, link_count)
+    return ConflictGraph("hyperarc", sublink_index=index, link_count=link_count, matrix=matrix)
 
 
 def neighbor_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
@@ -220,11 +259,10 @@ def loop_cfs_schedule(network: Network, gh: ConflictGraph, omega, demand) -> Fra
     residual = np.asarray(demand, dtype=float).copy()
     surviving = set(range(1, gh.vertex_count + 1))
     adjacency = neighbor_sets(gh)
+    sublinks = sublink_sets(gh)
     entries: list[tuple[frozenset[int], float]] = []
     while surviving:
-        assigned = {
-            v: min(residual[a - 1] for a in gh.sublinks[v - 1]) for v in surviving
-        }
+        assigned = {v: min(residual[a - 1] for a in sublinks[v - 1]) for v in surviving}
         surviving = {v for v in surviving if assigned[v] > eps}
         if not surviving:
             break
@@ -232,10 +270,21 @@ def loop_cfs_schedule(network: Network, gh: ConflictGraph, omega, demand) -> Fra
         lam = min(assigned[v] for v in picked)
         entries.append((picked, float(lam)))
         for v in picked:
-            for a in gh.sublinks[v - 1]:
+            for a in sublinks[v - 1]:
                 left = residual[a - 1] - lam
                 residual[a - 1] = left if left > eps else 0.0
     return FractionalSchedule(tuple(entries))
+
+
+def loop_capacity(schedule: FractionalSchedule, network: Network) -> np.ndarray:
+    """Union-loop reference for ``FractionalSchedule.capacity`` (in-range vertices only)."""
+    rates = np.zeros(network.link_count)
+    for vertices, lam in schedule.entries:
+        links: frozenset[int] = frozenset()
+        for v in sorted(vertices):
+            links |= sublink_indices(network, network.hyperarcs[v - 1])
+        rates[[a - 1 for a in links]] += lam
+    return rates
 
 
 def loop_maximal_independent_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
@@ -269,14 +318,15 @@ def loop_maximal_independent_sets(cg: ConflictGraph) -> tuple[frozenset[int], ..
 def loop_schedulable_sets(cg: ConflictGraph) -> SchedulableSetCatalog:
     """Set-loop reference for ``multiflow.enumerate_schedulable_sets`` (no cap)."""
     sets = loop_maximal_independent_sets(cg)
-    sublink_sets = tuple(frozenset().union(*(cg.sublinks[v - 1] for v in s)) for s in sets)
+    sublinks = sublink_sets(cg)
+    unions = tuple(frozenset().union(*(sublinks[v - 1] for v in s)) for s in sets)
     incidence = np.zeros((len(sets), cg.link_count))
-    for k, ls in enumerate(sublink_sets):
+    for k, ls in enumerate(unions):
         for a in ls:
             incidence[k, a - 1] = 1.0
     return SchedulableSetCatalog(
         hyperarc_sets=sets,
-        sublink_sets=sublink_sets,
+        sublink_sets=unions,
         incidence=incidence,
         link_count=cg.link_count,
     )

@@ -1,8 +1,9 @@
 """The public names and the benchmark tracer's patch targets all resolve.
 
-``perfbench/tracing.py`` swaps functions at fixed module attributes; a
-refactor that moves one of them would otherwise only crash the traced
-benchmark pass.
+``perfbench/tracing.py`` swaps functions at fixed module attributes and
+reads counters off their arguments and results; a refactor that moves one
+of them, or renames what a hook reads, would otherwise only crash the
+traced benchmark pass. So every hook is run here on the coded demo.
 """
 
 import importlib
@@ -65,5 +66,34 @@ def test_tracer_counts_a_solve_and_restores_the_package(tmp_path, capsys):
     assert (multiflow.mmf.solve_lp, multiflow.lp._Simplex._pivot) == before
     assert tracer.counters["lp.calls"] == 1 and tracer.counters["lp.pivots"] > 0
     assert {"cli.cmd", "mmf.solve", "lp.solve", "conflict.graph_hyperarc"} <= {
+        span.name for span in tracer.spans
+    }
+
+
+def test_every_tracer_hook_fires_on_the_coded_demo(tmp_path, capsys):
+    assert main(["demo", "--dir", str(tmp_path)]) == 0
+    instance = str(tmp_path / "two_way_relay_coded.json")
+    demand = tmp_path / "demand.json"
+    demand.write_text('{"1-3": 0.25, "3-2": 0.125}')
+    schedule = ["schedule", instance, "--demand", str(demand), "--algorithm"]
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for argv in (["inspect", instance], ["compare", instance]):
+            assert main(argv) == 0, argv
+        for algorithm in ("cfs", "exact"):
+            assert main(schedule + [algorithm]) == 0, algorithm
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for counter in (
+        "cfs.rounds",
+        "conflict.catalog_sets",
+        "conflict.edges_link",
+        "conflict.edges_hyperarc",
+        "model.hyperarcs",
+    ):
+        assert tracer.counters[counter] > 0, counter
+    assert {"cfs.schedule", "cfs.bound", "conflict.isn", "conflict.neighborhoods"} <= {
         span.name for span in tracer.spans
     }

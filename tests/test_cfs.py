@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multiflow import (
+    FractionalSchedule,
     Node,
     ValidationError,
     build_conflict_graph,
@@ -19,6 +20,7 @@ from multiflow.conflict import inductive_schedulable_number
 
 from helpers import (
     coding_first_mwis,
+    loop_capacity,
     loop_cfs_schedule,
     loop_coding_first_mwis,
     make_conflict_graph,
@@ -27,6 +29,7 @@ from helpers import (
     random_network,
     relay_coded,
     relay_plain,
+    sublink_sets,
 )
 
 
@@ -44,6 +47,43 @@ def test_ordering_puts_heavy_arcs_first():
 def test_ordering_breaks_ties_by_index():
     cg = make_conflict_graph(4, [], sublinks=[{1}, {1, 2}, {3, 4}, {3}])
     assert coding_first_ordering(cg) == (2, 3, 1, 4)
+
+
+def test_ordering_matches_the_sorted_weight_rule():
+    # the old rule: sort (-weight, vertex) tuples; random sub-link counts tie often
+    rng = np.random.default_rng(23)
+    graphs = [build_conflict_graph(random_network(rng), "hyperarc") for _ in range(20)]
+    for _ in range(60):
+        n, links = int(rng.integers(0, 40)), int(rng.integers(1, 9))
+        sublinks = [
+            (rng.choice(links, size=int(rng.integers(1, min(4, links) + 1)), replace=False) + 1)
+            for _ in range(n)
+        ]
+        graphs.append(make_conflict_graph(n, [], sublinks=sublinks, link_count=links))
+    for cg in graphs:
+        weights = [len(s) for s in sublink_sets(cg)]
+        want = tuple(v for _, v in sorted((-w, v) for v, w in enumerate(weights, 1)))
+        assert coding_first_ordering(cg) == want
+
+
+def test_capacity_matches_the_union_loop_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        net = random_network(rng)
+        gh = build_conflict_graph(net, "hyperarc")
+        d = random_demand(rng, net, low=0.05)
+        greedy = cfs_schedule(net, gh, coding_first_ordering(gh), d)
+        exact, _ = optimal_fractional_schedule(d, enumerate_schedulable_sets(gh))
+        for sched in (greedy, exact):
+            assert np.array_equal(sched.capacity(net), loop_capacity(sched, net))
+    # an entry's hyperarcs may overlap (3 and 5 both serve link 3): the union counts once
+    net = relay_coded()
+    overlapping = FractionalSchedule(((frozenset({3, 5}), 0.5), (frozenset({3}), 0.25)))
+    assert overlapping.capacity(net).tolist() == [0.0, 0.0, 0.75, 0.5]
+    assert np.array_equal(overlapping.capacity(net), loop_capacity(overlapping, net))
+    for vertices, bad in (({0, 5, 6}, 0), ({5, 7, 9}, 7), ({1, 2**70}, 2**70)):
+        with pytest.raises(ValidationError, match=rf"^hyperarc index {bad} outside 1..5$"):
+            FractionalSchedule(((frozenset(vertices), 1.0),)).capacity(net)
 
 
 def test_mwis_greedy_properties():

@@ -158,6 +158,28 @@ def test_unknown_coding_node_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown node id 99\n"
 
 
+@pytest.mark.parametrize("command", ["inspect", "solve", "schedule"])
+def test_negative_cap_exits_1(demo_dir, capsys, tmp_path, command):
+    demand = tmp_path / "demand.json"
+    demand.write_text(json.dumps({"1-3": 0.25}))
+    argv = [command, str(demo_dir / "two_way_relay_coded.json"), "--cap", "-1"]
+    if command == "schedule":
+        argv += ["--demand", str(demand), "--algorithm", "cfs"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the enumeration cap must be nonnegative, got -1\n"
+
+
+def test_negative_cap_on_an_empty_network_exits_1(tmp_path, capsys):
+    instance = tmp_path / "lonely.json"
+    instance.write_text(json.dumps({"nodes": [{"id": 1, "x": 0, "y": 0, "r": 1, "rho": 1}]}))
+    assert main(["solve", str(instance), "--cap", "-3"]) == 1
+    assert capsys.readouterr().err == "error: the enumeration cap must be nonnegative, got -3\n"
+    assert main(["solve", str(instance), "--cap", "0"]) == 0
+    capsys.readouterr()
+
+
 def test_exit_code_cap_exceeded(demo_dir, capsys, tmp_path):
     assert main(["solve", str(demo_dir / "two_way_relay_coded.json"), "--cap", "3"]) == 2
     demand = tmp_path / "demand.json"

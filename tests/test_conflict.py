@@ -14,6 +14,7 @@ from multiflow import (
     build_network,
     closed_neighborhoods,
     enumerate_schedulable_sets,
+    solve_mmf,
 )
 from multiflow.conflict import inductive_schedulable_number
 from multiflow.model import distance
@@ -21,6 +22,7 @@ from multiflow.model import distance
 from helpers import (
     brute_force_max_independent_sets,
     closed_sets,
+    coded_grid,
     hyperarcs_conflict,
     links_conflict,
     loop_inductive_schedulable_number,
@@ -32,7 +34,9 @@ from helpers import (
     random_graph,
     random_network,
     relay_coded,
+    relay_commodities,
     relay_plain,
+    sublink_sets,
 )
 
 
@@ -109,8 +113,9 @@ def test_canonical_conflict_graphs_are_complete():
     assert g.vertex_count == 4 and g.edge_count == 6
     gh = build_conflict_graph(relay_coded(), "hyperarc")
     assert gh.vertex_count == 5 and gh.edge_count == 10
-    assert [len(s) for s in gh.sublinks] == [1, 1, 1, 1, 2]
-    assert gh.sublinks[4] == frozenset({3, 4})
+    assert [len(s) for s in sublink_sets(gh)] == [1, 1, 1, 1, 2]
+    assert sublink_sets(gh)[4] == frozenset({3, 4})
+    assert gh.sublink_index.tolist() == [[0, 4], [1, 4], [2, 4], [3, 4], [2, 3]]
     assert not gh.is_independent([1, 5])
     assert gh.is_independent([5])
 
@@ -225,6 +230,20 @@ def test_enumeration_cap():
         enumerate_schedulable_sets(gh, cap=4)
 
 
+def test_negative_cap_is_rejected():
+    gh = build_conflict_graph(relay_coded(), "hyperarc")
+    message = r"^the enumeration cap must be nonnegative, got -1$"
+    for graph in (gh, make_conflict_graph(0, [])):
+        with pytest.raises(ValidationError, match=message):
+            enumerate_schedulable_sets(graph, cap=-1)
+    with pytest.raises(ValidationError, match="got -3$"):
+        solve_mmf(relay_coded(), relay_commodities(), mode="coding", cap=-3)
+    # a zero cap still admits the empty graph and refuses any other
+    assert len(enumerate_schedulable_sets(make_conflict_graph(0, []), cap=0)) == 0
+    with pytest.raises(EnumerationCapError):
+        enumerate_schedulable_sets(gh, cap=0)
+
+
 def test_catalog_matches_brute_force_on_synthetic_graphs():
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -265,16 +284,6 @@ def random_edges(rng, n: int, p: float) -> list[tuple[int, int]]:
 def link_neighborhoods(graph):
     """Closed neighborhoods of a synthetic graph read as a link-level graph."""
     return closed_neighborhoods(replace(graph, level="link"))
-
-
-def coded_grid(width: int, height: int):
-    """Unit-spaced grid, r = 1 and rho = 1.5, every node coding up to degree 2."""
-    nodes = [
-        Node(y * width + x + 1, float(x), float(y), 1.0, 1.5)
-        for y in range(height)
-        for x in range(width)
-    ]
-    return build_network(nodes, coding_nodes=range(1, width * height + 1), max_coding_degree=2)
 
 
 def assert_catalog_matches_loop_oracle(cg, nb) -> None:
@@ -337,6 +346,17 @@ def test_catalog_matches_loop_oracle_on_networks(net):
 def test_link_level_catalog_shares_its_sets():
     catalog = enumerate_schedulable_sets(build_conflict_graph(coded_grid(3, 2), "link"))
     assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
+
+
+def test_plain_hyperarc_catalog_shares_its_sets():
+    # without coded head sets the hyperarc table is the link table, as on plain grids
+    net = build_network(coded_grid(3, 2).nodes)
+    gh = build_conflict_graph(net, "hyperarc")
+    assert np.array_equal(gh.sublink_index, build_conflict_graph(net, "link").sublink_index)
+    catalog = enumerate_schedulable_sets(gh)
+    assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
+    coded = enumerate_schedulable_sets(build_conflict_graph(relay_coded(), "hyperarc"))
+    assert coded.sublink_sets != coded.hyperarc_sets
 
 
 def test_closed_neighborhoods_canonical():

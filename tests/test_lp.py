@@ -8,16 +8,15 @@ import pytest
 import multiflow.lp as lp_module
 from multiflow import (
     Commodity,
-    Node,
     SolverError,
     ValidationError,
-    build_network,
     solve_mmf,
 )
 from multiflow.lp import LinearProgram, _exact_certificate, _Simplex, normalized_rows, solve_lp
 
 from helpers import (
     brute_force_lp,
+    coded_grid,
     dense_certificate,
     random_lp,
     relay_coded,
@@ -65,6 +64,27 @@ def test_infeasible():
 def test_unbounded():
     out = solve([1.0, 0.0], [([0.0, 1.0], "<=", 1.0)])
     assert out.status == "unbounded"
+
+
+def test_programs_without_rows_take_the_simplex_path():
+    # only x >= 0 binds: a positive cost is unbounded, otherwise x = 0 is optimal
+    for exact_check in (False, True):
+        assert solve([1.0, -2.0], [], exact_check=exact_check).status == "unbounded"
+    for objective in ([-1.0], [0.0]):
+        out = solve(objective, [], exact_check=True)
+        assert out.status == "optimal" and out.value == 0.0
+        assert out.x.tolist() == [0.0]
+        assert out.dual.shape == (0,)
+        assert out.exact_value == Fraction(0)
+
+
+def test_exact_check_refuses_a_cost_below_the_pivot_tolerance():
+    # 1e-10 passes the float test but makes the program unbounded exactly,
+    # with or without rows
+    assert solve([1e-10, -3.0], []).value == 0.0
+    for rows in ([], [([0.0, 1.0], "<=", 1.0)]):
+        with pytest.raises(SolverError, match="positive reduced cost"):
+            solve([1e-10, -3.0], rows, exact_check=True)
 
 
 def test_degenerate_cycling_guard():
@@ -230,17 +250,12 @@ def test_sparse_certificate_matches_dense_oracle_on_random_lps(certificates):
         assert dense_certificate(objective, A2, b2, basis2) == value
 
 
-def coded_grid_3x3():
-    nodes = [Node(3 * y + x + 1, float(x), float(y), 1.0, 1.5) for y in range(3) for x in range(3)]
-    return build_network(nodes, coding_nodes=range(1, 10), max_coding_degree=2)
-
-
 def test_sparse_certificate_matches_dense_oracle_on_throughput_lps(certificates):
     corner_triple = (Commodity(1, 9), Commodity(9, 1), Commodity(3, 7))
     cases = [
         (relay_plain(), relay_commodities(), "plain", Fraction(1, 2)),
         (relay_coded(), relay_commodities(), "coding", Fraction(2, 3)),
-        (coded_grid_3x3(), corner_triple, "coding", Fraction(1)),
+        (coded_grid(3, 3), corner_triple, "coding", Fraction(1)),
     ]
     for net, commodities, mode, expected in cases:
         sol = solve_mmf(net, commodities, mode=mode, cap=1000, exact_check=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multiflow import (
+    FractionalSchedule,
     Node,
     ValidationError,
     build_network,
@@ -19,13 +20,16 @@ from multiflow.model import (
 )
 
 from helpers import (
+    coded_grid,
     generate_hyperarcs,
     loop_links,
+    padded_sublink_index,
     random_network,
     relay_coded,
     relay_data,
     relay_nodes,
     relay_plain,
+    sublink_indices,
 )
 
 
@@ -108,8 +112,8 @@ def test_network_canonical_hyperarcs():
     ]
     assert net.max_weight == 2
     assert net.hyperarc_count == 5
-    coded = net.hyperarcs[4]
-    assert net.sublink_indices(coded) == frozenset({3, 4})
+    assert net.sublink_index.tolist() == [[0, 4], [1, 4], [2, 4], [3, 4], [2, 3]]
+    assert not net.sublink_index.flags.writeable
 
 
 def test_weight_one_hyperarcs_share_link_indices():
@@ -304,8 +308,12 @@ def test_network_lookups():
 def test_sub_links_reject_foreign_hyperarc():
     net = relay_coded()
     foreign = Hyperarc(2, frozenset({1}), 9)
-    with pytest.raises(ValidationError):
-        net.sublink_indices(foreign)
+    with pytest.raises(ValidationError, match="does not belong"):
+        sublink_indices(net, foreign)
+    # the table has no row for it, and a schedule naming it is refused
+    assert len(net.sublink_index) == 5
+    with pytest.raises(ValidationError, match="hyperarc index 9 outside 1..5"):
+        FractionalSchedule(((frozenset({1, 9}), 0.5),)).capacity(net)
 
 
 def test_random_networks_are_consistent():
@@ -320,6 +328,65 @@ def test_random_networks_are_consistent():
             assert 0 < d <= tail.comm_radius
         assert [lk.index for lk in net.links] == list(range(1, net.link_count + 1))
         for h in net.hyperarcs:
-            links = [net.links[a - 1] for a in net.sublink_indices(h)]
+            links = [net.links[p] for p in net.sublink_index[h.index - 1] if p < net.link_count]
             assert {lk.head for lk in links} == h.heads
             assert all(lk.tail == h.tail for lk in links)
+
+
+def assert_table_matches_lookup_oracle(net) -> None:
+    table = net.sublink_index
+    want = padded_sublink_index([sublink_indices(net, h) for h in net.hyperarcs], net.link_count)
+    assert table.dtype == np.intp and not table.flags.writeable
+    assert table.shape == (net.hyperarc_count, max(1, net.max_weight))
+    assert np.array_equal(table, want)
+
+
+def test_sublink_index_matches_the_lookup_oracle():
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        assert_table_matches_lookup_oracle(random_network(rng))
+    for width, height in ((3, 3), (4, 3), (4, 4)):
+        for degree in (2, 3):
+            net = coded_grid(width, height, degree)
+            assert net.max_weight == degree
+            assert_table_matches_lookup_oracle(net)
+    assert_table_matches_lookup_oracle(relay_plain())
+    assert_table_matches_lookup_oracle(build_network(relay_nodes()[:1]))
+
+
+def test_explicit_head_sets_in_any_order_give_one_table():
+    rng = np.random.default_rng(31)
+    grid = coded_grid(4, 3, 3)
+    n = grid.link_count
+    coded = [(h.tail, sorted(h.heads)) for h in grid.hyperarcs[n:]]
+    # the generated order is the old (tail, weight, sorted heads) rule
+    keys = [(t, len(hs), tuple(hs)) for t, hs in coded]
+    assert keys == sorted(keys)
+    singles = [(lk.tail, [lk.head]) for lk in grid.links[::5]]
+    for _ in range(8):
+        arcs = [(t, rng.permutation(hs).tolist()) for t, hs in coded + singles]
+        arcs = [arcs[k] for k in rng.permutation(len(arcs))]
+        net = build_network(grid.nodes, hyperarcs=arcs)
+        assert net.hyperarcs == grid.hyperarcs
+        assert np.array_equal(net.sublink_index, grid.sublink_index)
+        assert_table_matches_lookup_oracle(net)
+
+
+def test_loading_a_coded_grid_builds_each_hyperarc_once(monkeypatch):
+    nodes = [
+        {"id": nd.id, "x": nd.x, "y": nd.y, "r": nd.comm_radius, "rho": nd.interf_radius}
+        for nd in coded_grid(4, 4).nodes
+    ]
+    built = []
+    post_init = Hyperarc.__post_init__
+
+    def counted(arc):
+        built.append(arc)
+        post_init(arc)
+
+    monkeypatch.setattr(Hyperarc, "__post_init__", counted)
+    net = parse_instance(
+        {"nodes": nodes, "coding_nodes": list(range(1, 17)), "max_coding_degree": 3}
+    ).network
+    assert net.max_weight == 3
+    assert len(built) == net.hyperarc_count
