@@ -7,21 +7,23 @@ picked vertices. Each round settles at least one link, so the loop runs
 at most once per link, and the produced schedule delivers the demand
 exactly. Its length never exceeds the worst closed-neighborhood demand,
 which also yields a simple sufficient test for fitting a unit time frame.
-Rounds run on arrays: residual demands form one vector read and settled
-through the graph's sub-link table, and each pick masks out its row of
-the hyperarc conflict matrix.
+Rounds run on Python-int bitmasks over scan positions, built once per call:
+a scan keeps the lowest free position and then only positions compatible
+with every pick, and each link a round settles clears its holders from the
+mask of surviving positions, so no round touches every vertex.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .conflict import ConflictGraph, Neighborhoods
+from .conflict import ConflictGraph, Neighborhoods, row_masks
 from .errors import SolverError, ValidationError
 from .model import Network
 from .schedule import FractionalSchedule, check_per_link
 
 _RESIDUAL_EPS = 1e-12
+_MASK_ROWS = 1024
 
 
 def coding_first_ordering(gh: ConflictGraph) -> tuple[int, ...]:
@@ -30,20 +32,30 @@ def coding_first_ordering(gh: ConflictGraph) -> tuple[int, ...]:
     return tuple((np.argsort(-weights, kind="stable") + 1).tolist())
 
 
-def _coding_first_scan(free: np.ndarray, order: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    # free[k], updated in place: the k-th vertex in scan order is still open
+def _scan_masks(gh: ConflictGraph, order: np.ndarray) -> tuple[list[int], list[int]]:
+    # bit k is the k-th vertex in scan order: compat[k] holds the positions
+    # not in conflict with k, holders[a] those whose vertex delivers link a
+    h = len(order)
+    compat: list[int] = []
+    for s in range(0, h, _MASK_ROWS):  # a block of rows, never a second H x H matrix
+        block = np.logical_not(gh.matrix[np.ix_(order[s : s + _MASK_ROWS], order)])
+        block[np.arange(len(block)), np.arange(s, s + len(block))] = False
+        compat += row_masks(block)
+    delivers = np.zeros((gh.link_count + 1, h), dtype=bool)  # the last row takes the padding
+    delivers[gh.sublink_index[order], np.arange(h)[:, None]] = True
+    return compat, row_masks(delivers[:-1])
+
+
+def _scan(free: int, compat: list[int]) -> list[int]:
+    # one coding-first pick: the lowest free position, then the lowest compatible with all so far
     picked = []
-    while free.any():
-        k = int(free.argmax())
-        picked.append(order[k])
-        free &= ~matrix[order[k], order]
-        free[k] = False
-    return np.array(picked, dtype=np.intp)
+    while free:
+        picked.append((free & -free).bit_length() - 1)
+        free &= compat[picked[-1]]
+    return picked
 
 
-def cfs_schedule(
-    network: Network, gh: ConflictGraph, ordering, demand
-) -> FractionalSchedule:
+def cfs_schedule(network: Network, gh: ConflictGraph, ordering, demand) -> FractionalSchedule:
     """Greedy fractional schedule delivering the demand exactly.
 
     Every round: each surviving vertex is assigned the minimum residual
@@ -60,19 +72,23 @@ def cfs_schedule(
     # residual demand per link plus a trailing +inf under the index padding
     padded = np.append(check_per_link(demand, n), np.inf)
     order = np.array(ordering, dtype=np.intp) - 1
+    compat, holders = _scan_masks(gh, order)
+    # residuals never grow back, so a position that leaves alive stays out
+    (alive,) = row_masks(padded[gh.sublink_index[order]].min(axis=1)[None] > _RESIDUAL_EPS)
     entries: list[tuple[frozenset[int], float]] = []
     for _ in range(n + 2):
-        assigned = padded[gh.sublink_index].min(axis=1)
-        surviving = assigned > _RESIDUAL_EPS  # residuals never grow back
-        if not surviving.any():
+        if not alive:
             break
-        picked = _coding_first_scan(surviving[order], order, gh.matrix)
-        lam = float(assigned[picked].min())
-        entries.append((frozenset((picked + 1).tolist()), lam))
+        vertices = order[_scan(alive, compat)]
         # picked vertices share no link, so each served link appears once
-        served = gh.sublink_index[picked].ravel()
-        left = padded[served] - lam
-        padded[served] = np.where(left > _RESIDUAL_EPS, left, 0.0)
+        served = gh.sublink_index[vertices].ravel()
+        lam = float(padded[served].min())
+        entries.append((frozenset((vertices + 1).tolist()), lam))
+        padded[served] -= lam
+        settled = served[padded[served] <= _RESIDUAL_EPS]
+        padded[settled] = 0.0
+        for a in settled.tolist():
+            alive &= ~holders[a]
     else:
         raise SolverError("scheduling failed to settle every link")  # unreachable
     return FractionalSchedule(tuple(entries))

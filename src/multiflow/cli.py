@@ -63,11 +63,7 @@ def cmd_solve(args) -> dict:
     inst = load_instance(args.instance)
     mode = _resolve_mode(args.mode, inst.network)
     sol = solve_mmf(
-        inst.network,
-        inst.commodities,
-        mode=mode,
-        bandwidth=inst.bandwidth,
-        cap=args.cap,
+        inst.network, inst.commodities, mode=mode, bandwidth=inst.bandwidth, cap=args.cap
     )
     commodities = []
     for i, com in enumerate(inst.commodities):
@@ -84,15 +80,14 @@ def cmd_solve(args) -> dict:
                 "flow": flow,
             }
         )
-    schedule = []
-    for j in sorted(sol.schedule_weights):
-        schedule.append(
-            {
-                "hyperarcs": sorted(sol.catalog.hyperarc_sets[j]),
-                "links": sorted(sol.catalog.sublink_sets[j]),
-                "lambda": sol.schedule_weights[j],
-            }
-        )
+    schedule = [
+        {
+            "hyperarcs": sorted(sol.catalog.hyperarc_sets[j]),
+            "links": sorted(sol.catalog.sublink_sets[j]),
+            "lambda": sol.schedule_weights[j],
+        }
+        for j in sorted(sol.schedule_weights)
+    ]
     return {
         "mode": mode,
         "throughput": sol.throughput,
@@ -104,11 +99,9 @@ def cmd_solve(args) -> dict:
 
 def cmd_compare(args) -> dict:
     inst = load_instance(args.instance)
-    plain = solve_mmf(
-        inst.network, inst.commodities, mode="plain", bandwidth=inst.bandwidth, cap=args.cap
-    )
-    coded = solve_mmf(
-        inst.network, inst.commodities, mode="coding", bandwidth=inst.bandwidth, cap=args.cap
+    plain, coded = (
+        solve_mmf(inst.network, inst.commodities, mode=m, bandwidth=inst.bandwidth, cap=args.cap)
+        for m in ("plain", "coding")
     )
     report = {
         "plain_throughput": plain.throughput,
@@ -153,7 +146,6 @@ def cmd_schedule(args) -> dict:
     nb = closed_neighborhoods(build_conflict_graph(net, "link"))
     bound = cfs_length_bound(demand, nb)
 
-    optimal = None
     if args.algorithm == "cfs":
         sched = cfs_schedule(net, gh, coding_first_ordering(gh), demand)
         length = sched.length
@@ -169,9 +161,7 @@ def cmd_schedule(args) -> dict:
 
     report = {
         "algorithm": args.algorithm,
-        "schedule": [
-            {"set": sorted(vs), "lambda": lam} for vs, lam in sched.entries
-        ],
+        "schedule": [{"set": sorted(vs), "lambda": lam} for vs, lam in sched.entries],
         "length": length,
         "neighborhood_bound": bound,
     }
@@ -201,13 +191,8 @@ _SCALARS = {
     "solve": ("mode", "throughput", "schedule_length"),
     "compare": ("plain_throughput", "coding_throughput", "absolute_gain", "relative_gain"),
     "inspect": (
-        "links",
-        "hyperarcs",
-        "link_graph",
-        "hyperarc_graph",
-        "max_conflict_degree",
-        "inductive_schedulable_number",
-        "catalog_size",
+        "links", "hyperarcs", "link_graph", "hyperarc_graph", "max_conflict_degree",
+        "inductive_schedulable_number", "catalog_size",
     ),
     "schedule": ("algorithm", "length", "neighborhood_bound", "optimal_length", "ratio"),
     "demo": (),

@@ -131,6 +131,12 @@ def _bits(x: int):
         x ^= low
 
 
+def row_masks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python int, bit k set where column k is."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
     # Bron-Kerbosch with pivot on the complement graph over int bitmasks (bit
     # v-1 is vertex v); one bool row per maximal set, in catalog order
@@ -139,10 +145,7 @@ def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
         return np.zeros((0, 0), dtype=bool)
     nonadj = np.logical_not(cg.matrix)
     np.fill_diagonal(nonadj, False)
-    compat = [
-        int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(nonadj, axis=1, bitorder="little")
-    ]
+    compat = row_masks(nonadj)
     found: list[int] = []
 
     def expand(chosen: int, cand: int, excl: int) -> None:

@@ -21,12 +21,7 @@ from .model import DEFAULT_MAX_CODING_DEGREE, Network, Node, build_network
 from .mmf import Commodity
 
 _TOP_FIELDS = {
-    "nodes",
-    "hyperarcs",
-    "coding_nodes",
-    "max_coding_degree",
-    "commodities",
-    "bandwidth",
+    "nodes", "hyperarcs", "coding_nodes", "max_coding_degree", "commodities", "bandwidth"
 }
 _NODE_FIELDS = {"id", "x", "y", "r", "rho"}
 _HYPERARC_FIELDS = {"tail", "heads"}
@@ -76,6 +71,10 @@ def _require_list(value: Any, where: str) -> list:
     return value
 
 
+def _require_ints(value: Any, where: str) -> list[int]:
+    return [_require_int(v, f"{where}[{i}]") for i, v in enumerate(_require_list(value, where))]
+
+
 def _link_rates(out: np.ndarray, entries: dict, network: Network, where: str, positive: bool):
     # write each "tail-head" entry into the per-link vector out, one key per link
     named: dict[int, str] = {}
@@ -123,20 +122,14 @@ def parse_instance(data: Any) -> Instance:
             where = f"hyperarcs[{k}]"
             obj = _require_object(entry, _HYPERARC_FIELDS, _HYPERARC_FIELDS, where)
             tail = _require_int(obj["tail"], f"{where}.tail")
-            heads = [
-                _require_int(h, f"{where}.heads[{i}]")
-                for i, h in enumerate(_require_list(obj["heads"], f"{where}.heads"))
-            ]
+            heads = _require_ints(obj["heads"], f"{where}.heads")
             if len(set(heads)) != len(heads):
                 raise ValidationError(f"{where}.heads: repeated head id")
             hyperarcs.append((tail, heads))
 
     coding_nodes = None
     if "coding_nodes" in top:
-        coding_nodes = [
-            _require_int(v, f"coding_nodes[{i}]")
-            for i, v in enumerate(_require_list(top["coding_nodes"], "coding_nodes"))
-        ]
+        coding_nodes = _require_ints(top["coding_nodes"], "coding_nodes")
 
     degree = DEFAULT_MAX_CODING_DEGREE
     if "max_coding_degree" in top:
@@ -221,9 +214,5 @@ def demo_instances() -> dict[str, dict]:
     ]
     commodities = [{"source": 1, "sink": 2}, {"source": 2, "sink": 1}]
     plain = {"nodes": nodes, "commodities": commodities}
-    coded = {
-        "nodes": nodes,
-        "hyperarcs": [{"tail": 3, "heads": [1, 2]}],
-        "commodities": commodities,
-    }
+    coded = dict(plain, hyperarcs=[{"tail": 3, "heads": [1, 2]}])
     return {"two_way_relay_plain": plain, "two_way_relay_coded": coded}

@@ -5,8 +5,10 @@ relation, bound) with relation one of "<=", "=", ">=". Equalities are
 split into opposing inequalities and exact duplicate rows are dropped, so
 the solver core only ever sees rows of the form a.x <= b. Bland's rule
 keeps the pivoting cycle-free and deterministic; identical inputs produce
-bit-identical outputs. The solver is meant for small dense problems and
-fails loudly (SolverError) instead of limping through numerical trouble.
+bit-identical outputs. Each phase carries its reduced-cost row through the
+pivots and prices it from scratch before it stops. The solver is meant for
+small dense problems and fails loudly (SolverError) instead of limping
+through numerical trouble.
 
 No row is ever dropped, so every optimal outcome carries a dual. An
 artificial's column starts as the exact negation of its constraint's slack
@@ -155,14 +157,20 @@ class _Simplex:
         self.T[row, col] = 1.0
         self.basis[row] = col
 
+    def reduced_costs(self, cost: np.ndarray, allowed: int) -> np.ndarray:
+        basis = np.asarray(self.basis, dtype=np.intp)
+        return cost[:allowed] - cost[basis] @ self.T[:, :allowed]
+
     def run_phase(self, cost: np.ndarray, allowed: int) -> str:
         limit = 5000 + 200 * (self.m + self.ncols)
+        reduced = self.reduced_costs(cost, allowed)  # carried through the pivots below
         for _ in range(limit):
-            basis = np.asarray(self.basis, dtype=np.intp)
-            reduced = cost[:allowed] - cost[basis] @ self.T[:, :allowed]
             improving = np.flatnonzero(reduced > _PIVOT_EPS)
-            if improving.size == 0:
-                return "optimal"
+            if improving.size == 0:  # stop only if a row priced from scratch agrees
+                reduced = self.reduced_costs(cost, allowed)
+                improving = np.flatnonzero(reduced > _PIVOT_EPS)
+                if improving.size == 0:
+                    return "optimal"
             enter = int(improving[0])  # Bland: lowest eligible variable index
             col = self.T[:, enter]
             rows = np.flatnonzero(col > _PIVOT_EPS)
@@ -173,6 +181,7 @@ class _Simplex:
             tied = rows[ratios <= best * (1 + 1e-12) + 1e-12]
             leave = int(min(tied, key=lambda i: self.basis[i]))  # Bland again
             self._pivot(leave, enter)
+            reduced -= reduced[enter] * self.T[leave, :allowed]  # exactly 0 at enter
         raise SolverError("simplex iteration limit exceeded")
 
     def drive_out_artificials(self) -> None:
@@ -195,9 +204,7 @@ class _Simplex:
         return x
 
     def dual(self, cost: np.ndarray) -> np.ndarray:
-        basis = np.asarray(self.basis, dtype=np.intp)
-        reduced = cost[: self.n + self.m] - cost[basis] @ self.T[:, : self.n + self.m]
-        return -reduced[self.n :]
+        return -self.reduced_costs(cost, self.n + self.m)[self.n :]
 
 
 def _nonzeros(block: np.ndarray):

@@ -135,6 +135,7 @@ class Network:
         coding = sorted(set(coding_nodes or ()))
         for nid in coding:
             self.node(nid)  # an unknown id raises
+        made: dict[tuple[int, tuple[int, ...]], Hyperarc] = {}  # explicit, by (tail, row)
         if hyperarcs is None:
             # out-link positions run in head order, so each combination is a table row
             runs = itertools.groupby(range(n), key=lambda p: self._links[p].tail)
@@ -146,7 +147,6 @@ class Network:
                 for combo in itertools.combinations(outs[nid], size)
             ]
         else:  # explicit head sets as (tail, sub-link positions)
-            found: set[tuple[int, tuple[int, ...]]] = set()
             for tail, heads in hyperarcs:
                 arc = Hyperarc(tail, heads, 0)  # rejects empty heads and the tail among them
                 if tail not in self._node_map:
@@ -162,17 +162,21 @@ class Network:
                 if arc.weight == 1:
                     continue  # already present as the weight-1 hyperarc of that link
                 row = tuple(self._by_ends[(tail, j)].index - 1 for j in hs)
-                if (tail, row) in found:
+                if (tail, row) in made:
                     raise ValidationError(f"duplicate hyperarc ({tail}, {hs})")
-                found.add((tail, row))
-            rows = sorted(found, key=lambda tr: (tr[0], len(tr[1]), tr[1]))
+                made[(tail, row)] = arc
+            rows = sorted(made, key=lambda tr: (tr[0], len(tr[1]), tr[1]))
         width = max((len(row) for _, row in rows), default=1)
         table = np.full((n + len(rows), width), n, dtype=np.intp)
         table[:n, 0] = np.arange(n)
         arcs = [Hyperarc(lk.tail, frozenset((lk.head,)), lk.index) for lk in self._links]
         for k, (tail, row) in enumerate(rows, n):
             table[k, : len(row)] = row
-            arcs.append(Hyperarc(tail, frozenset(self._links[p].head for p in row), k + 1))
+            arc = made.get((tail, row))
+            if arc is None:  # a generated head set
+                arc = Hyperarc(tail, frozenset(self._links[p].head for p in row), 0)
+            object.__setattr__(arc, "index", k + 1)  # known only once the sort has placed it
+            arcs.append(arc)
         table.flags.writeable = False
         self._sublink_index = table
         self._hyperarcs = tuple(arcs)

@@ -9,8 +9,9 @@ sub-link rows from per-head link lookups, padded the old way,
 conflict graphs from testing every vertex pair with the pairwise
 protocol-model predicates below, greedy schedules from set-based
 loops, linear programs are solved by enumerating basis vertices with exact
-rational arithmetic, and a simplex basis is certified by dense rational
-Gauss-Jordan over every row.
+rational arithmetic, a simplex basis is certified by dense rational
+Gauss-Jordan over every row, and simplex phases are priced from scratch
+before every pivot.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from multiflow import (
     build_network,
     closed_neighborhoods,
 )
-from multiflow.cfs import _coding_first_scan
+from multiflow.cfs import _scan, _scan_masks
 from multiflow.conflict import Neighborhoods
 from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link, distance
 
@@ -224,14 +225,16 @@ def coding_first_mwis(candidates, omega, gh: ConflictGraph) -> frozenset[int]:
     """One coding-first scan of ``multiflow.cfs`` over a candidate set.
 
     Scans the ordering, keeps candidates, and adds every vertex not in
-    conflict with one already chosen, as each ``cfs_schedule`` round does.
+    conflict with one already chosen, as each ``cfs_schedule`` round does
+    on its scan-order bitmasks (bit k for the k-th vertex of ``omega``).
     """
     remaining = set(candidates)
     if not remaining:
         raise ValidationError("empty candidate set")
-    mask = np.array([v in remaining for v in range(1, gh.vertex_count + 1)], dtype=bool)
     order = np.array(omega, dtype=np.intp) - 1
-    return frozenset((_coding_first_scan(mask[order], order, gh.matrix) + 1).tolist())
+    compat, _ = _scan_masks(gh, order)
+    free = sum(1 << k for k, v in enumerate(omega) if v in remaining)
+    return frozenset((order[_scan(free, compat)] + 1).tolist())
 
 
 def loop_coding_first_mwis(candidates, omega, gh: ConflictGraph, adjacency=None) -> frozenset[int]:
@@ -473,6 +476,32 @@ def dense_certificate(objective, A, b, basis) -> Fraction:
     return sum(cB[i] * z[i] for i in range(m))
 
 
+def priced_run_phase(sx, cost: np.ndarray, allowed: int) -> str:
+    """Reference for ``_Simplex.run_phase`` that prices every iteration from scratch.
+
+    The reduced-cost row is ``cost[basis] @ T`` before each pivot instead of
+    a row carried through the pivots; entering, leaving and the iteration
+    limit follow the same Bland rules, and every pivot goes through
+    ``sx._pivot``.
+    """
+    for _ in range(5000 + 200 * (sx.m + sx.ncols)):
+        basis = np.asarray(sx.basis, dtype=np.intp)
+        reduced = cost[:allowed] - cost[basis] @ sx.T[:, :allowed]
+        improving = np.flatnonzero(reduced > 1e-9)
+        if improving.size == 0:
+            return "optimal"
+        enter = int(improving[0])
+        col = sx.T[:, enter]
+        rows = np.flatnonzero(col > 1e-9)
+        if rows.size == 0:
+            return "unbounded"
+        ratios = np.maximum(sx.T[rows, -1], 0.0) / col[rows]
+        best = ratios.min()
+        tied = rows[ratios <= best * (1 + 1e-12) + 1e-12]
+        sx._pivot(int(min(tied, key=lambda i: sx.basis[i])), enter)
+    raise SolverError("simplex iteration limit exceeded")
+
+
 def random_lp(rng):
     """Small random integer LP for comparison against the oracle."""
     n = int(rng.integers(1, 5))
@@ -581,8 +610,16 @@ def schedule_capacity(sol, bandwidth=None) -> np.ndarray:
 
 
 def assert_valid_solution(net: Network, commodities, sol, bandwidth=None) -> None:
-    """Independent feasibility audit of a throughput solution."""
+    """Independent feasibility audit of a throughput solution.
+
+    Each scheduled set must be independent under the pairwise protocol-model
+    test, over links in plain mode and over hyperarcs in coding mode.
+    """
     assert sum(sol.schedule_weights.values()) <= 1.0 + BOUNDS_EPS
+    adjacency = pairwise_adjacency(net, "hyperarc" if sol.mode == "coding" else "link")
+    for j in sol.schedule_weights:
+        chosen = sol.catalog.hyperarc_sets[j]
+        assert not any(adjacency[v - 1] & chosen for v in chosen), sorted(chosen)
     assert np.all(sol.flows >= -BOUNDS_EPS)
     total = sol.flows.sum(axis=0)
     cap = schedule_capacity(sol, bandwidth)

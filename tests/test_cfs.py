@@ -16,6 +16,7 @@ from multiflow import (
     enumerate_schedulable_sets,
     optimal_fractional_schedule,
 )
+import multiflow.cfs as cfs_module
 from multiflow.conflict import inductive_schedulable_number
 
 from helpers import (
@@ -271,3 +272,130 @@ def test_cfs_rejects_an_ordering_that_is_not_a_permutation(ordering):
     net, gh, _ = coded_setup()
     with pytest.raises(ValidationError, match=r"not a permutation of 1\.\.5"):
         cfs_schedule(net, gh, ordering, np.full(4, 0.25))
+
+
+# ---------------------------------------------------------------------------
+# the bitmask rounds against the loop oracle on their edge cases
+
+
+def line_network(nodes: int):
+    """Unit-spaced nodes on a line with r = 1: 2 * (nodes - 1) links."""
+    return build_network([Node(i + 1, float(i), 0.0, 1.0, 1.5) for i in range(nodes)])
+
+
+def synthetic_graph(rng, vertices: int, links: int):
+    """Random graph whose vertices deliver 1-3 of the links; vertices sharing a link conflict."""
+    sublinks = [
+        set((rng.choice(links, size=int(rng.integers(1, 4)), replace=False) + 1).tolist())
+        for _ in range(vertices)
+    ]
+    p = float(rng.uniform(0.05, 0.6))
+    edges = [
+        (u, v)
+        for u in range(1, vertices + 1)
+        for v in range(u + 1, vertices + 1)
+        if sublinks[u - 1] & sublinks[v - 1] or rng.random() < p
+    ]
+    return make_conflict_graph(vertices, edges, sublinks=sublinks, link_count=links)
+
+
+def edge_demands(rng, links: int):
+    yield rng.uniform(0.0, 1.0, links)
+    yield np.zeros(links)
+    # exact zeros and values at or under the 1e-12 cutoff kill their holders at the start
+    d = rng.choice([0.0, 0.25, 0.5], links)
+    d[rng.random(links) < 0.3] = rng.choice([1e-12, 5e-13, 1e-15, 1e-300])
+    yield d
+    yield rng.choice([0.0, 1e-12, 0.3], links)
+
+
+def assert_matches_oracle(net, gh, omega, d):
+    got = cfs_schedule(net, gh, omega, d)
+    assert got.entries == loop_cfs_schedule(net, gh, omega, d).entries
+    return got
+
+
+@pytest.mark.parametrize("vertices", [1, 7, 8, 9, 63, 64, 65, 129])
+def test_cfs_matches_loop_oracle_across_mask_widths(vertices):
+    rng = np.random.default_rng(1000 + vertices)
+    net = line_network(7)  # 12 links
+    for _ in range(3):
+        gh = synthetic_graph(rng, vertices, net.link_count)
+        omegas = [coding_first_ordering(gh), tuple((rng.permutation(vertices) + 1).tolist())]
+        for omega in omegas:
+            for d in edge_demands(rng, net.link_count):
+                assert_matches_oracle(net, gh, omega, d)
+            for _ in range(3):
+                cands = {v for v in range(1, vertices + 1) if rng.random() < 0.5} or {vertices}
+                want = loop_coding_first_mwis(cands, omega, gh)
+                assert coding_first_mwis(cands, omega, gh) == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 8, 64])
+def test_compat_masks_are_the_same_packed_in_any_block_size(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    net = line_network(7)
+    gh = synthetic_graph(rng, 129, net.link_count)
+    omega = tuple((rng.permutation(129) + 1).tolist())
+    order = np.array(omega) - 1
+    whole = cfs_module._scan_masks(gh, order)
+    monkeypatch.setattr(cfs_module, "_MASK_ROWS", block)
+    assert cfs_module._scan_masks(gh, order) == whole
+    # bit j of compat[k]: scan positions j and k hold distinct, non-conflicting vertices
+    compat, holders = whole
+    for k in range(0, 129, 16):
+        row = [(compat[k] >> j) & 1 for j in range(129)]
+        assert row == [int(j != k and not gh.matrix[order[k], order[j]]) for j in range(129)]
+    sublinks = sublink_sets(gh)
+    for a in range(net.link_count):
+        assert [(holders[a] >> j) & 1 for j in range(129)] == [
+            int(a + 1 in sublinks[v]) for v in order
+        ]
+    for d in edge_demands(rng, net.link_count):
+        assert_matches_oracle(net, gh, omega, d)
+
+
+def test_cfs_matches_loop_oracle_on_any_scan_order():
+    rng = np.random.default_rng(97)
+    for _ in range(30):
+        net = random_network(rng)
+        gh = build_conflict_graph(net, "hyperarc")
+        for _ in range(3):
+            omega = tuple((rng.permutation(gh.vertex_count) + 1).tolist())
+            for d in edge_demands(rng, net.link_count):
+                sched = assert_matches_oracle(net, gh, omega, d)
+                assert all(gh.is_independent(vs) for vs, _ in sched.entries)
+
+
+def test_demand_at_or_under_the_cutoff_schedules_nothing():
+    net, gh, omega = coded_setup()
+    for d in ([0.0, 0.0, 0.0, 0.0], [1e-12, 0.0, 5e-13, 1e-300]):
+        assert assert_matches_oracle(net, gh, omega, np.array(d)).entries == ()
+    # link 2 at the cutoff: hyperarc 5 (links 3 and 4) still runs, hyperarc 2 never does
+    sched = assert_matches_oracle(net, gh, omega, np.array([0.2, 1e-12, 0.3, 0.4]))
+    got = [(sorted(vs), round(lam, 12)) for vs, lam in sched.entries]
+    assert got == [([5], 0.3), ([1], 0.2), ([4], 0.1)]
+
+
+def test_a_residual_left_exactly_at_the_cutoff_settles():
+    # x - lam is exactly 1e-12, which counts as served: vertex 2 never runs
+    lam, x = 1.0000000000000004e-12, 2.0000000000000004e-12
+    assert x - lam == 1e-12
+    gh = make_conflict_graph(2, [(1, 2)], sublinks=[{1, 2}, {2}], link_count=2)
+    sched = assert_matches_oracle(line_network(2), gh, (1, 2), np.array([lam, x]))
+    assert sched.entries == ((frozenset({1}), lam),)
+
+
+def test_a_link_no_surviving_vertex_holds_is_left_unserved():
+    net = line_network(3)  # 4 links
+    # link 4 is only delivered by vertex 3, which also holds the zero-demand link 1;
+    # link 2 has no vertex at all
+    gh = make_conflict_graph(3, [(1, 3)], sublinks=[{1}, {3}, {1, 4}], link_count=4)
+    d = np.array([0.0, 0.5, 0.25, 0.75])
+    sched = assert_matches_oracle(net, gh, coding_first_ordering(gh), d)
+    assert [(sorted(vs), lam) for vs, lam in sched.entries] == [([2], 0.25)]
+    rates = np.zeros(4)
+    for vs, lam in sched.entries:
+        for v in vs:
+            rates[[a - 1 for a in sublink_sets(gh)[v - 1]]] += lam
+    assert rates.tolist() == [0.0, 0.0, 0.25, 0.0]

@@ -10,6 +10,7 @@ from multiflow import (
     Commodity,
     SolverError,
     ValidationError,
+    build_network,
     solve_mmf,
 )
 from multiflow.lp import LinearProgram, _exact_certificate, _Simplex, normalized_rows, solve_lp
@@ -18,6 +19,7 @@ from helpers import (
     brute_force_lp,
     coded_grid,
     dense_certificate,
+    priced_run_phase,
     random_lp,
     relay_coded,
     relay_commodities,
@@ -373,3 +375,73 @@ def test_artificial_columns_stay_negated_slack_columns():
             assert out.dual is not None and out.dual.shape == (sx.m,)
     assert phase1_runs >= 200
     assert driven_out >= 50  # basic artificials at zero after phase 1 do occur
+
+
+# ---------------------------------------------------------------------------
+# the carried reduced-cost row against pricing from scratch every iteration
+
+
+def pivot_path(monkeypatch, solve_call, run_phase):
+    """Run solve_call with the given run_phase; return its result and every (row, col) pivot."""
+    pivots = []
+    pivot = _Simplex._pivot
+
+    def recorded(sx, row, col):
+        pivots.append((row, col))
+        pivot(sx, row, col)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Simplex, "_pivot", recorded)
+        m.setattr(_Simplex, "run_phase", run_phase)
+        return solve_call(), pivots
+
+
+def assert_same_path(monkeypatch, solve_call):
+    got, path = pivot_path(monkeypatch, solve_call, _Simplex.run_phase)
+    want, oracle_path = pivot_path(monkeypatch, solve_call, priced_run_phase)
+    assert path == oracle_path
+    return got, want, path
+
+
+def test_carried_pricing_pivots_like_pricing_from_scratch(monkeypatch):
+    rng = np.random.default_rng(59)
+    statuses, pivots = set(), 0
+    for _ in range(300):
+        objective, rows = random_lp(rng)
+        got, want, path = assert_same_path(monkeypatch, lambda: solve(objective, rows))
+        assert got.status == want.status
+        if got.status == "optimal":
+            assert np.array_equal(got.x, want.x) and got.value == want.value
+            assert np.array_equal(got.dual, want.dual)
+        statuses.add(got.status)
+        pivots += len(path)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert pivots >= 300
+
+
+def test_carried_pricing_keeps_the_4x4_corner_path(monkeypatch):
+    # plain 4x4 grid, both ways along one diagonal plus the other diagonal
+    net = build_network(coded_grid(4, 4).nodes)
+    triple = [Commodity(1, 16), Commodity(16, 1), Commodity(4, 13)]
+    got, want, path = assert_same_path(monkeypatch, lambda: solve_mmf(net, triple, cap=1000))
+    assert len(path) == 4529
+    assert np.array_equal(got.flows, want.flows) and got.throughput == want.throughput
+    assert got.schedule_weights == want.schedule_weights
+    assert abs(got.throughput - 2 / 3) <= 1e-9
+
+
+def test_a_drifted_carried_row_is_priced_again_before_stopping():
+    # the carried row claims optimality at the start; the fresh row finds x to enter
+    sx = _Simplex(np.array([1.0]), np.array([[1.0]]), np.array([2.0]))
+    reduced_costs = sx.reduced_costs
+    calls = []
+
+    def stale_first(cost, allowed):
+        calls.append(allowed)
+        row = reduced_costs(cost, allowed)
+        return np.zeros_like(row) if len(calls) == 1 else row
+
+    sx.reduced_costs = stale_first
+    assert sx.run_phase(sx.phase2_cost(), sx.n + sx.m) == "optimal"
+    assert len(calls) == 3  # the stale start, the re-price that pivots, the final check
+    assert sx.basis == [0] and sx.solution().tolist() == [2.0]

@@ -1,5 +1,6 @@
 """Throughput LP, polytope membership, and optimal fractional schedules."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,17 @@ def test_two_way_relay_plain_throughput():
     assert sol.exact_throughput == Fraction(1, 2)
     assert sol.mode == "plain"
     assert_valid_solution(net, coms, sol)
+
+
+def test_the_audit_rejects_a_scheduled_set_that_conflicts():
+    # relay links 1 and 2 conflict, so no scheduled set may hold both
+    net, coms = relay_plain(), relay_commodities()
+    sol = solve_mmf(net, coms, mode="plain")
+    assert all(len(sol.catalog.hyperarc_sets[j]) == 1 for j in sol.schedule_weights)
+    both = tuple(frozenset(s | {1, 2}) for s in sol.catalog.hyperarc_sets)
+    tampered = dataclasses.replace(sol, catalog=dataclasses.replace(sol.catalog, hyperarc_sets=both))
+    with pytest.raises(AssertionError):
+        assert_valid_solution(net, coms, tampered)
 
 
 def test_two_way_relay_coded_throughput():

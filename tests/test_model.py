@@ -372,6 +372,35 @@ def test_explicit_head_sets_in_any_order_give_one_table():
         assert_table_matches_lookup_oracle(net)
 
 
+def count_post_inits(monkeypatch) -> list:
+    """Every Hyperarc whose __post_init__ runs from now on, in order."""
+    built = []
+    post_init = Hyperarc.__post_init__
+
+    def counted(arc):
+        built.append(arc)
+        post_init(arc)
+
+    monkeypatch.setattr(Hyperarc, "__post_init__", counted)
+    return built
+
+
+def test_explicit_head_sets_build_each_hyperarc_once(monkeypatch):
+    grid = coded_grid(4, 3, 3)
+    coded = [(h.tail, sorted(h.heads, reverse=True)) for h in grid.hyperarcs[grid.link_count :]]
+    singles = [(lk.tail, [lk.head]) for lk in grid.links[::4]]
+    built = count_post_inits(monkeypatch)
+    net = build_network(grid.nodes, hyperarcs=coded[::-1] + singles)
+    # one per link, one per coded head set, one per weight-1 entry given explicitly
+    assert len(built) == net.hyperarc_count + len(singles)
+    assert net.hyperarcs == grid.hyperarcs
+    assert all(h.index == k for k, h in enumerate(net.hyperarcs, 1))
+    built.clear()
+    relay = build_network(relay_nodes(), hyperarcs=[(3, (1, 2))])
+    assert len(built) == relay.hyperarc_count == 5
+    assert relay.hyperarcs[-1] == Hyperarc(3, frozenset({1, 2}), 5)
+
+
 def test_loading_a_coded_grid_builds_each_hyperarc_once(monkeypatch):
     nodes = [
         {"id": nd.id, "x": nd.x, "y": nd.y, "r": nd.comm_radius, "rho": nd.interf_radius}
