@@ -1,16 +1,17 @@
 """Dense two-phase primal simplex with Bland's rule.
 
-Maximizes c.x over {x >= 0 : rows}, where each row is (coefficients,
-relation, bound) with relation one of "<=", "=", ">=". Equalities are
-split into opposing inequalities and exact duplicate rows are dropped, so
-the solver core only ever sees rows of the form a.x <= b. Bland's rule
-keeps the pivoting cycle-free and deterministic; identical inputs produce
-bit-identical outputs. Each phase carries its reduced-cost row through the
-pivots and prices it from scratch before it stops. The solver is meant for
-small dense problems and fails loudly (SolverError) instead of limping
-through numerical trouble.
+Maximizes c.x over {x >= 0 : A.x <= b}, where A is a dense matrix whose
+rows an optional boolean vector may mark as equalities. The tableau is
+written straight from A: an equality becomes a.x <= b followed by
+-a.x <= -b, and exact duplicate rows are dropped, so the solver core only
+ever sees rows of the form a.x <= b; the duals are folded back to one price
+per row of A. Bland's rule keeps the pivoting cycle-free and deterministic;
+identical inputs produce bit-identical outputs. Each phase carries its
+reduced-cost row through the pivots and prices it from scratch before it
+stops. The solver is meant for small dense problems and fails loudly
+(SolverError) instead of limping through numerical trouble.
 
-No row is ever dropped, so every optimal outcome carries a dual. An
+No tableau row is ever removed, so every optimal outcome carries a dual. An
 artificial's column starts as the exact negation of its constraint's slack
 column, and every pivot keeps that negation bitwise (IEEE rounding is
 sign-symmetric), so a basic artificial, a unit column, always has the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,32 +35,31 @@ from .errors import SolverError, ValidationError
 
 _PIVOT_EPS = 1e-9
 _PIVOT_FLOOR = 1e-11
-_RELATIONS = ("<=", "=", ">=")
 
 
 class LinearProgram:
-    """maximize objective . x subject to rows, all variables nonnegative."""
+    """maximize objective . x subject to rows . x <= bounds, all variables nonnegative.
 
-    def __init__(self, objective, rows: Iterable[tuple[Sequence[float], str, float]]):
+    ``rows`` is an m x n matrix and ``bounds`` an m-vector; the rows that
+    ``equal`` (an optional boolean m-vector) marks hold with equality.
+    """
+
+    def __init__(self, objective, rows, bounds, equal=None):
         self.objective = np.asarray(objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size == 0:
             raise ValidationError("objective must be a nonempty vector")
-        if not np.all(np.isfinite(self.objective)):
-            raise ValidationError("objective has non-finite entries")
-        packed = []
-        for coeffs, relation, bound in rows:
-            a = np.asarray(coeffs, dtype=float)
-            if a.shape != self.objective.shape:
-                raise ValidationError(
-                    f"row length {a.size} does not match {self.objective.size} variables"
-                )
-            if relation not in _RELATIONS:
-                raise ValidationError(f"unknown relation {relation!r}")
-            b = float(bound)
-            if not (np.all(np.isfinite(a)) and np.isfinite(b)):
-                raise ValidationError("constraint has non-finite entries")
-            packed.append((a, relation, b))
-        self.rows = tuple(packed)
+        self.rows = np.asarray(rows, dtype=float)
+        if self.rows.ndim != 2 or self.rows.shape[1] != self.objective.size:
+            raise ValidationError(
+                f"rows of shape {self.rows.shape} do not match {self.objective.size} variables"
+            )
+        m = self.rows.shape[0]
+        self.bounds = np.asarray(bounds, dtype=float)
+        self.equal = np.zeros(m, dtype=bool) if equal is None else np.asarray(equal, dtype=bool)
+        if self.bounds.shape != (m,) or self.equal.shape != (m,):
+            raise ValidationError(f"bounds and equal must have one entry per row ({m})")
+        if not all(np.isfinite(v).all() for v in (self.objective, self.rows, self.bounds)):
+            raise ValidationError("program has non-finite entries")
 
     @property
     def num_vars(self) -> int:
@@ -72,8 +71,9 @@ class LpOutcome:
     """Solver result: status is "optimal", "infeasible", or "unbounded".
 
     ``x``, ``value`` and ``dual`` are set exactly for optimal outcomes;
-    the dual is aligned with the normalized (all "<=") rows. ``exact_value``
-    carries the rational objective when the exact re-check ran.
+    ``dual`` has one price per program row, free in sign on equalities and
+    nonnegative elsewhere. ``exact_value`` carries the rational objective
+    when the exact re-check ran.
     """
 
     status: str
@@ -83,50 +83,48 @@ class LpOutcome:
     exact_value: Fraction | None = None
 
 
-def normalized_rows(p: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    """All constraints as a.x <= b: equalities split, exact duplicates dropped."""
-    rows: list[tuple[np.ndarray, float]] = []
-    for a, relation, b in p.rows:
-        if relation in ("<=", "="):
-            rows.append((a.copy(), b))
-        if relation in (">=", "="):
-            rows.append((-a, -b))
-    seen = set()
-    A, rhs = [], []
-    for a, b in rows:
-        key = (a.tobytes(), b)
-        if key in seen:
-            continue
-        seen.add(key)
-        A.append(a)
-        rhs.append(b)
-    mat = np.array(A, dtype=float).reshape(len(A), p.num_vars)
-    return mat, np.array(rhs, dtype=float)
-
-
 class _Simplex:
-    """Tableau state for one solve over normalized rows."""
+    """Tableau state for one solve.
 
-    def __init__(self, objective: np.ndarray, A: np.ndarray, b: np.ndarray):
-        self.n = int(objective.size)
-        self.m = m = A.shape[0]
+    Normalized row r is ``sign[r] * program.rows[source[r]] . x <= b[r]``:
+    each row in order, an equality followed by its negation, with exact
+    duplicates (same coefficient bytes and bound) dropped after their first
+    occurrence.
+    """
+
+    def __init__(self, program: LinearProgram):
+        A, bounds = program.rows, program.bounds
+        self.n = n = program.num_vars
+        self.objective = program.objective
+        self.num_rows = A.shape[0]
+        seen, kept = set(), []
+        for i, split in enumerate(program.equal.tolist()):
+            for s in (1.0, -1.0)[: 1 + split]:
+                key = ((A[i] * s).tobytes(), float(bounds[i]) * s)
+                if key not in seen:
+                    seen.add(key)
+                    kept.append((i, s))
+        del seen  # as large as the rows; freed before the tableau is allocated
+        self.source = np.array([i for i, _ in kept], dtype=np.intp)
+        self.sign = np.array([s for _, s in kept])
+        self.b = b = bounds[self.source] * self.sign
+        self.m = m = self.source.size
         # rows with negative bounds start infeasible and get an artificial
         sigma = np.where(b < 0, -1.0, 1.0)
         self.art_rows = np.flatnonzero(b < 0)
         n_art = int(self.art_rows.size)
-        self.ncols = self.n + m + n_art
+        self.ncols = n + m + n_art
         T = np.zeros((m, self.ncols + 1))
-        T[:, : self.n] = A * sigma[:, None]
-        T[:, self.n : self.n + m] = np.diag(sigma)
-        for k, r in enumerate(self.art_rows):
-            T[r, self.n + m + k] = 1.0
+        for r, (i, s) in enumerate(zip(self.source.tolist(), (self.sign * sigma).tolist())):
+            np.multiply(A[i], s, out=T[r, :n])
+        T[np.arange(m), n + np.arange(m)] = sigma
+        T[self.art_rows, n + m + np.arange(n_art)] = 1.0
         T[:, -1] = b * sigma
         self.T = T
         self._update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
-        self.basis = list(range(self.n, self.n + m))
-        for k, r in enumerate(self.art_rows):
-            self.basis[r] = self.n + m + k
-        self.objective = objective
+        basis = np.arange(n, n + m)
+        basis[self.art_rows] = n + m + np.arange(n_art)
+        self.basis = basis.tolist()
 
     def phase1_cost(self) -> np.ndarray:
         cost = np.zeros(self.ncols)
@@ -204,7 +202,10 @@ class _Simplex:
         return x
 
     def dual(self, cost: np.ndarray) -> np.ndarray:
-        return -self.reduced_costs(cost, self.n + self.m)[self.n :]
+        """One price per program row: y+ - y- for a split equality, 0 for a dropped duplicate."""
+        y = np.zeros(self.num_rows)
+        np.add.at(y, self.source, -self.sign * self.reduced_costs(cost, self.n + self.m)[self.n :])
+        return y
 
 
 def _nonzeros(block: np.ndarray):
@@ -289,13 +290,12 @@ def _exact_certificate(
 
 def solve_lp(p: LinearProgram, exact_check: bool = False) -> LpOutcome:
     """Solve a linear program; see the module docstring for conventions."""
-    A, b = normalized_rows(p)
-    sx = _Simplex(p.objective, A, b)
+    sx = _Simplex(p)
     if sx.art_rows.size:
         status = sx.run_phase(sx.phase1_cost(), sx.ncols)
         if status != "optimal":
             raise SolverError(f"phase 1 ended {status}")
-        if sx.artificial_sum() > 1e-7 * max(1.0, float(np.abs(b).max())):
+        if sx.artificial_sum() > 1e-7 * max(1.0, float(np.abs(sx.b).max())):
             return LpOutcome("infeasible")
         sx.drive_out_artificials()
 
@@ -308,5 +308,6 @@ def solve_lp(p: LinearProgram, exact_check: bool = False) -> LpOutcome:
     dual = sx.dual(cost2)
     exact = None
     if exact_check:
-        exact = _exact_certificate(p.objective, A, b, sx.basis)
+        A = p.rows[sx.source] * sx.sign[:, None]
+        exact = _exact_certificate(p.objective, A, sx.b, sx.basis)
     return LpOutcome("optimal", value, x, dual, exact)

@@ -137,27 +137,25 @@ def solve_mmf(
     for lk in network.links:
         inflow[position[lk.head], lk.index - 1] = 1.0
         inflow[position[lk.tail], lk.index - 1] = -1.0
-    nvars = k * n + len(catalog)
-    # variable layout: commodity i's flow on link a at i*n + (a-1), then shares
-    c = np.zeros(nvars)
-    rows: list[tuple[np.ndarray, str, float]] = []
-    for i, com in enumerate(commodities):
-        c[i * n : (i + 1) * n] = 0.0 - inflow[position[com.source]]  # unlike -x, no -0.0
-        for p, node in enumerate(network.nodes):
-            if node.id not in (com.source, com.sink) and inflow[p].any():
-                row = np.zeros(nvars)
-                row[i * n : (i + 1) * n] = inflow[p]
-                rows.append((row, "=", 0.0))
-    for a in range(n):
-        row = np.zeros(nvars)
-        row[a : k * n : n] = 1.0 / bw[a]
-        row[k * n :] = -catalog.incidence[:, a]
-        rows.append((row, "<=", 0.0))
-    budget = np.zeros(nvars)
-    budget[k * n :] = 1.0
-    rows.append((budget, "<=", 1.0))
+    ends = np.array([[position[com.source], position[com.sink]] for com in commodities])
+    # conservation at every node a link touches, except the commodity's own ends
+    inner = np.tile(inflow.any(axis=1), (k, 1))
+    inner[np.arange(k)[:, None], ends] = False
+    com_of, node_of = np.nonzero(inner)
+    # variable layout: commodity i's flow on link a at i*n + (a-1), then shares;
+    # rows: the conservation equalities, one capacity row per link, the budget
+    conserve = com_of.size
+    c = np.append(0.0 - inflow[ends[:, 0]], np.zeros(len(catalog)))  # unlike -x, no -0.0
+    A = np.zeros((conserve + n + 1, c.size))
+    A[np.arange(conserve)[:, None], com_of[:, None] * n + np.arange(n)] = inflow[node_of]
+    A[conserve:-1, : k * n] = np.tile(np.diag(1.0 / bw), k)
+    np.negative(catalog.incidence.T, out=A[conserve:-1, k * n :])
+    A[-1, k * n :] = 1.0  # the budget
+    bounds = np.zeros(A.shape[0])
+    bounds[-1] = 1.0
+    program = LinearProgram(c, A, bounds, equal=np.arange(A.shape[0]) < conserve)
 
-    out = solve_lp(LinearProgram(c, rows), exact_check=exact_check)
+    out = solve_lp(program, exact_check=exact_check)
     if out.status != "optimal":
         raise SolverError(f"throughput LP ended {out.status}")
     flows = out.x[: k * n].reshape(k, n)
@@ -185,8 +183,7 @@ def _covering_shares(demand, catalog: SchedulableSetCatalog) -> tuple[dict[int, 
         )
     if len(catalog) == 0:
         return {}, 0.0
-    rows = [(catalog.incidence[:, a], ">=", float(d[a])) for a in range(catalog.link_count)]
-    out = solve_lp(LinearProgram(-np.ones(len(catalog)), rows))
+    out = solve_lp(LinearProgram(-np.ones(len(catalog)), -catalog.incidence.T, -d))
     if out.status != "optimal":
         raise SolverError(f"schedule LP ended {out.status}")
     return {j: float(v) for j, v in enumerate(out.x) if v > _WEIGHT_EPS}, float(-out.value)

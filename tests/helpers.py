@@ -37,6 +37,7 @@ from multiflow import (
 )
 from multiflow.cfs import _scan, _scan_masks
 from multiflow.conflict import Neighborhoods
+from multiflow.lp import LinearProgram
 from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link, distance
 
 # ---------------------------------------------------------------------------
@@ -500,6 +501,20 @@ def priced_run_phase(sx, cost: np.ndarray, allowed: int) -> str:
         tied = rows[ratios <= best * (1 + 1e-12) + 1e-12]
         sx._pivot(int(min(tied, key=lambda i: sx.basis[i])), enter)
     raise SolverError("simplex iteration limit exceeded")
+
+
+def as_program(objective, rows) -> LinearProgram:
+    """The array program of (coefficients, relation, bound) rows.
+
+    A ">=" row is negated into a "<=" row and an "=" row is flagged in
+    ``equal``; the oracles above read the tuples themselves.
+    """
+    assert all(rel in ("<=", "=", ">=") for _, rel, _ in rows)
+    geq = np.array([rel == ">=" for _, rel, _ in rows], dtype=bool)
+    A = np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(len(rows), len(objective))
+    b = np.array([bound for _, _, bound in rows], dtype=float)
+    equal = [rel == "=" for _, rel, _ in rows]
+    return LinearProgram(objective, np.where(geq[:, None], -A, A), np.where(geq, -b, b), equal)
 
 
 def random_lp(rng):

@@ -19,9 +19,10 @@ from multiflow import (
     solve_mmf,
 )
 from multiflow.conflict import inductive_schedulable_number
-from multiflow.lp import LinearProgram, solve_lp
+from multiflow.lp import solve_lp
 
 from helpers import (
+    as_program,
     brute_force_lp,
     brute_force_max_independent_sets,
     random_commodities,
@@ -228,7 +229,7 @@ def test_criterion_09_lp_matches_brute_force():
     for _ in range(200):
         objective, rows = random_lp(rng)
         status, value = brute_force_lp(objective, rows)
-        out = solve_lp(LinearProgram(objective, rows))
+        out = solve_lp(as_program(objective, rows))
         if out.status != status:
             ok = False
             break

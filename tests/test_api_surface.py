@@ -56,18 +56,26 @@ def test_tracer_counts_a_solve_and_restores_the_package(tmp_path, capsys):
 
     assert main(["demo", "--dir", str(tmp_path)]) == 0
     before = (multiflow.mmf.solve_lp, multiflow.lp._Simplex._pivot)
-    tracer = load_tracing().Tracer()
-    tracer.install()
-    try:
-        assert main(["solve", str(tmp_path / "two_way_relay_coded.json")]) == 0
-    finally:
-        tracer.uninstall()
-    capsys.readouterr()
-    assert (multiflow.mmf.solve_lp, multiflow.lp._Simplex._pivot) == before
-    assert tracer.counters["lp.calls"] == 1 and tracer.counters["lp.pivots"] > 0
-    assert {"cli.cmd", "mmf.solve", "lp.solve", "conflict.graph_hyperarc"} <= {
-        span.name for span in tracer.spans
+    # program rows and columns as the tracer reads them off LinearProgram, and pivots
+    expected = {
+        "two_way_relay_coded": (7, 13, 8, "hyperarc"),
+        "two_way_relay_plain": (7, 12, 7, "link"),
     }
+    for name, (rows, cols, pivots, level) in expected.items():
+        tracer = load_tracing().Tracer()
+        tracer.install()
+        try:
+            assert main(["solve", str(tmp_path / f"{name}.json")]) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert (multiflow.mmf.solve_lp, multiflow.lp._Simplex._pivot) == before
+        assert tracer.counters["lp.calls"] == 1, name
+        counted = tuple(tracer.counters[c] for c in ("mmf.lp_rows", "mmf.lp_cols", "lp.pivots"))
+        assert counted == (rows, cols, pivots), name
+        assert {"cli.cmd", "mmf.solve", "lp.solve", f"conflict.graph_{level}"} <= {
+            span.name for span in tracer.spans
+        }
 
 
 def test_every_tracer_hook_fires_on_the_coded_demo(tmp_path, capsys):

@@ -9,34 +9,33 @@ from multiflow import (
     enumerate_schedulable_sets,
     optimal_fractional_schedule,
 )
-from multiflow.lp import LinearProgram, solve_lp
+from multiflow.lp import solve_lp
 
-from helpers import coded_grid, random_lp
+from helpers import as_program, coded_grid, random_lp
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def highs(objective, rows):
-    """(status, value) of max objective . x over rows and x >= 0, by HiGHS.
+def highs(program):
+    """(status, value) of the same array program, solved by HiGHS.
 
     HiGHS's presolve may call an unbounded program infeasible, so an
     infeasible verdict is checked by solving with a zero objective.
     """
-    blocks = {rel: [(coeffs, b) for coeffs, r, b in rows if r == rel] for rel in ("<=", ">=", "=")}
-    a_ub = [c for c, _ in blocks["<="]] + [[-v for v in c] for c, _ in blocks[">="]]
+    eq = program.equal
     constraints = dict(
-        A_ub=np.array(a_ub, dtype=float).reshape(len(a_ub), len(objective)) if a_ub else None,
-        b_ub=[b for _, b in blocks["<="]] + [-b for _, b in blocks[">="]] or None,
-        A_eq=[c for c, _ in blocks["="]] or None,
-        b_eq=[b for _, b in blocks["="]] or None,
+        A_ub=program.rows[~eq] if (~eq).any() else None,
+        b_ub=program.bounds[~eq] if (~eq).any() else None,
+        A_eq=program.rows[eq] if eq.any() else None,
+        b_eq=program.bounds[eq] if eq.any() else None,
         bounds=(0, None),
         method="highs",
     )
-    res = linprog(-np.asarray(objective, dtype=float), **constraints)
+    res = linprog(-program.objective, **constraints)
     status = HIGHS_STATUS[res.status]
-    if status == "infeasible" and linprog(np.zeros(len(objective)), **constraints).status == 0:
+    if status == "infeasible" and linprog(np.zeros(program.num_vars), **constraints).status == 0:
         status = "unbounded"
     return status, (-res.fun if status == "optimal" else None)
 
@@ -46,8 +45,9 @@ def test_random_lp_optima_match_highs():
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(300):
         objective, rows = random_lp(rng)
-        status, value = highs(objective, rows)
-        out = solve_lp(LinearProgram(objective, rows))
+        program = as_program(objective, rows)
+        status, value = highs(program)
+        out = solve_lp(program)
         assert out.status == status, (objective, rows)
         if status == "optimal":
             assert abs(out.value - value) <= 1e-7 * max(1.0, abs(value)), (objective, rows)

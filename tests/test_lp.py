@@ -1,11 +1,13 @@
 """Two-phase simplex against hand-checked cases and the exact oracle."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import multiflow.lp as lp_module
+import multiflow.mmf as mmf_module
 from multiflow import (
     Commodity,
     SolverError,
@@ -13,9 +15,10 @@ from multiflow import (
     build_network,
     solve_mmf,
 )
-from multiflow.lp import LinearProgram, _exact_certificate, _Simplex, normalized_rows, solve_lp
+from multiflow.lp import LinearProgram, _exact_certificate, _Simplex, solve_lp
 
 from helpers import (
+    as_program,
     brute_force_lp,
     coded_grid,
     dense_certificate,
@@ -28,7 +31,7 @@ from helpers import (
 
 
 def solve(objective, rows, **kw):
-    return solve_lp(LinearProgram(objective, rows), **kw)
+    return solve_lp(as_program(objective, rows), **kw)
 
 
 def test_textbook_maximum():
@@ -124,52 +127,89 @@ def test_redundant_equalities_are_survivable():
 
 
 def test_duplicate_rows_are_deduped():
-    p = LinearProgram([1.0], [([1.0], "<=", 3.0), ([1.0], "<=", 3.0)])
-    A, b = normalized_rows(p)
-    assert A.shape == (1, 1) and b.tolist() == [3.0]
+    sx = _Simplex(as_program([1.0], [([1.0], "<=", 3.0), ([1.0], "<=", 3.0)]))
+    assert sx.m == 1 and sx.source.tolist() == [0] and sx.b.tolist() == [3.0]
+    # first occurrence wins, also against one half of an earlier equality
+    rows = [
+        ([1.0, 2.0], "=", 3.0),
+        ([-1.0, -2.0], "<=", -3.0),  # the equality's second half
+        ([0.0, 1.0], "<=", 1.0),
+        ([1.0, 2.0], "<=", 3.0),  # its first half
+        ([0.0, 1.0], "=", 1.0),  # the row two above, then its negation
+    ]
+    sx = _Simplex(as_program([1.0, 1.0], rows))
+    assert sx.m == 4
+    assert sx.source.tolist() == [0, 0, 2, 4] and sx.sign.tolist() == [1.0, -1.0, 1.0, -1.0]
+    assert sx.b.tolist() == [3.0, -3.0, 1.0, -1.0]
+    # rows that differ only in the sign of a zero are different bytes, so both stay
+    sx = _Simplex(LinearProgram([1.0, 1.0], [[0.0, 1.0], [-0.0, 1.0]], [1.0, 1.0]))
+    assert sx.m == 2 and sx.source.tolist() == [0, 1]
 
 
 def test_normalized_rows_split_equalities():
-    p = LinearProgram([1.0, 0.0], [([1.0, 2.0], "=", 3.0)])
-    A, b = normalized_rows(p)
-    assert A.shape == (2, 2)
-    assert sorted(map(tuple, A.tolist())) == [(-1.0, -2.0), (1.0, 2.0)]
+    sx = _Simplex(as_program([1.0, 0.0], [([1.0, 2.0], "=", 3.0), ([0.0, 1.0], "<=", 4.0)]))
+    assert sx.m == 3
+    assert sx.source.tolist() == [0, 0, 1] and sx.sign.tolist() == [1.0, -1.0, 1.0]
+    assert sx.b.tolist() == [3.0, -3.0, 4.0]
+    # -x - 2y <= -3 starts infeasible, so its tableau row is negated back with an artificial
+    assert sx.art_rows.tolist() == [1]
+    assert sx.T[:, :2].tolist() == [[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]]
+    assert sx.T[:, -1].tolist() == [3.0, 3.0, 4.0]
 
 
 def test_validation():
-    with pytest.raises(ValidationError):
-        LinearProgram([], [([1.0], "<=", 1.0)])
-    with pytest.raises(ValidationError):
-        LinearProgram([1.0], [([1.0, 2.0], "<=", 1.0)])
-    with pytest.raises(ValidationError):
-        LinearProgram([1.0], [([1.0], "<", 1.0)])
-    with pytest.raises(ValidationError):
-        LinearProgram([float("nan")], [([1.0], "<=", 1.0)])
-    with pytest.raises(ValidationError):
-        LinearProgram([1.0], [([1.0], "<=", float("inf"))])
+    cases = [
+        ([], np.zeros((1, 0)), [1.0], None),  # empty objective
+        ([[1.0]], [[1.0]], [1.0], None),  # 2-D objective
+        ([1.0], [[1.0, 2.0]], [1.0], None),  # row wider than n
+        ([1.0, 2.0], [[1.0]], [1.0], None),  # row narrower than n
+        ([1.0], [1.0], [1.0], None),  # rows not a matrix
+        ([1.0], [[1.0]], [1.0, 2.0], None),  # bounds longer than m
+        ([1.0], [[1.0], [2.0]], [1.0], None),  # bounds shorter than m
+        ([1.0], [[1.0]], [1.0], [True, False]),  # equal longer than m
+        ([1.0], [[1.0], [2.0]], [1.0, 2.0], [True]),  # equal shorter than m
+        ([float("nan")], [[1.0]], [1.0], None),  # non-finite objective
+        ([1.0], [[float("inf")]], [1.0], None),  # non-finite coefficient
+        ([1.0], [[float("nan")]], [1.0], None),
+        ([1.0], [[1.0]], [float("inf")], None),  # non-finite bound
+        ([1.0], [[1.0]], [float("nan")], [True]),
+    ]
+    for objective, rows, bounds, equal in cases:
+        with pytest.raises(ValidationError):
+            LinearProgram(objective, rows, bounds, equal)
 
 
 def test_dual_certificate_on_clean_instances():
-    # with no redundant rows the dual prices exist, are nonnegative, and
-    # reproduce the objective value exactly (strong duality)
+    # one price per program row, free on equalities and nonnegative elsewhere,
+    # that reproduces the objective value (strong duality) and is dual feasible
     rng = np.random.default_rng(17)
-    seen = 0
+    seen = equalities = 0
     for _ in range(3000):
         if seen == 40:
             break
         objective, rows = random_lp(rng)
-        if any(rel != "<=" for _, rel, _ in rows):
+        program = as_program(objective, rows)
+        out = solve_lp(program)
+        if out.status != "optimal":
             continue
-        out = solve(objective, rows)
-        if out.status != "optimal" or out.dual is None:
-            continue
-        A, b = normalized_rows(LinearProgram(objective, rows))
         y = out.dual
-        assert np.all(y >= -1e-9)
-        assert abs(float(y @ b) - out.value) <= 1e-6
-        assert np.all(A.T @ y >= np.asarray(objective, dtype=float) - 1e-6)
+        assert y.shape == (len(rows),)
+        assert np.all(y[~program.equal] >= -1e-9)
+        assert abs(float(y @ program.bounds) - out.value) <= 1e-6
+        assert np.all(program.rows.T @ y >= program.objective - 1e-6)
+        equalities += int(program.equal.any())
         seen += 1
     assert seen == 40
+    assert equalities >= 10
+
+
+def test_split_and_duplicate_rows_fold_into_program_row_duals():
+    # x + y = 1 twice: the second copy is dropped and prices at 0
+    out = solve([2.0, 1.0], [([1.0, 1.0], "=", 1.0), ([1.0, 1.0], "=", 1.0)])
+    assert out.dual.tolist() == [2.0, 0.0]
+    # min x over x >= 1, written as x = 1: the equality prices at -1
+    out = solve([-1.0], [([1.0], "=", 1.0)])
+    assert out.value == -1.0 and out.dual.tolist() == [-1.0]
 
 
 def test_exact_check_certifies_optimal_value():
@@ -336,7 +376,7 @@ def test_buffered_pivot_matches_outer_product_update():
         m, n = (int(v) for v in rng.integers(1, 10, size=2))
         A = rng.uniform(-4.0, 4.0, (m, n))
         b = rng.uniform(-5.0, 8.0, m)
-        random_pivots(rng, _Simplex(rng.uniform(-5.0, 5.0, n), A, b), 8)
+        random_pivots(rng, _Simplex(LinearProgram(rng.uniform(-5.0, 5.0, n), A, b)), 8)
 
 
 def test_artificial_columns_stay_negated_slack_columns():
@@ -350,8 +390,7 @@ def test_artificial_columns_stay_negated_slack_columns():
     phase1_runs = driven_out = 0
     for _ in range(600):
         objective, rows = random_lp(rng)
-        A, b = normalized_rows(LinearProgram(objective, rows))
-        sx = _Simplex(np.asarray(objective, dtype=float), A, b)
+        sx = _Simplex(as_program(objective, rows))
         if sx.art_rows.size == 0:
             continue
         slack = sx.n + sx.art_rows
@@ -366,13 +405,13 @@ def test_artificial_columns_stay_negated_slack_columns():
         assert np.array_equal(sx.T[:, slack], -sx.T[:, art])
         assert sx.run_phase(sx.phase1_cost(), sx.ncols) == "optimal"
         phase1_runs += 1
-        if sx.artificial_sum() <= 1e-7 * max(1.0, float(np.abs(b).max())):
+        if sx.artificial_sum() <= 1e-7 * max(1.0, float(np.abs(sx.b).max())):
             driven_out += sum(j >= sx.n + sx.m for j in sx.basis)
             sx.drive_out_artificials()
             assert all(j < sx.n + sx.m for j in sx.basis) and sx.T.shape[0] == sx.m
-        out = solve_lp(LinearProgram(objective, rows))
+        out = solve(objective, rows)
         if out.status == "optimal":
-            assert out.dual is not None and out.dual.shape == (sx.m,)
+            assert out.dual is not None and out.dual.shape == (len(rows),)
     assert phase1_runs >= 200
     assert driven_out >= 50  # basic artificials at zero after phase 1 do occur
 
@@ -432,7 +471,7 @@ def test_carried_pricing_keeps_the_4x4_corner_path(monkeypatch):
 
 def test_a_drifted_carried_row_is_priced_again_before_stopping():
     # the carried row claims optimality at the start; the fresh row finds x to enter
-    sx = _Simplex(np.array([1.0]), np.array([[1.0]]), np.array([2.0]))
+    sx = _Simplex(LinearProgram([1.0], [[1.0]], [2.0]))
     reduced_costs = sx.reduced_costs
     calls = []
 
@@ -445,3 +484,40 @@ def test_a_drifted_carried_row_is_priced_again_before_stopping():
     assert sx.run_phase(sx.phase2_cost(), sx.n + sx.m) == "optimal"
     assert len(calls) == 3  # the stale start, the re-price that pivots, the final check
     assert sx.basis == [0] and sx.solution().tolist() == [2.0]
+
+
+# ---------------------------------------------------------------------------
+# the tableau written straight from the program's rows
+
+
+def test_the_simplex_holds_no_copy_of_the_rows_beyond_its_tableau(monkeypatch):
+    """Building the tableau allocates it, its update buffer and little else.
+
+    A stacked copy of the normalized rows, or a duplicate-key set kept
+    alive next to the tableau, would each add about one more tableau.
+    """
+
+    class Captured(Exception):
+        pass
+
+    def capture(program, exact_check=False):
+        programs.append(program)
+        raise Captured
+
+    programs = []
+    monkeypatch.setattr(mmf_module, "solve_lp", capture)
+    triple = [Commodity(1, 16), Commodity(16, 1), Commodity(4, 13)]
+    with pytest.raises(Captured):
+        solve_mmf(coded_grid(4, 4), triple, mode="coding", cap=10**4)
+    (program,) = programs
+    assert program.rows.shape == (91, 3005)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sx = _Simplex(program)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sx.m == 133
+    assert peak <= 2 * sx.T.nbytes + 2**20
