@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conflict import ConflictGraph, Neighborhoods, row_masks
+from .conflict import ConflictGraph, Neighborhoods, compat_masks, row_masks
 from .errors import SolverError, ValidationError
 from .model import Network
 from .schedule import FractionalSchedule, check_per_link
 
 _RESIDUAL_EPS = 1e-12
-_MASK_ROWS = 1024
 
 
 def coding_first_ordering(gh: ConflictGraph) -> tuple[int, ...]:
@@ -36,14 +35,9 @@ def _scan_masks(gh: ConflictGraph, order: np.ndarray) -> tuple[list[int], list[i
     # bit k is the k-th vertex in scan order: compat[k] holds the positions
     # not in conflict with k, holders[a] those whose vertex delivers link a
     h = len(order)
-    compat: list[int] = []
-    for s in range(0, h, _MASK_ROWS):  # a block of rows, never a second H x H matrix
-        block = np.logical_not(gh.matrix[np.ix_(order[s : s + _MASK_ROWS], order)])
-        block[np.arange(len(block)), np.arange(s, s + len(block))] = False
-        compat += row_masks(block)
     delivers = np.zeros((gh.link_count + 1, h), dtype=bool)  # the last row takes the padding
     delivers[gh.sublink_index[order], np.arange(h)[:, None]] = True
-    return compat, row_masks(delivers[:-1])
+    return compat_masks(gh, order), row_masks(delivers[:-1])
 
 
 def _scan(free: int, compat: list[int]) -> list[int]:

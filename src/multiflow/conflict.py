@@ -13,7 +13,8 @@ takes the link rows and columns of its sub-links, read off the network's
 padded ``sublink_index`` table (one link per row at link level).
 
 The catalog comes from Bron-Kerbosch with pivoting on the complement
-graph, each vertex set a Python int with bit v-1 for vertex v. The found
+graph, each vertex set a Python int with bit v-1 for vertex v; its
+complement rows are the ``compat_masks`` the greedy scans with. The found
 sets are unpacked into one boolean member matrix, which scatters through
 the sub-link table into the incidence matrix and splits into frozensets.
 Catalog order is ascending sorted vertex tuple; maximal sets never nest,
@@ -35,6 +36,7 @@ from .model import Network
 
 DEFAULT_ENUMERATION_CAP = 24
 _ISN_ROWS = 4096
+_MASK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,28 +139,36 @@ def row_masks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def compat_masks(cg: ConflictGraph, order: np.ndarray) -> list[int]:
+    """Bit j of mask k: matrix rows order[j] and order[k] are distinct, non-conflicting vertices."""
+    compat: list[int] = []
+    for s in range(0, len(order), _MASK_ROWS):  # a block of rows, never a second V x V matrix
+        block = np.logical_not(cg.matrix[np.ix_(order[s : s + _MASK_ROWS], order)])
+        block[np.arange(len(block)), np.arange(s, s + len(block))] = False
+        compat += row_masks(block)
+    return compat
+
+
 def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
     # Bron-Kerbosch with pivot on the complement graph over int bitmasks (bit
-    # v-1 is vertex v); one bool row per maximal set, in catalog order
+    # v-1 is vertex v), on an explicit stack of pending (chosen, cand, excl)
+    # calls; one bool row per maximal set, in catalog order
     n = cg.vertex_count
     if n == 0:
         return np.zeros((0, 0), dtype=bool)
-    nonadj = np.logical_not(cg.matrix)
-    np.fill_diagonal(nonadj, False)
-    compat = row_masks(nonadj)
+    compat = compat_masks(cg, np.arange(n))
     found: list[int] = []
-
-    def expand(chosen: int, cand: int, excl: int) -> None:
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        chosen, cand, excl = stack.pop()
         if not cand and not excl:
             found.append(chosen)
-            return
+            continue
         pivot = max(_bits(cand | excl), key=lambda u: (cand & compat[u]).bit_count())
         for v in _bits(cand & ~compat[pivot]):
-            expand(chosen | 1 << v, cand & compat[v], excl & compat[v])
+            stack.append((chosen | 1 << v, cand & compat[v], excl & compat[v]))
             cand ^= 1 << v
             excl |= 1 << v
-
-    expand(0, (1 << n) - 1, 0)
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in found), dtype=np.uint8)
     member = np.unpackbits(packed.reshape(len(found), width), axis=1, count=n, bitorder="little")

@@ -3,13 +3,13 @@
 Maximizes c.x over {x >= 0 : A.x <= b}, where A is a dense matrix whose
 rows an optional boolean vector may mark as equalities. The tableau is
 written straight from A: an equality becomes a.x <= b followed by
--a.x <= -b, and exact duplicate rows are dropped, so the solver core only
-ever sees rows of the form a.x <= b; the duals are folded back to one price
-per row of A. Bland's rule keeps the pivoting cycle-free and deterministic;
-identical inputs produce bit-identical outputs. Each phase carries its
-reduced-cost row through the pivots and prices it from scratch before it
-stops. The solver is meant for small dense problems and fails loudly
-(SolverError) instead of limping through numerical trouble.
+-a.x <= -b, so the solver core only ever sees rows of the form a.x <= b,
+and repeated rows are kept as given; the duals are folded back to one price
+per row of A. Bland's rule keeps the pivoting cycle-free, repeats included,
+and deterministic; identical inputs produce bit-identical outputs. Each
+phase carries its reduced-cost row through the pivots and prices it from
+scratch before it stops. The solver is meant for small dense problems and
+fails loudly (SolverError) instead of limping through numerical trouble.
 
 No tableau row is ever removed, so every optimal outcome carries a dual. An
 artificial's column starts as the exact negation of its constraint's slack
@@ -46,8 +46,8 @@ class LinearProgram:
 
     def __init__(self, objective, rows, bounds, equal=None):
         self.objective = np.asarray(objective, dtype=float)
-        if self.objective.ndim != 1 or self.objective.size == 0:
-            raise ValidationError("objective must be a nonempty vector")
+        if self.objective.ndim != 1:
+            raise ValidationError("objective must be a vector")
         self.rows = np.asarray(rows, dtype=float)
         if self.rows.ndim != 2 or self.rows.shape[1] != self.objective.size:
             raise ValidationError(
@@ -87,9 +87,7 @@ class _Simplex:
     """Tableau state for one solve.
 
     Normalized row r is ``sign[r] * program.rows[source[r]] . x <= b[r]``:
-    each row in order, an equality followed by its negation, with exact
-    duplicates (same coefficient bytes and bound) dropped after their first
-    occurrence.
+    every row in order, an equality followed by its negation.
     """
 
     def __init__(self, program: LinearProgram):
@@ -97,16 +95,9 @@ class _Simplex:
         self.n = n = program.num_vars
         self.objective = program.objective
         self.num_rows = A.shape[0]
-        seen, kept = set(), []
-        for i, split in enumerate(program.equal.tolist()):
-            for s in (1.0, -1.0)[: 1 + split]:
-                key = ((A[i] * s).tobytes(), float(bounds[i]) * s)
-                if key not in seen:
-                    seen.add(key)
-                    kept.append((i, s))
-        del seen  # as large as the rows; freed before the tableau is allocated
-        self.source = np.array([i for i, _ in kept], dtype=np.intp)
-        self.sign = np.array([s for _, s in kept])
+        self.source = np.repeat(np.arange(self.num_rows), 1 + program.equal)
+        # the second of two entries from one equality is its negation
+        self.sign = np.where(np.diff(self.source, prepend=-1) == 0, -1.0, 1.0)
         self.b = b = bounds[self.source] * self.sign
         self.m = m = self.source.size
         # rows with negative bounds start infeasible and get an artificial
@@ -202,7 +193,7 @@ class _Simplex:
         return x
 
     def dual(self, cost: np.ndarray) -> np.ndarray:
-        """One price per program row: y+ - y- for a split equality, 0 for a dropped duplicate."""
+        """One price per program row: y+ - y- for a split equality."""
         y = np.zeros(self.num_rows)
         np.add.at(y, self.source, -self.sign * self.reduced_costs(cost, self.n + self.m)[self.n :])
         return y

@@ -120,24 +120,14 @@ def solve_mmf(
 
     n = network.link_count
     k = len(commodities)
-    if k == 0 or n == 0:
-        return MmfSolution(
-            mode=mode,
-            throughput=0.0,
-            per_commodity=tuple(0.0 for _ in commodities),
-            flows=np.zeros((k, n)),
-            schedule_weights={},
-            catalog=catalog,
-            exact_throughput=Fraction(0) if exact_check else None,
-        )
-
     # inflow[p, a]: +1 when link a enters the p-th node, -1 when it leaves it
     position = {node.id: p for p, node in enumerate(network.nodes)}
     inflow = np.zeros((len(position), n))
     for lk in network.links:
         inflow[position[lk.head], lk.index - 1] = 1.0
         inflow[position[lk.tail], lk.index - 1] = -1.0
-    ends = np.array([[position[com.source], position[com.sink]] for com in commodities])
+    pairs = [(position[com.source], position[com.sink]) for com in commodities]
+    ends = np.array(pairs, dtype=np.intp).reshape(k, 2)
     # conservation at every node a link touches, except the commodity's own ends
     inner = np.tile(inflow.any(axis=1), (k, 1))
     inner[np.arange(k)[:, None], ends] = False
@@ -181,12 +171,11 @@ def _covering_shares(demand, catalog: SchedulableSetCatalog) -> tuple[dict[int, 
         raise UncoverableDemandError(
             f"links {missing} have positive demand but appear in no schedulable set"
         )
-    if len(catalog) == 0:
-        return {}, 0.0
     out = solve_lp(LinearProgram(-np.ones(len(catalog)), -catalog.incidence.T, -d))
     if out.status != "optimal":
         raise SolverError(f"schedule LP ended {out.status}")
-    return {j: float(v) for j, v in enumerate(out.x) if v > _WEIGHT_EPS}, float(-out.value)
+    # unlike -x, 0.0 - x gives no -0.0 for an empty program
+    return {j: float(v) for j, v in enumerate(out.x) if v > _WEIGHT_EPS}, 0.0 - out.value
 
 
 def polytope_membership(demand, catalog: SchedulableSetCatalog) -> Membership:

@@ -67,6 +67,15 @@ class Link:
             raise ValidationError(f"link ({self.tail}, {self.head}): tail equals head")
 
 
+def _checked_heads(tail: int, heads: Iterable[int]) -> frozenset[int]:
+    heads = frozenset(heads)
+    if not heads:
+        raise ValidationError(f"hyperarc at node {tail}: empty head set")
+    if tail in heads:
+        raise ValidationError(f"hyperarc at node {tail}: tail listed among heads")
+    return heads
+
+
 @dataclass(frozen=True)
 class Hyperarc:
     """A broadcast transmission (tail, heads) with its 1-based index.
@@ -80,11 +89,7 @@ class Hyperarc:
     index: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "heads", frozenset(self.heads))
-        if not self.heads:
-            raise ValidationError(f"hyperarc at node {self.tail}: empty head set")
-        if self.tail in self.heads:
-            raise ValidationError(f"hyperarc at node {self.tail}: tail listed among heads")
+        object.__setattr__(self, "heads", _checked_heads(self.tail, self.heads))
 
     @property
     def weight(self) -> int:
@@ -135,7 +140,7 @@ class Network:
         coding = sorted(set(coding_nodes or ()))
         for nid in coding:
             self.node(nid)  # an unknown id raises
-        made: dict[tuple[int, tuple[int, ...]], Hyperarc] = {}  # explicit, by (tail, row)
+        made: set[tuple[int, tuple[int, ...]]] = set()  # explicit (tail, row) keys
         if hyperarcs is None:
             # out-link positions run in head order, so each combination is a table row
             runs = itertools.groupby(range(n), key=lambda p: self._links[p].tail)
@@ -148,10 +153,9 @@ class Network:
             ]
         else:  # explicit head sets as (tail, sub-link positions)
             for tail, heads in hyperarcs:
-                arc = Hyperarc(tail, heads, 0)  # rejects empty heads and the tail among them
+                hs = sorted(_checked_heads(tail, heads))
                 if tail not in self._node_map:
                     raise ValidationError(f"hyperarc tail {tail}: unknown node id")
-                hs = sorted(arc.heads)
                 for j in hs:
                     if j not in self._node_map:
                         raise ValidationError(f"hyperarc ({tail}, {hs}): unknown head id {j}")
@@ -159,12 +163,12 @@ class Network:
                         raise ValidationError(
                             f"hyperarc ({tail}, {hs}): sub-link ({tail}, {j}) is not a link"
                         )
-                if arc.weight == 1:
+                if len(hs) == 1:
                     continue  # already present as the weight-1 hyperarc of that link
                 row = tuple(self._by_ends[(tail, j)].index - 1 for j in hs)
                 if (tail, row) in made:
                     raise ValidationError(f"duplicate hyperarc ({tail}, {hs})")
-                made[(tail, row)] = arc
+                made.add((tail, row))
             rows = sorted(made, key=lambda tr: (tr[0], len(tr[1]), tr[1]))
         width = max((len(row) for _, row in rows), default=1)
         table = np.full((n + len(rows), width), n, dtype=np.intp)
@@ -172,11 +176,7 @@ class Network:
         arcs = [Hyperarc(lk.tail, frozenset((lk.head,)), lk.index) for lk in self._links]
         for k, (tail, row) in enumerate(rows, n):
             table[k, : len(row)] = row
-            arc = made.get((tail, row))
-            if arc is None:  # a generated head set
-                arc = Hyperarc(tail, frozenset(self._links[p].head for p in row), 0)
-            object.__setattr__(arc, "index", k + 1)  # known only once the sort has placed it
-            arcs.append(arc)
+            arcs.append(Hyperarc(tail, frozenset(self._links[p].head for p in row), k + 1))
         table.flags.writeable = False
         self._sublink_index = table
         self._hyperarcs = tuple(arcs)

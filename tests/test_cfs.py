@@ -17,7 +17,7 @@ from multiflow import (
     optimal_fractional_schedule,
 )
 import multiflow.cfs as cfs_module
-from multiflow.conflict import inductive_schedulable_number
+from multiflow.conflict import compat_masks, inductive_schedulable_number
 
 from helpers import (
     coding_first_mwis,
@@ -331,21 +331,15 @@ def test_cfs_matches_loop_oracle_across_mask_widths(vertices):
                 assert coding_first_mwis(cands, omega, gh) == want
 
 
-@pytest.mark.parametrize("block", [1, 7, 8, 64])
-def test_compat_masks_are_the_same_packed_in_any_block_size(monkeypatch, block):
-    rng = np.random.default_rng(block)
+def test_scan_masks_pack_the_compat_masks_and_each_links_holders():
+    rng = np.random.default_rng(64)
     net = line_network(7)
     gh = synthetic_graph(rng, 129, net.link_count)
     omega = tuple((rng.permutation(129) + 1).tolist())
     order = np.array(omega) - 1
-    whole = cfs_module._scan_masks(gh, order)
-    monkeypatch.setattr(cfs_module, "_MASK_ROWS", block)
-    assert cfs_module._scan_masks(gh, order) == whole
-    # bit j of compat[k]: scan positions j and k hold distinct, non-conflicting vertices
-    compat, holders = whole
-    for k in range(0, 129, 16):
-        row = [(compat[k] >> j) & 1 for j in range(129)]
-        assert row == [int(j != k and not gh.matrix[order[k], order[j]]) for j in range(129)]
+    compat, holders = cfs_module._scan_masks(gh, order)
+    assert compat == compat_masks(gh, order)
+    # bit j of holders[a]: the vertex at scan position j delivers link a
     sublinks = sublink_sets(gh)
     for a in range(net.link_count):
         assert [(holders[a] >> j) & 1 for j in range(129)] == [

@@ -16,7 +16,8 @@ from multiflow import (
     enumerate_schedulable_sets,
     solve_mmf,
 )
-from multiflow.conflict import inductive_schedulable_number
+import multiflow.conflict as conflict_module
+from multiflow.conflict import compat_masks, inductive_schedulable_number
 from multiflow.model import distance
 
 from helpers import (
@@ -330,6 +331,31 @@ def test_catalog_matches_loop_oracle_on_edgeless_and_complete_graphs(n):
         frozenset(range(1, n + 1)),
     )
     assert len(enumerate_schedulable_sets(complete, cap=n)) == n
+
+
+def test_catalog_search_keeps_its_own_stack():
+    # one maximal set far deeper than the recursion limit
+    edgeless = make_conflict_graph(1500, [])
+    assert enumerate_schedulable_sets(edgeless, cap=1500).hyperarc_sets == (
+        frozenset(range(1, 1501)),
+    )
+
+
+@pytest.mark.parametrize("block", [1, 7, 8, 64])
+def test_compat_masks_are_the_same_packed_in_any_block_size(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    cg = make_conflict_graph(129, random_edges(rng, 129, float(rng.uniform(0.05, 0.6))))
+    order = rng.permutation(129)
+    whole = compat_masks(cg, order)
+    small = make_conflict_graph(20, random_edges(rng, 20, 0.3))
+    catalog = enumerate_schedulable_sets(small, cap=20).hyperarc_sets
+    monkeypatch.setattr(conflict_module, "_MASK_ROWS", block)
+    assert compat_masks(cg, order) == whole
+    assert enumerate_schedulable_sets(small, cap=20).hyperarc_sets == catalog
+    # bit j of compat[k]: positions j and k hold distinct, non-conflicting vertices
+    for k in range(129):
+        row = [(whole[k] >> j) & 1 for j in range(129)]
+        assert row == [int(j != k and not cg.matrix[order[k], order[j]]) for j in range(129)]
 
 
 @pytest.mark.parametrize(

@@ -126,10 +126,10 @@ def test_redundant_equalities_are_survivable():
     assert abs(out.value - 1.0) <= 1e-9
 
 
-def test_duplicate_rows_are_deduped():
+def test_duplicate_rows_are_all_kept():
     sx = _Simplex(as_program([1.0], [([1.0], "<=", 3.0), ([1.0], "<=", 3.0)]))
-    assert sx.m == 1 and sx.source.tolist() == [0] and sx.b.tolist() == [3.0]
-    # first occurrence wins, also against one half of an earlier equality
+    assert sx.m == 2 and sx.source.tolist() == [0, 1] and sx.b.tolist() == [3.0, 3.0]
+    # every row in order, also one equal to half of an earlier equality
     rows = [
         ([1.0, 2.0], "=", 3.0),
         ([-1.0, -2.0], "<=", -3.0),  # the equality's second half
@@ -137,13 +137,19 @@ def test_duplicate_rows_are_deduped():
         ([1.0, 2.0], "<=", 3.0),  # its first half
         ([0.0, 1.0], "=", 1.0),  # the row two above, then its negation
     ]
-    sx = _Simplex(as_program([1.0, 1.0], rows))
-    assert sx.m == 4
-    assert sx.source.tolist() == [0, 0, 2, 4] and sx.sign.tolist() == [1.0, -1.0, 1.0, -1.0]
-    assert sx.b.tolist() == [3.0, -3.0, 1.0, -1.0]
-    # rows that differ only in the sign of a zero are different bytes, so both stay
-    sx = _Simplex(LinearProgram([1.0, 1.0], [[0.0, 1.0], [-0.0, 1.0]], [1.0, 1.0]))
-    assert sx.m == 2 and sx.source.tolist() == [0, 1]
+    program = as_program([1.0, 1.0], rows)
+    sx = _Simplex(program)
+    assert sx.m == 7
+    assert sx.source.tolist() == [0, 0, 1, 2, 3, 4, 4]
+    assert sx.sign.tolist() == [1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -1.0]
+    assert sx.b.tolist() == [3.0, -3.0, -3.0, 1.0, 3.0, 1.0, -1.0]
+    # rows with a negative bound are written negated beside their artificial
+    sigma = np.where(sx.b < 0, -1.0, 1.0)
+    want = program.rows[sx.source] * (sx.sign * sigma)[:, None]
+    assert np.array_equal(sx.T[:, :2], want)
+    # x + 2y = 3 and y = 1
+    out = solve_lp(program, exact_check=True)
+    assert out.x.tolist() == [1.0, 1.0] and out.exact_value == Fraction(2)
 
 
 def test_normalized_rows_split_equalities():
@@ -159,7 +165,6 @@ def test_normalized_rows_split_equalities():
 
 def test_validation():
     cases = [
-        ([], np.zeros((1, 0)), [1.0], None),  # empty objective
         ([[1.0]], [[1.0]], [1.0], None),  # 2-D objective
         ([1.0], [[1.0, 2.0]], [1.0], None),  # row wider than n
         ([1.0, 2.0], [[1.0]], [1.0], None),  # row narrower than n
@@ -204,12 +209,50 @@ def test_dual_certificate_on_clean_instances():
 
 
 def test_split_and_duplicate_rows_fold_into_program_row_duals():
-    # x + y = 1 twice: the second copy is dropped and prices at 0
-    out = solve([2.0, 1.0], [([1.0, 1.0], "=", 1.0), ([1.0, 1.0], "=", 1.0)])
-    assert out.dual.tolist() == [2.0, 0.0]
+    # x + y = 1 twice: the two copies share the price of the one plane
+    program = as_program([2.0, 1.0], [([1.0, 1.0], "=", 1.0), ([1.0, 1.0], "=", 1.0)])
+    out = solve_lp(program)
+    assert out.value == 2.0 and float(out.dual.sum()) == 2.0
+    assert float(out.dual @ program.bounds) == out.value
+    assert np.all(program.rows.T @ out.dual >= program.objective)
     # min x over x >= 1, written as x = 1: the equality prices at -1
     out = solve([-1.0], [([1.0], "=", 1.0)])
     assert out.value == -1.0 and out.dual.tolist() == [-1.0]
+
+
+def test_programs_without_variables_take_the_simplex_path():
+    out = solve_lp(LinearProgram([], np.zeros((2, 0)), [1.0, 0.0]), exact_check=True)
+    assert out.status == "optimal" and out.value == 0.0
+    assert out.x.shape == (0,)
+    assert out.dual.tolist() == [0.0, 0.0]
+    assert out.exact_value == Fraction(0)
+    assert solve_lp(LinearProgram([], np.zeros((2, 0)), [-1.0, 0.0])).status == "infeasible"
+
+
+def with_repeat(rng, rows):
+    """The rows plus a copy of one, at a random place: verbatim, or an equality's second half."""
+    coeffs, rel, bound = rows[int(rng.integers(len(rows)))]
+    if rel == "=" and rng.random() < 0.5:
+        coeffs, rel, bound = [-v for v in coeffs], "<=", -bound
+    at = int(rng.integers(len(rows) + 1))
+    return rows[:at] + [(coeffs, rel, bound)] + rows[at:]
+
+
+def test_repeated_rows_match_the_oracle_and_certify_the_same_value():
+    rng = np.random.default_rng(29)
+    outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(300):
+        objective, rows = random_lp(rng)
+        repeated = with_repeat(rng, rows)
+        status, value = brute_force_lp(objective, repeated)
+        out = solve(objective, repeated)
+        assert out.status == status, (objective, repeated, out.status, status)
+        outcomes[status] += 1
+        if status == "optimal":
+            assert abs(out.value - float(value)) <= 1e-6, (objective, repeated)
+            exact = solve(objective, repeated, exact_check=True).exact_value
+            assert exact == solve(objective, rows, exact_check=True).exact_value == value
+    assert all(v > 0 for v in outcomes.values()), outcomes
 
 
 def test_exact_check_certifies_optimal_value():

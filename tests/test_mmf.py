@@ -1,6 +1,7 @@
 """Throughput LP, polytope membership, and optimal fractional schedules."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,20 @@ def test_membership_empty_catalog():
     )
     assert polytope_membership(np.zeros(2), empty).inside
     assert not polytope_membership(np.array([0.1, 0.0]), empty).inside
+
+
+def test_empty_programs_take_the_lp_path():
+    # no link, so no variable: the one budget row alone, solved and certified
+    net = build_network([Node(1, 0.0, 0.0, 1.0, 1.0), Node(2, 5.0, 0.0, 1.0, 1.0)])
+    sol = solve_mmf(net, [Commodity(1, 2)], exact_check=True)
+    assert sol.throughput == 0.0 and sol.per_commodity == (0.0,)
+    assert sol.flows.shape == (1, 0) and sol.schedule_weights == {}
+    assert sol.exact_throughput == Fraction(0)
+    empty = SchedulableSetCatalog(
+        hyperarc_sets=(), sublink_sets=(), incidence=np.zeros((0, 2)), link_count=2
+    )
+    sched, length = optimal_fractional_schedule(np.zeros(2), empty)
+    assert sched.entries == () and math.copysign(1.0, length) == 1.0 and length == 0.0
 
 
 def test_membership_validation():

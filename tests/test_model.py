@@ -391,8 +391,8 @@ def test_explicit_head_sets_build_each_hyperarc_once(monkeypatch):
     singles = [(lk.tail, [lk.head]) for lk in grid.links[::4]]
     built = count_post_inits(monkeypatch)
     net = build_network(grid.nodes, hyperarcs=coded[::-1] + singles)
-    # one per link, one per coded head set, one per weight-1 entry given explicitly
-    assert len(built) == net.hyperarc_count + len(singles)
+    # one per link and one per coded head set; a weight-1 entry builds nothing
+    assert len(built) == net.hyperarc_count
     assert net.hyperarcs == grid.hyperarcs
     assert all(h.index == k for k, h in enumerate(net.hyperarcs, 1))
     built.clear()
@@ -406,14 +406,7 @@ def test_loading_a_coded_grid_builds_each_hyperarc_once(monkeypatch):
         {"id": nd.id, "x": nd.x, "y": nd.y, "r": nd.comm_radius, "rho": nd.interf_radius}
         for nd in coded_grid(4, 4).nodes
     ]
-    built = []
-    post_init = Hyperarc.__post_init__
-
-    def counted(arc):
-        built.append(arc)
-        post_init(arc)
-
-    monkeypatch.setattr(Hyperarc, "__post_init__", counted)
+    built = count_post_inits(monkeypatch)
     net = parse_instance(
         {"nodes": nodes, "coding_nodes": list(range(1, 17)), "max_coding_degree": 3}
     ).network
