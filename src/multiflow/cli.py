@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .cfs import cfs_length_bound, cfs_schedule, coding_first_ordering
 from .conflict import (
     DEFAULT_ENUMERATION_CAP,
@@ -38,15 +36,11 @@ def _fmt(value: float) -> str:
 def _clean(obj):
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_clean(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return _round9(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"cannot render {type(obj)!r}")
+    if isinstance(obj, float):
+        return _round9(obj)
+    return obj
 
 
 def render_json(report: dict) -> str:
@@ -131,10 +125,10 @@ def cmd_inspect(args) -> dict:
     except EnumerationCapError as exc:
         report["note"] = f"catalog omitted: {exc}"
         return report
+    if len(catalog):
+        report["inductive_schedulable_number"] = inductive_schedulable_number(catalog, nb)
     report["catalog_size"] = len(catalog)
     report["catalog"] = [sorted(ls) for ls in catalog.sublink_sets]
-    if len(catalog) and nb.closed.size:
-        report["inductive_schedulable_number"] = inductive_schedulable_number(catalog, nb)
     return report
 
 
@@ -186,19 +180,6 @@ def cmd_demo(args) -> dict:
     return {"written": written}
 
 
-# the scalar report keys each command's table lists first, in this order
-_SCALARS = {
-    "solve": ("mode", "throughput", "schedule_length"),
-    "compare": ("plain_throughput", "coding_throughput", "absolute_gain", "relative_gain"),
-    "inspect": (
-        "links", "hyperarcs", "link_graph", "hyperarc_graph", "max_conflict_degree",
-        "inductive_schedulable_number", "catalog_size",
-    ),
-    "schedule": ("algorithm", "length", "neighborhood_bound", "optimal_length", "ratio"),
-    "demo": (),
-}
-
-
 def _cell(value) -> str:
     if isinstance(value, float):
         return _fmt(value)
@@ -217,9 +198,9 @@ def _grid(header: list[str], rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
 
 
-def _table(command: str, report: dict) -> list[str]:
-    """The aligned text view of a command's report."""
-    rows = [(key, _cell(report[key])) for key in _SCALARS[command] if key in report]
+def _table(report: dict) -> list[str]:
+    """The aligned text view of a report: its non-list entries in report order, then its lists."""
+    rows = [(k, _cell(v)) for k, v in report.items() if not isinstance(v, list) and k != "note"]
     width = max((len(key) for key, _ in rows), default=0)
     lines = [f"{key.ljust(width)}  {value}" for key, value in rows]
     if report.get("commodities"):
@@ -233,8 +214,7 @@ def _table(command: str, report: dict) -> list[str]:
         ]
         lines += [""] + _grid(["commodity", "value", "flow"], grid)
     if report.get("schedule"):
-        # solve entries list hyperarcs and their links; schedule entries one set
-        columns = ("hyperarcs", "links") if command == "solve" else ("set",)
+        columns = [key for key in report["schedule"][0] if key != "lambda"]
         grid = [[_fmt(e["lambda"])] + [_joined(e[c]) for c in columns] for e in report["schedule"]]
         lines += [""] + _grid(["lambda", "hyperarcs", "links"][: 1 + len(columns)], grid)
     if "catalog" in report:
@@ -306,5 +286,5 @@ def main(argv=None) -> int:
     if args.format == "json":
         print(render_json(report))
     else:
-        print("\n".join(_table(args.command, report)))
+        print("\n".join(_table(report)))
     return 0

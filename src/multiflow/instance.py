@@ -122,10 +122,7 @@ def parse_instance(data: Any) -> Instance:
             where = f"hyperarcs[{k}]"
             obj = _require_object(entry, _HYPERARC_FIELDS, _HYPERARC_FIELDS, where)
             tail = _require_int(obj["tail"], f"{where}.tail")
-            heads = _require_ints(obj["heads"], f"{where}.heads")
-            if len(set(heads)) != len(heads):
-                raise ValidationError(f"{where}.heads: repeated head id")
-            hyperarcs.append((tail, heads))
+            hyperarcs.append((tail, _require_ints(obj["heads"], f"{where}.heads")))
 
     coding_nodes = None
     if "coding_nodes" in top:

@@ -68,9 +68,12 @@ class Link:
 
 
 def _checked_heads(tail: int, heads: Iterable[int]) -> frozenset[int]:
-    heads = frozenset(heads)
+    listed = list(heads)
+    heads = frozenset(listed)
     if not heads:
         raise ValidationError(f"hyperarc at node {tail}: empty head set")
+    if len(heads) != len(listed):
+        raise ValidationError(f"hyperarc at node {tail}: repeated head id")
     if tail in heads:
         raise ValidationError(f"hyperarc at node {tail}: tail listed among heads")
     return heads

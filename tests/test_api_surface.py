@@ -6,8 +6,10 @@ of them, or renames what a hook reads, would otherwise only crash the
 traced benchmark pass. So every hook is run here on the coded demo.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import pkgutil
 import re
 import sys
@@ -37,6 +39,18 @@ def test_public_names_resolve_and_only_the_package_lists_them():
     readme = (ROOT / "README.md").read_text()
     listed = readme.split("The package exports these 23 names", 1)[1].split("\n\n", 2)[1]
     assert re.findall(r"`(\w+)`", listed) == names
+
+
+def test_the_readme_library_example_prints_what_its_comments_say():
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # each "print(...)  # value" comment starts with the line that call prints
+    expected = re.findall(r"^print\(.*\)\s+#\s*(\S+)", code, flags=re.MULTILINE)
+    assert len(expected) == 4
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
 
 
 def test_every_traced_attribute_resolves():

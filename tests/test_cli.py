@@ -25,7 +25,8 @@ def run_json(capsys, argv):
 def test_demo_writes_instances(tmp_path, capsys):
     assert main(["demo", "--dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "two_way_relay_plain.json" in out
+    names = ("two_way_relay_plain", "two_way_relay_coded")
+    assert out == "".join(f"wrote {tmp_path / name}.json\n" for name in names)
     assert (tmp_path / "two_way_relay_coded.json").exists()
     data = json.loads((tmp_path / "two_way_relay_plain.json").read_text())
     assert len(data["nodes"]) == 3
@@ -92,6 +93,16 @@ def test_inspect_over_cap_softens(demo_dir, capsys):
     report = json.loads(out)
     assert "catalog" not in report
     assert "note" in report
+    assert main(["inspect", str(demo_dir / "two_way_relay_coded.json"), "--cap", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "links                4\n"
+        "hyperarcs            5\n"
+        "link_graph           4 vertices, 6 edges\n"
+        "hyperarc_graph       5 vertices, 10 edges\n"
+        "max_conflict_degree  3\n"
+        "catalog omitted: 5 vertices exceed the exact enumeration cap of 3; "
+        "raise the cap or use the greedy scheduler\n"
+    )
 
 
 def test_schedule_cfs(demo_dir, capsys, tmp_path):
@@ -223,6 +234,16 @@ def test_schedule_cfs_over_cap_omits_optimal(demo_dir, capsys, tmp_path):
     assert "optimal_length" not in report
     assert "ratio" not in report
     assert abs(report["length"] - 0.25) <= 1e-6
+    argv = ["schedule", str(demo_dir / "two_way_relay_coded.json"), "--demand", str(demand)]
+    assert main(argv + ["--algorithm", "cfs", "--cap", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "algorithm           cfs\n"
+        "length              0.25\n"
+        "neighborhood_bound  0.25\n"
+        "\n"
+        "lambda  hyperarcs\n"
+        "0.25    1\n"
+    )
 
 
 def test_json_reports_roundtrip_byte_identical(demo_dir, capsys, tmp_path):
@@ -254,3 +275,37 @@ def test_solve_without_commodities(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["throughput"] == 0
     assert report["commodities"] == []
+
+
+LINKLESS_TABLES = {
+    "solve": "mode             plain\n"
+    "throughput       0\n"
+    "schedule_length  0\n"
+    "\n"
+    "commodity  value  flow\n"
+    "1->2       0\n",
+    "compare": "plain_throughput   0\n"
+    "coding_throughput  0\n"
+    "absolute_gain      0\n",
+    "inspect": "links                0\n"
+    "hyperarcs            0\n"
+    "link_graph           0 vertices, 0 edges\n"
+    "hyperarc_graph       0 vertices, 0 edges\n"
+    "max_conflict_degree  0\n"
+    "catalog_size         0\n"
+    "catalog\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LINKLESS_TABLES))
+def test_a_network_without_links_reports_zeros(tmp_path, capsys, command):
+    instance = tmp_path / "apart.json"
+    nodes = [{"id": i, "x": 5.0 * i, "y": 0.0, "r": 1.0, "rho": 1.0} for i in (1, 2)]
+    instance.write_text(json.dumps({"nodes": nodes, "commodities": [{"source": 1, "sink": 2}]}))
+    assert main([command, str(instance)]) == 0
+    assert capsys.readouterr().out == LINKLESS_TABLES[command]
+    report = run_json(capsys, [command, str(instance)])
+    numbers = {k: v for k, v in report.items() if isinstance(v, (int, float))}
+    assert numbers and not any(numbers.values()), numbers
+    assert "relative_gain" not in report
+    assert report.get("catalog") == ([] if command == "inspect" else None)

@@ -4,6 +4,8 @@ Each digest is the sha256 of everything one ``multiflow`` run prints, in
 both output formats, so any change to a number, a JSON byte or a table
 column shows up here. The ``schedule`` runs use the README's demand file.
 The grid digests pin ``inspect``'s full catalog listing on larger graphs.
+The reports these runs render hold only built-in types, so the JSON
+renderer needs no case for numpy scalars.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ import json
 
 import pytest
 
-from multiflow.cli import main
+from multiflow.cli import build_parser, main
 
 README_DEMAND = '{"1-3": 0.25, "3-2": 0.125}'
 
@@ -47,15 +49,19 @@ GOLDEN = {
 }
 
 
-def cli_digest(capsys, directory, demo, run, fmt):
-    """sha256 of one run's stdout, with the demos and demand written to ``directory``."""
+def demo_argv(capsys, directory, demo, run):
+    """One run's arguments, with the demos and demand written to ``directory``."""
     assert main(["demo", "--dir", str(directory)]) == 0
     demand = directory / "demand.json"
     demand.write_text(README_DEMAND + "\n")
     capsys.readouterr()
     extra = [arg.format(demand=demand) for arg in RUNS[run]]
-    command = run.split("-")[0]
-    code = main([command, str(directory / f"{demo}.json"), *extra, "--format", fmt])
+    return [run.split("-")[0], str(directory / f"{demo}.json"), *extra]
+
+
+def cli_digest(capsys, directory, demo, run, fmt):
+    """sha256 of one run's stdout."""
+    code = main(demo_argv(capsys, directory, demo, run) + ["--format", fmt])
     out = capsys.readouterr().out
     assert code == 0, out
     return hashlib.sha256(out.encode()).hexdigest()
@@ -98,3 +104,39 @@ def test_inspect_json_on_4x4_grids_matches_golden_digest(tmp_path, capsys, name)
     out = capsys.readouterr().out
     assert code == 0, out
     assert hashlib.sha256(out.encode()).hexdigest() == GRID_GOLDEN[name]
+
+
+def report_of(argv: list[str]) -> dict:
+    """The report a command hands to the renderer, before any rounding."""
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
+
+
+def assert_builtin(value, where="report") -> None:
+    assert type(value) in (dict, list, str, int, float, bool), (where, type(value))
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, (where, key)
+            assert_builtin(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            assert_builtin(item, f"{where}[{i}]")
+
+
+@pytest.mark.parametrize("run", sorted(RUNS) + ["demo"])
+@pytest.mark.parametrize("demo", ["two_way_relay_plain", "two_way_relay_coded"])
+def test_reports_hold_only_builtin_types(tmp_path, capsys, demo, run):
+    if run == "demo":
+        argv = ["demo", "--dir", str(tmp_path)]
+    else:
+        argv = demo_argv(capsys, tmp_path, demo, run)
+    assert_builtin(report_of(argv))
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GOLDEN))
+def test_inspect_reports_on_4x4_grids_hold_only_builtin_types(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(grid_instance(4, 4, name.endswith("coded"))))
+    report = report_of(["inspect", str(path), "--cap", "100"])
+    assert report["catalog"]
+    assert_builtin(report)

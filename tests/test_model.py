@@ -208,6 +208,7 @@ MALFORMED_HYPERARCS = [
     ([(3, [1, 9])], "hyperarc (3, [1, 9]): unknown head id 9"),
     ([(2, [1, 3])], "hyperarc (2, [1, 3]): sub-link (2, 1) is not a link"),
     ([(3, [1, 2]), (3, [2, 1])], "duplicate hyperarc (3, [1, 2])"),
+    ([(3, [1, 1, 2])], "hyperarc at node 3: repeated head id"),
 ]
 
 
