@@ -87,7 +87,7 @@ def cmd_solve(args) -> dict:
         "throughput": sol.throughput,
         "commodities": commodities,
         "schedule": schedule,
-        "schedule_length": sum(sol.schedule_weights.values()),
+        "schedule_length": sum(sol.schedule_weights.values(), 0.0),
     }
 
 
@@ -140,18 +140,17 @@ def cmd_schedule(args) -> dict:
     nb = closed_neighborhoods(build_conflict_graph(net, "link"))
     bound = cfs_length_bound(demand, nb)
 
+    try:
+        catalog = enumerate_schedulable_sets(gh, args.cap)
+        sched, optimal = optimal_fractional_schedule(demand, catalog)
+    except EnumerationCapError:
+        if args.algorithm == "exact":
+            raise
+        optimal = None
+    length = optimal
     if args.algorithm == "cfs":
         sched = cfs_schedule(net, gh, coding_first_ordering(gh), demand)
         length = sched.length
-        try:
-            catalog = enumerate_schedulable_sets(gh, args.cap)
-            _, optimal = optimal_fractional_schedule(demand, catalog)
-        except EnumerationCapError:
-            optimal = None
-    else:
-        catalog = enumerate_schedulable_sets(gh, args.cap)
-        sched, optimal = optimal_fractional_schedule(demand, catalog)
-        length = optimal
 
     report = {
         "algorithm": args.algorithm,

@@ -189,7 +189,9 @@ class _Simplex:
         xfull = np.zeros(self.ncols)
         xfull[np.asarray(self.basis, dtype=np.intp)] = self.T[:, -1]
         x = xfull[: self.n].copy()
-        x[(x < 0) & (x > -10 * _PIVOT_EPS)] = 0.0
+        if np.any(x <= -10 * _PIVOT_EPS):
+            raise SolverError("simplex ended with a negative variable")
+        x[x < 0] = 0.0
         return x
 
     def dual(self, cost: np.ndarray) -> np.ndarray:

@@ -53,9 +53,10 @@ class Commodity:
 class MmfSolution:
     """Result of a throughput solve.
 
-    ``flows[i]`` is commodity i's per-link rates; ``schedule_weights``
-    maps catalog set positions (0-based) to their time shares, which form
-    the schedule certificate together with ``catalog``.
+    ``flows[i]`` is commodity i's per-link rates and ``per_commodity[i]``
+    its objective row times them, the net rate out of its source;
+    ``schedule_weights`` maps catalog set positions (0-based) to their
+    time shares, which form the schedule certificate with ``catalog``.
     """
 
     mode: str
@@ -73,15 +74,6 @@ class Membership:
 
     inside: bool
     certificate: dict[int, float] | None = None
-
-
-def flow_value(network: Network, flow, source: int) -> float:
-    """Net rate leaving the source: outflow minus inflow."""
-    f = check_per_link(flow, network.link_count)
-    network.node(source)
-    out = sum(f[lk.index - 1] for lk in network.links if lk.tail == source)
-    into = sum(f[lk.index - 1] for lk in network.links if lk.head == source)
-    return float(out - into)
 
 
 def _validate_bandwidth(network: Network, bandwidth) -> np.ndarray:
@@ -151,7 +143,8 @@ def solve_mmf(
     flows = out.x[: k * n].reshape(k, n)
     shares = out.x[k * n :]
     weights = {j: float(v) for j, v in enumerate(shares) if v > _WEIGHT_EPS}
-    per = tuple(flow_value(network, flows[i], commodities[i].source) for i in range(k))
+    objectives = c[: k * n].reshape(k, n)  # +1 on the source's out-links, -1 on its in-links
+    per = tuple(float(sum(f[r > 0]) - sum(f[r < 0])) for f, r in zip(flows, objectives))
     return MmfSolution(
         mode=mode,
         throughput=float(out.value),

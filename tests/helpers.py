@@ -628,7 +628,9 @@ def assert_valid_solution(net: Network, commodities, sol, bandwidth=None) -> Non
     """Independent feasibility audit of a throughput solution.
 
     Each scheduled set must be independent under the pairwise protocol-model
-    test, over links in plain mode and over hyperarcs in coding mode.
+    test, over links in plain mode and over hyperarcs in coding mode, and
+    each commodity's value must be its source's net outflow, summed link by
+    link.
     """
     assert sum(sol.schedule_weights.values()) <= 1.0 + BOUNDS_EPS
     adjacency = pairwise_adjacency(net, "hyperarc" if sol.mode == "coding" else "link")
@@ -646,4 +648,8 @@ def assert_valid_solution(net: Network, commodities, sol, bandwidth=None) -> Non
             inflow = sum(sol.flows[i, lk.index - 1] for lk in net.links if lk.head == node.id)
             outflow = sum(sol.flows[i, lk.index - 1] for lk in net.links if lk.tail == node.id)
             assert abs(inflow - outflow) <= 1e-6
+        out = sum(sol.flows[i, lk.index - 1] for lk in net.links if lk.tail == com.source)
+        into = sum(sol.flows[i, lk.index - 1] for lk in net.links if lk.head == com.source)
+        assert abs(sol.per_commodity[i] - (out - into)) <= 1e-12, (i, sol.per_commodity)
+    assert len(sol.per_commodity) == len(commodities)
     assert abs(sum(sol.per_commodity) - sol.throughput) <= 1e-6

@@ -87,6 +87,13 @@ def test_capacity_matches_the_union_loop_bit_for_bit():
             FractionalSchedule(((frozenset(vertices), 1.0),)).capacity(net)
 
 
+@pytest.mark.parametrize("weight", [0, -1, float("nan"), float("inf")])
+def test_a_schedule_weight_must_be_positive_and_finite(weight):
+    message = rf"^schedule weight must be positive, got {float(weight)}$"
+    with pytest.raises(ValidationError, match=message):
+        FractionalSchedule(((frozenset({1}), weight),))
+
+
 def test_mwis_greedy_properties():
     cg = make_conflict_graph(3, [(1, 2)], sublinks=[{1, 2}, {1}, {3}])
     omega = coding_first_ordering(cg)

@@ -298,7 +298,7 @@ LINKLESS_TABLES = {
 
 
 @pytest.mark.parametrize("command", sorted(LINKLESS_TABLES))
-def test_a_network_without_links_reports_zeros(tmp_path, capsys, command):
+def test_a_network_without_links_reports_zeros(demo_dir, tmp_path, capsys, command):
     instance = tmp_path / "apart.json"
     nodes = [{"id": i, "x": 5.0 * i, "y": 0.0, "r": 1.0, "rho": 1.0} for i in (1, 2)]
     instance.write_text(json.dumps({"nodes": nodes, "commodities": [{"source": 1, "sink": 2}]}))
@@ -307,5 +307,8 @@ def test_a_network_without_links_reports_zeros(tmp_path, capsys, command):
     report = run_json(capsys, [command, str(instance)])
     numbers = {k: v for k, v in report.items() if isinstance(v, (int, float))}
     assert numbers and not any(numbers.values()), numbers
+    # each number keeps the JSON type it has in a report with links
+    demo = run_json(capsys, [command, str(demo_dir / "two_way_relay_coded.json")])
+    assert {k: type(v) for k, v in numbers.items()} == {k: type(demo[k]) for k in numbers}
     assert "relative_gain" not in report
     assert report.get("catalog") == ([] if command == "inspect" else None)

@@ -84,6 +84,12 @@ def test_parse_rejects_bad_types():
     data["nodes"][0]["x"] = "zero"
     with pytest.raises(ValidationError):
         parse_instance(data)
+    data = canonical_data()
+    data["nodes"][0]["x"] = json.loads("Infinity")  # JSON parsing accepts it
+    with pytest.raises(ValidationError, match=r"nodes\[0\]\.x: non-finite number"):
+        parse_instance(data)
+    with pytest.raises(ValidationError, match="nodes: expected an array"):
+        parse_instance({"nodes": {}})
     with pytest.raises(ValidationError):
         parse_instance([1, 2, 3])
     with pytest.raises(ValidationError):
@@ -119,6 +125,10 @@ def test_parse_rejects_bad_bandwidth():
     data = canonical_data()
     data["bandwidth"] = {"13": 1.0}
     with pytest.raises(ValidationError):
+        parse_instance(data)
+    data = canonical_data()
+    data["bandwidth"] = []
+    with pytest.raises(ValidationError, match="bandwidth: expected an object"):
         parse_instance(data)
 
 

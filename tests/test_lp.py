@@ -529,6 +529,17 @@ def test_a_drifted_carried_row_is_priced_again_before_stopping():
     assert sx.basis == [0] and sx.solution().tolist() == [2.0]
 
 
+def test_a_variable_ending_below_the_clamp_is_a_solver_fault():
+    # x is basic in the only row; its value is set just under zero
+    sx = _Simplex(LinearProgram([1.0], [[1.0]], [2.0]))
+    sx._pivot(0, 0)
+    sx.T[0, -1] = -1e-9  # round-off within 10 pivot tolerances is clamped
+    assert sx.solution().tolist() == [0.0]
+    sx.T[0, -1] = -1e-6
+    with pytest.raises(SolverError, match="negative variable"):
+        sx.solution()
+
+
 # ---------------------------------------------------------------------------
 # the tableau written straight from the program's rows
 

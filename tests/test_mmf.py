@@ -22,7 +22,6 @@ from multiflow import (
     solve_mmf,
 )
 from multiflow.instance import parse_demand
-from multiflow.mmf import flow_value
 from multiflow.schedule import check_per_link
 
 from helpers import (
@@ -130,15 +129,10 @@ def test_solve_validation():
         solve_mmf(net, relay_commodities(), bandwidth=np.zeros(4))
 
 
-def test_flow_value_and_parse_demand():
+def test_parse_demand_on_the_relay():
     net = relay_plain()
     d = parse_demand({"1-3": 0.25, "3-2": 0.25}, net)
     assert d.tolist() == [0.25, 0.0, 0.0, 0.25]
-    assert abs(flow_value(net, d, 1) - 0.25) <= 1e-12
-    assert abs(flow_value(net, d, 3)) <= 1e-12
-    assert abs(flow_value(net, d, 2) + 0.25) <= 1e-12
-    with pytest.raises(ValidationError, match="unknown node id 9"):
-        flow_value(net, d, 9)
     with pytest.raises(ValidationError, match="not a link"):
         parse_demand({"1-2": 1.0}, net)
 
