@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conflict import ConflictGraph, Neighborhoods, compat_masks, row_masks
+from .conflict import ConflictGraph, compat_masks, row_masks
 from .errors import SolverError, ValidationError
 from .model import Network
 from .schedule import FractionalSchedule, check_per_link
@@ -88,8 +88,8 @@ def cfs_schedule(network: Network, gh: ConflictGraph, ordering, demand) -> Fract
     return FractionalSchedule(tuple(entries))
 
 
-def cfs_length_bound(demand, neighborhoods: Neighborhoods) -> float:
+def cfs_length_bound(demand, closed: np.ndarray) -> float:
     """Worst closed-neighborhood demand: the greedy length never exceeds it."""
-    d = check_per_link(demand, len(neighborhoods.closed))
+    d = check_per_link(demand, len(closed))
     # Python sum in ascending link order; a BLAS product may round differently
-    return max((float(sum(d[row])) for row in neighborhoods.closed), default=0.0)
+    return max((float(sum(d[row])) for row in closed), default=0.0)

@@ -112,13 +112,13 @@ def cmd_inspect(args) -> dict:
     net = inst.network
     g = build_conflict_graph(net, "link")
     gh = build_conflict_graph(net, "hyperarc")
-    nb = closed_neighborhoods(g)
+    closed = closed_neighborhoods(g)
     report = {
         "links": net.link_count,
         "hyperarcs": net.hyperarc_count,
         "link_graph": {"vertices": g.vertex_count, "edges": g.edge_count},
         "hyperarc_graph": {"vertices": gh.vertex_count, "edges": gh.edge_count},
-        "max_conflict_degree": nb.max_conflict_degree,
+        "max_conflict_degree": g.max_conflict_degree,
     }
     try:
         catalog = enumerate_schedulable_sets(gh, args.cap)
@@ -126,7 +126,7 @@ def cmd_inspect(args) -> dict:
         report["note"] = f"catalog omitted: {exc}"
         return report
     if len(catalog):
-        report["inductive_schedulable_number"] = inductive_schedulable_number(catalog, nb)
+        report["inductive_schedulable_number"] = inductive_schedulable_number(catalog, closed)
     report["catalog_size"] = len(catalog)
     report["catalog"] = [sorted(ls) for ls in catalog.sublink_sets]
     return report
@@ -137,8 +137,7 @@ def cmd_schedule(args) -> dict:
     net = inst.network
     demand = load_demand(args.demand, net)
     gh = build_conflict_graph(net, "hyperarc")
-    nb = closed_neighborhoods(build_conflict_graph(net, "link"))
-    bound = cfs_length_bound(demand, nb)
+    bound = cfs_length_bound(demand, closed_neighborhoods(build_conflict_graph(net, "link")))
 
     try:
         catalog = enumerate_schedulable_sets(gh, args.cap)

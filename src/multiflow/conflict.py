@@ -10,13 +10,14 @@ Each graph is one read-only boolean matrix. Distances come from the
 network's ``distances`` table (``math.hypot``; numpy's hypot may round a
 tie the other way); one broadcast tests every link pair, and a hyperarc
 takes the link rows and columns of its sub-links, read off the network's
-padded ``sublink_index`` table (one link per row at link level).
+padded ``sublink_index`` table; the links are its first ``link_count`` rows.
 
 The catalog comes from Bron-Kerbosch with pivoting on the complement
 graph, each vertex set a Python int with bit v-1 for vertex v; its
 complement rows are the ``compat_masks`` the greedy scans with. The found
 sets are unpacked into one boolean member matrix, which scatters through
-the sub-link table into the incidence matrix and splits into frozensets.
+the sub-link table into the incidence matrix and splits into frozensets,
+shared with the vertex sets when the two matrices hold the same values.
 Catalog order is ascending sorted vertex tuple; maximal sets never nest,
 so that is descending row order read as binary numbers with vertex 1 the
 top bit, and numpy sorts the packed rows without building tuples. The
@@ -44,8 +45,9 @@ class ConflictGraph:
     """A conflict graph with 1-based vertices aligned to link or hyperarc indices.
 
     ``sublink_index[v-1]`` lists the 0-based links vertex v delivers,
-    padded with ``link_count`` (``Network.sublink_index`` at hyperarc
-    level, v-1 alone at link level); its unpadded count is v's weight.
+    padded with ``link_count``: ``Network.sublink_index`` at hyperarc
+    level, its first ``link_count`` rows at link level; its unpadded
+    count is v's weight.
     ``matrix[u-1, v-1]`` is true when u and v conflict; the matrix is
     read-only and symmetric with a false diagonal.
     """
@@ -62,6 +64,10 @@ class ConflictGraph:
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.matrix)) // 2
+
+    @property
+    def max_conflict_degree(self) -> int:
+        return int(np.count_nonzero(self.matrix, axis=1).max(initial=0))
 
     def _rows(self, vertices: Iterable[int]) -> np.ndarray:
         # 0-based matrix rows; numpy would read 0 and negative ids from the end
@@ -81,14 +87,11 @@ class ConflictGraph:
 
 def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph:
     """Build the conflict graph of a network at link or hyperarc level."""
-    n = network.link_count
-    if level == "link":
-        index = np.arange(n)[:, None]
-        index.flags.writeable = False
-    elif level == "hyperarc":
-        index = network.sublink_index
-    else:
+    if level not in ("link", "hyperarc"):
         raise ValidationError(f"unknown conflict graph level {level!r}")
+    n = network.link_count
+    # the links are the first n hyperarcs, each delivering itself alone
+    index = network.sublink_index[: n if level == "link" else None]
 
     nodes = network.nodes
     position = {nd.id: p for p, nd in enumerate(nodes)}
@@ -209,42 +212,26 @@ def enumerate_schedulable_sets(
     real = links < n
     incidence = np.zeros((len(member), n))
     incidence[np.broadcast_to(rows[:, None], links.shape)[real], links[real]] = 1.0
+    same = np.array_equal(member, incidence)  # every set's links are its vertex ids
     del member, rows, verts, links, real
-    if np.array_equal(cg.sublink_index, np.arange(cg.vertex_count)[:, None]):
-        sublink_sets = sets
-    else:
-        sublink_sets = _row_sets(incidence)
     return SchedulableSetCatalog(
         hyperarc_sets=sets,
-        sublink_sets=sublink_sets,
+        sublink_sets=sets if same else _row_sets(incidence),
         incidence=incidence,
         link_count=n,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Neighborhoods:
+def closed_neighborhoods(g: ConflictGraph) -> np.ndarray:
     """Closed link neighborhoods: read-only ``closed[a-1, b-1]`` is a == b or a conflict."""
-
-    closed: np.ndarray
-
-    @property
-    def max_conflict_degree(self) -> int:
-        return int(np.count_nonzero(self.closed, axis=1).max(initial=1)) - 1
-
-
-def closed_neighborhoods(g: ConflictGraph) -> Neighborhoods:
-    """Closed neighborhood of each link vertex in the link-level graph."""
     if g.level != "link":
         raise ValidationError("closed neighborhoods are defined over the link-level graph")
     closed = g.matrix | np.eye(g.vertex_count, dtype=bool)
     closed.flags.writeable = False
-    return Neighborhoods(closed)
+    return closed
 
 
-def inductive_schedulable_number(
-    catalog: SchedulableSetCatalog, neighborhoods: Neighborhoods
-) -> int:
+def inductive_schedulable_number(catalog: SchedulableSetCatalog, closed: np.ndarray) -> int:
     """Largest overlap between a schedulable sub-link set and a closed neighborhood.
 
     This is the factor by which the greedy schedule length can exceed the
@@ -252,9 +239,8 @@ def inductive_schedulable_number(
     """
     if not catalog.sublink_sets:
         raise ValidationError("empty schedulable-set catalog")
-    if not neighborhoods.closed.size:
+    if not closed.size:
         raise ValidationError("no links, so no conflict neighborhoods")
     # overlap counts for _ISN_ROWS sets at a time, never a catalog-sized product
     blocks = range(0, len(catalog), _ISN_ROWS)
-    closed = neighborhoods.closed
     return int(max((catalog.incidence[k : k + _ISN_ROWS] @ closed).max() for k in blocks))

@@ -6,6 +6,9 @@ share variable per catalog set, conservation at non-terminals, per-link
 capacity rows coupling total flow to the bought shares, and a unit budget
 on the shares. Link bandwidths divide the flow terms in the capacity
 rows, so a link of bandwidth 2 carries twice the flow per unit of airtime.
+The LP runs in units of the fastest link, every bandwidth divided by the
+largest, and its flows and throughput are scaled back, so bandwidths may
+be in any positive unit although the simplex's tolerances are absolute.
 
 One covering LP over the same catalog computes optimal fractional
 schedules, whose length is the minimum total airtime needed to serve a
@@ -107,6 +110,9 @@ def solve_mmf(
         network.node(com.source)
         network.node(com.sink)
     bw = _validate_bandwidth(network, bandwidth)
+    # solve in units of the fastest link, so every capacity coefficient is at least 1
+    scale = float(bw.max(initial=0.0)) or 1.0
+    bw = bw / scale
     level = "hyperarc" if mode == "coding" else "link"
     catalog = enumerate_schedulable_sets(build_conflict_graph(network, level), cap)
 
@@ -140,19 +146,19 @@ def solve_mmf(
     out = solve_lp(program, exact_check=exact_check)
     if out.status != "optimal":
         raise SolverError(f"throughput LP ended {out.status}")
-    flows = out.x[: k * n].reshape(k, n)
+    flows = out.x[: k * n].reshape(k, n) * scale
     shares = out.x[k * n :]
     weights = {j: float(v) for j, v in enumerate(shares) if v > _WEIGHT_EPS}
     objectives = c[: k * n].reshape(k, n)  # +1 on the source's out-links, -1 on its in-links
     per = tuple(float(sum(f[r > 0]) - sum(f[r < 0])) for f, r in zip(flows, objectives))
     return MmfSolution(
         mode=mode,
-        throughput=float(out.value),
+        throughput=float(out.value) * scale,
         per_commodity=per,
         flows=flows,
         schedule_weights=weights,
         catalog=catalog,
-        exact_throughput=out.exact_value,
+        exact_throughput=None if out.exact_value is None else out.exact_value * Fraction(scale),
     )
 
 

@@ -33,10 +33,8 @@ from multiflow import (
     ValidationError,
     build_conflict_graph,
     build_network,
-    closed_neighborhoods,
 )
 from multiflow.cfs import _scan, _scan_masks
-from multiflow.conflict import Neighborhoods
 from multiflow.lp import LinearProgram
 from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link, distance
 
@@ -140,9 +138,9 @@ def neighbor_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
     return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in cg.matrix)
 
 
-def closed_sets(neighborhoods: Neighborhoods) -> tuple[frozenset[int], ...]:
+def closed_sets(closed: np.ndarray) -> tuple[frozenset[int], ...]:
     """The 1-based closed neighborhood of each link, read off ``closed``."""
-    return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in neighborhoods.closed)
+    return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in closed)
 
 
 def node_map(network: Network) -> dict[int, Node]:
@@ -590,8 +588,7 @@ def random_network(
         if net.hyperarc_count > 24:
             continue
         if require_conflict:
-            g = build_conflict_graph(net, "link")
-            if closed_neighborhoods(g).max_conflict_degree < 1:
+            if build_conflict_graph(net, "link").max_conflict_degree < 1:
                 continue
         return net
     raise AssertionError("random network generation kept rejecting instances")

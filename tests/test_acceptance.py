@@ -160,10 +160,11 @@ def test_criterion_06_alpha_ratio_and_degree_bound():
         if accepted == 100:
             break
         net = random_network(rng, require_conflict=True)
-        nb = closed_neighborhoods(build_conflict_graph(net, "link"))
+        g = build_conflict_graph(net, "link")
+        nb = closed_neighborhoods(g)
         # the degree bound presumes links conflict at least as widely as
         # the broadest broadcast, so narrower instances are resampled
-        if nb.max_conflict_degree < net.max_weight:
+        if g.max_conflict_degree < net.max_weight:
             continue
         gh = build_conflict_graph(net, "hyperarc")
         catalog = enumerate_schedulable_sets(gh)
@@ -171,7 +172,7 @@ def test_criterion_06_alpha_ratio_and_degree_bound():
         demand = random_demand(rng, net, low=0.05)
         sched = cfs_schedule(net, gh, coding_first_ordering(gh), demand)
         _, optimal = optimal_fractional_schedule(demand, catalog)
-        if sched.length > alpha * optimal + 1e-6 or alpha > nb.max_conflict_degree:
+        if sched.length > alpha * optimal + 1e-6 or alpha > g.max_conflict_degree:
             ok = False
             break
         accepted += 1

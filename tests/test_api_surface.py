@@ -6,6 +6,7 @@ of them, or renames what a hook reads, would otherwise only crash the
 traced benchmark pass. So every hook is run here on the coded demo.
 """
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -14,6 +15,8 @@ import pkgutil
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import multiflow
 from multiflow.cli import main
@@ -39,6 +42,23 @@ def test_public_names_resolve_and_only_the_package_lists_them():
     readme = (ROOT / "README.md").read_text()
     listed = readme.split("The package exports these 23 names", 1)[1].split("\n\n", 2)[1]
     assert re.findall(r"`(\w+)`", listed) == names
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "multiflow"}
+    for path in sorted((ROOT / "src" / "multiflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one within the package
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.23"]
 
 
 def test_the_readme_library_example_prints_what_its_comments_say():

@@ -251,13 +251,14 @@ def test_cfs_against_optimal_and_inductive_number():
     accepted = 0
     while accepted < 20:
         net = random_network(rng, require_conflict=True)
-        nb = closed_neighborhoods(build_conflict_graph(net, "link"))
-        if nb.max_conflict_degree < net.max_weight:
+        g = build_conflict_graph(net, "link")
+        nb = closed_neighborhoods(g)
+        if g.max_conflict_degree < net.max_weight:
             continue
         gh = build_conflict_graph(net, "hyperarc")
         catalog = enumerate_schedulable_sets(gh)
         alpha = inductive_schedulable_number(catalog, nb)
-        assert max(1, net.max_weight) <= alpha <= nb.max_conflict_degree
+        assert max(1, net.max_weight) <= alpha <= g.max_conflict_degree
         d = random_demand(rng, net, low=0.05)
         sched = cfs_schedule(net, gh, coding_first_ordering(gh), d)
         _, optimal = optimal_fractional_schedule(d, catalog)

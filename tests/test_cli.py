@@ -32,6 +32,16 @@ def test_demo_writes_instances(tmp_path, capsys):
     assert len(data["nodes"]) == 3
 
 
+def test_solve_in_bit_per_second(demo_dir, tmp_path, capsys):
+    # every link at 1 Gbit/s, written in bit/s
+    data = json.loads((demo_dir / "two_way_relay_coded.json").read_text())
+    data["bandwidth"] = {key: 1e9 for key in ("1-3", "2-3", "3-1", "3-2")}
+    instance = tmp_path / "gigabit.json"
+    instance.write_text(json.dumps(data))
+    report = run_json(capsys, ["solve", str(instance)])
+    assert report["throughput"] == 666666667.0
+
+
 def test_solve_plain(demo_dir, capsys):
     report = run_json(capsys, ["solve", str(demo_dir / "two_way_relay_plain.json")])
     assert report["mode"] == "plain"

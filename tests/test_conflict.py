@@ -385,12 +385,61 @@ def test_plain_hyperarc_catalog_shares_its_sets():
     assert coded.sublink_sets != coded.hyperarc_sets
 
 
+def test_link_graph_reads_the_leading_rows_of_the_network_table():
+    rng = np.random.default_rng(151)
+    coded = 0
+    for _ in range(40):
+        net = random_network(rng)
+        n = net.link_count
+        coded += net.hyperarc_count > n
+        g = build_conflict_graph(net, "link")
+        gh = build_conflict_graph(net, "hyperarc")
+        # each link is the weight-1 hyperarc that delivers just itself
+        assert np.array_equal(g.matrix, gh.matrix[:n, :n])
+        assert np.array_equal(g.sublink_index, net.sublink_index[:n])
+        assert g.vertex_count == g.link_count == n
+        assert not g.sublink_index.flags.writeable
+    assert coded >= 10
+
+
+def test_max_conflict_degree_is_the_largest_closed_row_minus_one():
+    rng = np.random.default_rng(152)
+    for _ in range(30):
+        g = random_graph(rng, min_n=1, max_n=12)
+        closed = link_neighborhoods(g)
+        assert g.max_conflict_degree == int(np.count_nonzero(closed, axis=1).max()) - 1
+        assert g.max_conflict_degree == max(len(s) for s in neighbor_sets(g))
+    assert make_conflict_graph(5, []).max_conflict_degree == 0
+    assert make_conflict_graph(0, []).max_conflict_degree == 0
+    assert make_conflict_graph(4, [(1, 2), (1, 3), (1, 4)]).max_conflict_degree == 3
+
+
+def test_catalog_shares_its_sets_when_every_set_is_its_own_links():
+    # each vertex delivers its own link through a width-2 padded table
+    cg = make_conflict_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    index = np.full((5, 2), 5, dtype=np.intp)
+    index[:, 0] = np.arange(5)
+    padded = replace(cg, sublink_index=index)
+    catalog = enumerate_schedulable_sets(padded)
+    assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
+    assert_catalog_matches_loop_oracle(padded, link_neighborhoods(cg))
+
+
+def test_catalog_with_permuted_sublinks_keeps_its_own_sets():
+    # as many vertices as links, but vertex v delivers link v % 5 + 1
+    shifted = [{v % 5 + 1} for v in range(1, 6)]
+    cg = make_conflict_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], sublinks=shifted)
+    catalog = enumerate_schedulable_sets(cg)
+    assert catalog.sublink_sets != catalog.hyperarc_sets
+    assert_catalog_matches_loop_oracle(cg, link_neighborhoods(make_conflict_graph(5, [])))
+
+
 def test_closed_neighborhoods_canonical():
     g = build_conflict_graph(relay_plain(), "link")
     nb = closed_neighborhoods(g)
-    assert nb.max_conflict_degree == 3
+    assert g.max_conflict_degree == 3
     assert all(s == frozenset({1, 2, 3, 4}) for s in closed_sets(nb))
-    assert nb.closed.all() and not nb.closed.flags.writeable
+    assert nb.all() and not nb.flags.writeable
     gh = build_conflict_graph(relay_coded(), "hyperarc")
     with pytest.raises(ValidationError):
         closed_neighborhoods(gh)

@@ -8,10 +8,11 @@ from multiflow import (
     build_network,
     enumerate_schedulable_sets,
     optimal_fractional_schedule,
+    solve_mmf,
 )
 from multiflow.lp import solve_lp
 
-from helpers import as_program, coded_grid, random_lp
+from helpers import as_program, coded_grid, random_lp, relay_coded, relay_commodities
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -70,3 +71,38 @@ def test_covering_lengths_on_4x4_grids_match_highs(coded):
         )
         assert res.status == 0
         assert abs(length - res.fun) <= 1e-9 * max(1.0, res.fun)
+
+
+@pytest.mark.parametrize("mode", ["plain", "coding"])
+def test_mixed_bandwidth_relay_throughput_matches_highs(mode):
+    # two links at 1e9 and two at 1: the throughput LP spans nine orders of magnitude
+    net, coms = relay_coded(), relay_commodities()
+    bw = np.array([1e9, 1.0, 1.0, 1e9])
+    sol = solve_mmf(net, coms, mode, bw)
+    incidence = sol.catalog.incidence
+    n, k, sets = net.link_count, len(coms), len(incidence)
+    # variables: commodity i's flow on link a at i*n + (a-1), then one share per set
+    A_eq, b_eq = [], []
+    for i, com in enumerate(coms):
+        for node in net.nodes:
+            if node.id in (com.source, com.sink):
+                continue
+            row = np.zeros(k * n + sets)
+            for lk in net.links:
+                row[i * n + lk.index - 1] += (lk.head == node.id) - (lk.tail == node.id)
+            A_eq.append(row)
+            b_eq.append(0.0)
+    A_ub = np.zeros((n + 1, k * n + sets))
+    for a in range(n):  # flow on link a is at most bw[a] times its airtime
+        A_ub[a, a : k * n : n] = 1.0
+        A_ub[a, k * n :] = -bw[a] * incidence[:, a]
+    A_ub[n, k * n :] = 1.0
+    c = np.zeros(k * n + sets)
+    for i, com in enumerate(coms):
+        for lk in net.links:
+            c[i * n + lk.index - 1] = (lk.tail == com.source) - (lk.head == com.source)
+    b_ub = np.append(np.zeros(n), 1.0)
+    res = linprog(-c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs")
+    assert res.status == 0
+    assert sol.throughput == pytest.approx(-res.fun, rel=1e-9)
+    assert sol.throughput == pytest.approx(5e8, rel=1e-9)

@@ -31,6 +31,7 @@ from helpers import (
     relay_coded,
     relay_commodities,
     relay_plain,
+    schedule_capacity,
 )
 
 
@@ -92,6 +93,37 @@ def test_bandwidth_scales_throughput():
     assert_valid_solution(net, relay_commodities(), sol, bandwidth=np.full(4, 2.0))
     half = solve_mmf(net, relay_commodities(), mode="plain", bandwidth=np.full(4, 0.5))
     assert abs(half.throughput - 0.25) <= 1e-9
+
+
+@pytest.mark.parametrize("bw", [1e-12, 1e-9, 1e9, 1e12])
+@pytest.mark.parametrize(
+    "mode, q", [("plain", Fraction(1, 2)), ("coding", Fraction(2, 3))], ids=["plain", "coding"]
+)
+def test_bandwidths_far_from_one_scale_the_relay_throughput(mode, q, bw):
+    # 1/bw in a capacity row would meet the simplex's absolute tolerances
+    bandwidth = np.full(4, bw)
+    sol = solve_mmf(relay_coded(), relay_commodities(), mode, bandwidth, exact_check=True)
+    assert sol.exact_throughput == q * Fraction(bw)
+    assert math.isclose(sol.throughput, float(q) * bw, rel_tol=1e-12)
+    # flows come back in the bandwidth's unit too
+    assert math.isclose(sum(sol.per_commodity), sol.throughput, rel_tol=1e-12)
+    assert np.all(sol.flows.sum(axis=0) <= schedule_capacity(sol, bandwidth) * (1 + 1e-12))
+
+
+def test_throughput_is_homogeneous_in_the_bandwidth():
+    rng = np.random.default_rng(1515)
+    positive = 0
+    for _ in range(25):
+        net = random_network(rng)
+        coms = random_commodities(rng, net)
+        bw = rng.uniform(0.5, 2.0, net.link_count)
+        for mode in ("plain", "coding"):
+            base = solve_mmf(net, coms, mode, bw).throughput
+            positive += base > 0
+            for s in (1e-12, 1e-9, 1e9, 1e12):
+                scaled = solve_mmf(net, coms, mode, s * bw).throughput
+                assert math.isclose(scaled, s * base, rel_tol=1e-9), (mode, s, base, scaled)
+    assert positive >= 20
 
 
 def test_one_way_commodity():
