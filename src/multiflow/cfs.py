@@ -10,7 +10,10 @@ which also yields a simple sufficient test for fitting a unit time frame.
 Rounds run on Python-int bitmasks over scan positions, built once per call:
 a scan keeps the lowest free position and then only positions compatible
 with every pick, and each link a round settles clears its holders from the
-mask of surviving positions, so no round touches every vertex.
+mask of surviving positions, so no round touches every vertex. Residuals
+and each position's links are Python lists, so a round makes no numpy call.
+A residual at or under 1e-12 times the largest demand (1e-12 once that
+demand reaches 1) counts as settled.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .model import Network
 from .schedule import FractionalSchedule, check_per_link
 
 _RESIDUAL_EPS = 1e-12
+_BOUND_ROWS = 1024
 
 
 def coding_first_ordering(gh: ConflictGraph) -> tuple[int, ...]:
@@ -63,26 +67,33 @@ def cfs_schedule(network: Network, gh: ConflictGraph, ordering, demand) -> Fract
         raise ValidationError("conflict graph does not match the network")
     if sorted(ordering) != list(range(1, gh.vertex_count + 1)):
         raise ValidationError(f"the ordering is not a permutation of 1..{gh.vertex_count}")
-    # residual demand per link plus a trailing +inf under the index padding
-    padded = np.append(check_per_link(demand, n), np.inf)
+    d = check_per_link(demand, n)
+    # the cutoff scales with demands in small units, so none is dropped for its unit
+    eps = _RESIDUAL_EPS * min(1.0, float(d.max(initial=0.0)))
     order = np.array(ordering, dtype=np.intp) - 1
     compat, holders = _scan_masks(gh, order)
-    # residuals never grow back, so a position that leaves alive stays out
-    (alive,) = row_masks(padded[gh.sublink_index[order]].min(axis=1)[None] > _RESIDUAL_EPS)
+    table = gh.sublink_index[order]
+    # residuals never grow back, so a position that leaves alive stays out;
+    # the trailing +inf sits under the index padding
+    (alive,) = row_masks(np.append(d, np.inf)[table].min(axis=1)[None] > eps)
+    residual = d.tolist()
+    ids = (order + 1).tolist()
+    links = [[a for a in row if a < n] for row in table.tolist()]
     entries: list[tuple[frozenset[int], float]] = []
     for _ in range(n + 2):
         if not alive:
             break
-        vertices = order[_scan(alive, compat)]
+        picked = _scan(alive, compat)
         # picked vertices share no link, so each served link appears once
-        served = gh.sublink_index[vertices].ravel()
-        lam = float(padded[served].min())
-        entries.append((frozenset((vertices + 1).tolist()), lam))
-        padded[served] -= lam
-        settled = served[padded[served] <= _RESIDUAL_EPS]
-        padded[settled] = 0.0
-        for a in settled.tolist():
-            alive &= ~holders[a]
+        served = [a for p in picked for a in links[p]]
+        lam = min([residual[a] for a in served])
+        entries.append((frozenset([ids[p] for p in picked]), lam))
+        for a in served:
+            left = residual[a] - lam
+            if left <= eps:
+                left = 0.0
+                alive &= ~holders[a]
+            residual[a] = left
     else:
         raise SolverError("scheduling failed to settle every link")  # unreachable
     return FractionalSchedule(tuple(entries))
@@ -91,5 +102,8 @@ def cfs_schedule(network: Network, gh: ConflictGraph, ordering, demand) -> Fract
 def cfs_length_bound(demand, closed: np.ndarray) -> float:
     """Worst closed-neighborhood demand: the greedy length never exceeds it."""
     d = check_per_link(demand, len(closed))
-    # Python sum in ascending link order; a BLAS product may round differently
-    return max((float(sum(d[row])) for row in closed), default=0.0)
+    # a running sum in ascending link order (adding 0.0 changes no sum), a
+    # block of rows at a time; a BLAS product may round differently
+    blocks = range(0, len(closed), _BOUND_ROWS)
+    sums = (np.cumsum(np.where(closed[k : k + _BOUND_ROWS], d, 0.0), axis=1)[:, -1] for k in blocks)
+    return max((float(s.max()) for s in sums), default=0.0)

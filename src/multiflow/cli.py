@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cfs import cfs_length_bound, cfs_schedule, coding_first_ordering
 from .conflict import (
     DEFAULT_ENUMERATION_CAP,
+    _row_lists,
     build_conflict_graph,
     closed_neighborhoods,
     enumerate_schedulable_sets,
@@ -33,18 +36,31 @@ def _fmt(value: float) -> str:
     return f"{_round9(value):.9g}"
 
 
-def _clean(obj):
+def _json(obj, pad: str) -> str:
+    # json.dumps(obj, indent=2, sort_keys=True) nested at pad, floats rounded
+    # to 9 digits: one join per container, and int lists through str
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(obj, list):
-        return [_clean(v) for v in obj]
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            items = map(str, obj)
+        else:
+            items = [_json(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, float):
-        return _round9(obj)
-    return obj
+        value = _round9(obj)
+        return repr(value) if math.isfinite(value) else json.dumps(value)
+    return json.dumps(obj)
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(_clean(report), indent=2, sort_keys=True)
+    return _json(report, "")
 
 
 def _resolve_mode(requested: str, network) -> str:
@@ -128,7 +144,7 @@ def cmd_inspect(args) -> dict:
     if len(catalog):
         report["inductive_schedulable_number"] = inductive_schedulable_number(catalog, closed)
     report["catalog_size"] = len(catalog)
-    report["catalog"] = [sorted(ls) for ls in catalog.sublink_sets]
+    report["catalog"] = _row_lists(catalog.incidence)  # sorted sub-link sets, in catalog order
     return report
 
 

@@ -85,6 +85,14 @@ class ConflictGraph:
         return not self.matrix[np.ix_(idx, idx)].any()
 
 
+def _gather_any(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    # out[u] ORs rows[index[u, k]] over k: one row gather per column of index
+    out = np.take(rows, index[:, 0], axis=0)
+    for column in index.T[1:]:
+        out |= np.take(rows, column, axis=0)
+    return out
+
+
 def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph:
     """Build the conflict graph of a network at link or hyperarc level."""
     if level not in ("link", "hyperarc"):
@@ -101,10 +109,13 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
     # hit[a, b]: the transmitter of link a reaches the receiver of link b,
     # so the diagonal is true; the trailing false row and column absorb padding
     hit = np.zeros((n + 1, n + 1), dtype=bool)
-    hit[:n, :n] = network.distances[np.ix_(tails, heads)] <= rho[:, None]
-    # touched[u, b]: some sub-link of u conflicts with link b
-    touched = (hit | hit.T)[index].any(axis=1)
-    matrix = touched[:, index].any(axis=2)
+    reach = np.take(np.take(network.distances, tails, axis=0), heads, axis=1)
+    np.less_equal(reach, rho[:, None], out=hit[:n, :n])
+    hit |= hit.T
+    # touched[u, b]: some sub-link of u conflicts with link b; the matrix is
+    # symmetric, so matrix[v, u] ORs touched[u, b] over v's sub-links b
+    touched = _gather_any(hit, index)
+    matrix = _gather_any(np.ascontiguousarray(touched.T), index)
     np.fill_diagonal(matrix, False)
     matrix.flags.writeable = False
     return ConflictGraph(level=level, sublink_index=index, link_count=n, matrix=matrix)
@@ -146,7 +157,8 @@ def compat_masks(cg: ConflictGraph, order: np.ndarray) -> list[int]:
     """Bit j of mask k: matrix rows order[j] and order[k] are distinct, non-conflicting vertices."""
     compat: list[int] = []
     for s in range(0, len(order), _MASK_ROWS):  # a block of rows, never a second V x V matrix
-        block = np.logical_not(cg.matrix[np.ix_(order[s : s + _MASK_ROWS], order)])
+        block = np.take(np.take(cg.matrix, order[s : s + _MASK_ROWS], axis=0), order, axis=1)
+        np.logical_not(block, out=block)
         block[np.arange(len(block)), np.arange(s, s + len(block))] = False
         compat += row_masks(block)
     return compat
@@ -181,11 +193,16 @@ def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
     return member.view(bool)[order]
 
 
-def _row_sets(rows: np.ndarray) -> tuple[frozenset[int], ...]:
-    # the 1-based column ids of each row's nonzero entries
+def _row_lists(rows: np.ndarray) -> list[list[int]]:
+    # the ascending 1-based column ids of each row's nonzero entries
+    rows = rows.astype(bool, copy=False)
     ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
-    ids = (np.nonzero(rows)[1] + 1).tolist()
-    return tuple(frozenset(ids[b:e]) for b, e in zip([0, *ends], ends))
+    ids = (np.flatnonzero(rows) % rows.shape[1] + 1).tolist()
+    return [ids[b:e] for b, e in zip([0, *ends], ends)]
+
+
+def _row_sets(rows: np.ndarray) -> tuple[frozenset[int], ...]:
+    return tuple(map(frozenset, _row_lists(rows)))
 
 
 def enumerate_schedulable_sets(

@@ -10,13 +10,15 @@ conflict graphs from testing every vertex pair with the pairwise
 protocol-model predicates below, greedy schedules from set-based
 loops, linear programs are solved by enumerating basis vertices with exact
 rational arithmetic, a simplex basis is certified by dense rational
-Gauss-Jordan over every row, and simplex phases are priced from scratch
-before every pivot.
+Gauss-Jordan over every row, simplex phases are priced from scratch
+before every pivot, and JSON reports are rendered by the standard
+library's encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from typing import Mapping
 
@@ -35,6 +37,7 @@ from multiflow import (
     build_network,
 )
 from multiflow.cfs import _scan, _scan_masks
+from multiflow.cli import _round9
 from multiflow.lp import LinearProgram
 from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link, distance
 
@@ -257,8 +260,9 @@ def loop_coding_first_mwis(candidates, omega, gh: ConflictGraph, adjacency=None)
 
 def loop_cfs_schedule(network: Network, gh: ConflictGraph, omega, demand) -> FractionalSchedule:
     """Per-vertex loop reference for ``multiflow.cfs_schedule`` (valid input only)."""
-    eps = 1e-12
     residual = np.asarray(demand, dtype=float).copy()
+    # 1e-12 in the units of the largest demand while that demand is under 1
+    eps = 1e-12 * min(1.0, max(residual.tolist(), default=0.0))
     surviving = set(range(1, gh.vertex_count + 1))
     adjacency = neighbor_sets(gh)
     sublinks = sublink_sets(gh)
@@ -355,6 +359,33 @@ def brute_force_max_independent_sets(cg: ConflictGraph) -> set[frozenset[int]]:
         if not extendable:
             found.add(frozenset(chosen))
     return found
+
+
+def ix_compat_masks(cg: ConflictGraph, order) -> list[int]:
+    """Reference for ``conflict.compat_masks``: one ``np.ix_`` block, bits set one at a time."""
+    free = np.logical_not(cg.matrix[np.ix_(order, order)])
+    return [sum(1 << j for j in range(len(order)) if j != k and free[k, j]) for k in range(len(order))]
+
+
+def sum_length_bound(demand, closed: np.ndarray) -> float:
+    """Reference for ``cfs_length_bound``: a Python ``sum`` over each closed row, ascending."""
+    d = np.asarray(demand, dtype=float)
+    return max((float(sum(d[row])) for row in closed), default=0.0)
+
+
+def _clean(obj):
+    if isinstance(obj, dict):
+        return {k: _clean(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_clean(v) for v in obj]
+    if isinstance(obj, float):
+        return _round9(obj)
+    return obj
+
+
+def json_render(report: dict) -> str:
+    """Reference for ``multiflow.cli.render_json``: the standard encoder on rounded floats."""
+    return json.dumps(_clean(report), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import multiflow.cfs as cfs_module
 from multiflow.conflict import compat_masks, inductive_schedulable_number
 
 from helpers import (
+    coded_grid,
     coding_first_mwis,
     loop_capacity,
     loop_cfs_schedule,
@@ -31,6 +32,7 @@ from helpers import (
     relay_coded,
     relay_plain,
     sublink_sets,
+    sum_length_bound,
 )
 
 
@@ -232,6 +234,20 @@ def test_cfs_length_bound_canonical():
         cfs_length_bound(np.ones(3), nb)
 
 
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_length_bound_is_bit_equal_to_an_ascending_sum(monkeypatch, block):
+    monkeypatch.setattr(cfs_module, "_BOUND_ROWS", block)
+    rng = np.random.default_rng(149)
+    nets = [random_network(rng) for _ in range(30)] + [coded_grid(4, 4), relay_coded()]
+    for net in nets:
+        closed = closed_neighborhoods(build_conflict_graph(net, "link"))
+        n = net.link_count
+        for d in (10.0 ** rng.uniform(-14, 3, n), rng.choice([0.0, 1e-14, 0.1, 0.3, 1e3], n)):
+            assert cfs_length_bound(d, closed).hex() == sum_length_bound(d, closed).hex()
+    empty = closed_neighborhoods(build_conflict_graph(build_network([]), "link"))
+    assert cfs_length_bound(np.zeros(0), empty) == 0.0
+
+
 def test_cfs_length_within_bound():
     rng = np.random.default_rng(67)
     for _ in range(60):
@@ -357,6 +373,19 @@ def test_scan_masks_pack_the_compat_masks_and_each_links_holders():
         assert_matches_oracle(net, gh, omega, d)
 
 
+def test_cfs_entries_repr_match_the_loop_oracle_off_the_coding_first_order():
+    rng = np.random.default_rng(151)
+    nets = [random_network(rng) for _ in range(20)] + [coded_grid(3, 3), coded_grid(4, 3)]
+    for net in nets:
+        gh = build_conflict_graph(net, "hyperarc")
+        omega = coding_first_ordering(gh)
+        while omega == coding_first_ordering(gh) and gh.vertex_count > 1:
+            omega = tuple((rng.permutation(gh.vertex_count) + 1).tolist())
+        for d in (random_demand(rng, net), rng.choice([0.0, 1e-13, 0.25, 0.5], net.link_count)):
+            got = cfs_schedule(net, gh, omega, d)
+            assert repr(got.entries) == repr(loop_cfs_schedule(net, gh, omega, d).entries)
+
+
 def test_cfs_matches_loop_oracle_on_any_scan_order():
     rng = np.random.default_rng(97)
     for _ in range(30):
@@ -370,22 +399,37 @@ def test_cfs_matches_loop_oracle_on_any_scan_order():
 
 
 def test_demand_at_or_under_the_cutoff_schedules_nothing():
+    # the cutoff is 1e-12 times the largest demand while that demand is under 1
     net, gh, omega = coded_setup()
-    for d in ([0.0, 0.0, 0.0, 0.0], [1e-12, 0.0, 5e-13, 1e-300]):
-        assert assert_matches_oracle(net, gh, omega, np.array(d)).entries == ()
+    assert assert_matches_oracle(net, gh, omega, np.zeros(4)).entries == ()
+    # links 1, 3 and 4 at or under 1e-12 next to a demand of 1: only hyperarc 2 runs
+    sched = assert_matches_oracle(net, gh, omega, np.array([1e-12, 1.0, 5e-13, 1e-300]))
+    assert [(sorted(vs), lam) for vs, lam in sched.entries] == [([2], 1.0)]
     # link 2 at the cutoff: hyperarc 5 (links 3 and 4) still runs, hyperarc 2 never does
-    sched = assert_matches_oracle(net, gh, omega, np.array([0.2, 1e-12, 0.3, 0.4]))
+    sched = assert_matches_oracle(net, gh, omega, np.array([0.2, 1e-12 * 0.4, 0.3, 0.4]))
     got = [(sorted(vs), round(lam, 12)) for vs, lam in sched.entries]
     assert got == [([5], 0.3), ([1], 0.2), ([4], 0.1)]
 
 
 def test_a_residual_left_exactly_at_the_cutoff_settles():
-    # x - lam is exactly 1e-12, which counts as served: vertex 2 never runs
+    # x - lam is exactly 1e-12, which counts as served: vertex 2 never runs;
+    # link 3, which no vertex holds, puts the largest demand at 1
     lam, x = 1.0000000000000004e-12, 2.0000000000000004e-12
     assert x - lam == 1e-12
-    gh = make_conflict_graph(2, [(1, 2)], sublinks=[{1, 2}, {2}], link_count=2)
-    sched = assert_matches_oracle(line_network(2), gh, (1, 2), np.array([lam, x]))
+    gh = make_conflict_graph(2, [(1, 2)], sublinks=[{1, 2}, {2}], link_count=4)
+    sched = assert_matches_oracle(line_network(3), gh, (1, 2), np.array([lam, x, 1.0, 0.0]))
     assert sched.entries == ((frozenset({1}), lam),)
+
+
+@pytest.mark.parametrize("unit", [1e-13, 1e-9])
+def test_demands_in_small_units_are_delivered(unit):
+    net, gh, omega = coded_setup()
+    for d in (np.full(4, unit), np.array([1.0, 0.0, 0.5, 0.25]) * unit):
+        sched = assert_matches_oracle(net, gh, omega, d)
+        assert np.allclose(loop_capacity(sched, net), d, rtol=1e-9, atol=0.0)
+    sched = cfs_schedule(net, gh, omega, np.full(4, unit))
+    assert [sorted(vs) for vs, _ in sched.entries] == [[5], [1], [2]]
+    assert sched.length == pytest.approx(3 * unit, rel=1e-9)
 
 
 def test_a_link_no_surviving_vertex_holds_is_left_unserved():

@@ -13,7 +13,9 @@ import json
 
 import pytest
 
-from multiflow.cli import build_parser, main
+from multiflow.cli import build_parser, main, render_json
+
+from helpers import json_render
 
 README_DEMAND = '{"1-3": 0.25, "3-2": 0.125}'
 
@@ -140,3 +142,68 @@ def test_inspect_reports_on_4x4_grids_hold_only_builtin_types(tmp_path, name):
     report = report_of(["inspect", str(path), "--cap", "100"])
     assert report["catalog"]
     assert_builtin(report)
+
+
+@pytest.mark.parametrize("run", sorted(RUNS) + ["demo"])
+@pytest.mark.parametrize("demo", ["two_way_relay_plain", "two_way_relay_coded"])
+def test_render_json_matches_the_standard_encoder(tmp_path, capsys, demo, run):
+    if run == "demo":
+        argv = ["demo", "--dir", str(tmp_path)]
+    else:
+        argv = demo_argv(capsys, tmp_path, demo, run)
+    report = report_of(argv)
+    assert render_json(report) == json_render(report)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GOLDEN))
+def test_render_json_of_4x4_grid_inspect_matches_the_standard_encoder(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(grid_instance(4, 4, name.endswith("coded"))))
+    report = report_of(["inspect", str(path), "--cap", "100"])
+    assert render_json(report) == json_render(report)
+
+
+EDGE_REPORTS = {
+    "empty": {},
+    "nested empty": {"a": {}, "b": [], "c": [[], {}, [[]]], "d": {"e": {"f": []}}},
+    "strings": {
+        "note": 'caf\u00e9 \u2013 \u2603 "quoted" back\\slash\nline\ttab\u0001 \U0001f600',
+        "\u043a\u043b\u044e\u0447": "\u5024",
+        "": "",
+        "list": ["a", "\"", "\\", "\u00ff"],
+    },
+    "bool and None": {
+        "yes": True,
+        "no": False,
+        "none": None,
+        "flags": [True, False],
+        "mixed": [True, 1, None, 0, False],
+    },
+    "int and float": {
+        "i": 1,
+        "f": 1.0,
+        "ints": [1, 2, 3],
+        "mixed": [1, 1.0, 2, 2.5],
+        "big": 10**30,
+        "negative": [-1, -2],
+        "nested": [[1, 2], [3.0, 4], [{"k": 5}]],
+    },
+    "negative zero and tiny values": {
+        "z": -0.0,
+        "tiny": [1e-13, -9.99e-13, 1e-12, -1e-12, 5e-324, -5e-324],
+        "zeros": [0.0, -0.0, 0],
+    },
+    "rounding": {
+        "third": 1 / 3,
+        "large": 123456789012.0,
+        "small": 1.23456789123e-7,
+        "inf": [float("inf"), float("-inf")],
+        "nan": float("nan"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_REPORTS))
+def test_render_json_matches_the_standard_encoder_on_edge_values(name):
+    report = EDGE_REPORTS[name]
+    assert render_json(report) == json_render(report)

@@ -17,7 +17,7 @@ from multiflow import (
     solve_mmf,
 )
 import multiflow.conflict as conflict_module
-from multiflow.conflict import compat_masks, inductive_schedulable_number
+from multiflow.conflict import _row_lists, compat_masks, inductive_schedulable_number
 from multiflow.model import distance
 
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     closed_sets,
     coded_grid,
     hyperarcs_conflict,
+    ix_compat_masks,
     links_conflict,
     loop_inductive_schedulable_number,
     loop_schedulable_sets,
@@ -190,6 +191,13 @@ def tie_network(nudge: bool):
     return build_network(nodes, hyperarcs=[(3, (4, 5))])
 
 
+@pytest.mark.parametrize("size", [(3, 3), (4, 3)])
+def test_graphs_match_pairwise_oracle_at_coding_degree_three(size):
+    net = coded_grid(*size, max_coding_degree=3)
+    assert net.max_weight == 3
+    assert_matches_pairwise(net)
+
+
 def test_interference_tie_is_an_edge_in_both_matrices():
     for nudge in (False, True):
         net = tie_network(nudge)
@@ -339,6 +347,26 @@ def test_catalog_search_keeps_its_own_stack():
     assert enumerate_schedulable_sets(edgeless, cap=1500).hyperarc_sets == (
         frozenset(range(1, 1501)),
     )
+
+
+def test_compat_masks_match_an_ix_block_on_random_permutations():
+    rng = np.random.default_rng(131)
+    for n in (0, 1, 2, 9, 64, 65, 130):
+        cg = make_conflict_graph(n, random_edges(rng, n, float(rng.uniform(0.05, 0.6))))
+        for order in (rng.permutation(n), rng.permutation(n), np.arange(n)):
+            assert compat_masks(cg, order) == ix_compat_masks(cg, order)
+    gh = build_conflict_graph(coded_grid(3, 3), "hyperarc")
+    order = rng.permutation(gh.vertex_count)
+    assert compat_masks(gh, order) == ix_compat_masks(gh, order)
+
+
+def test_catalog_row_lists_are_the_sorted_sub_link_sets():
+    rng = np.random.default_rng(137)
+    nets = [random_network(rng) for _ in range(30)] + [coded_grid(3, 3), relay_coded()]
+    for net in nets:
+        for level in ("link", "hyperarc"):
+            catalog = enumerate_schedulable_sets(build_conflict_graph(net, level), cap=100)
+            assert _row_lists(catalog.incidence) == [sorted(ls) for ls in catalog.sublink_sets]
 
 
 @pytest.mark.parametrize("block", [1, 7, 8, 64])
