@@ -8,9 +8,10 @@ of these graphs; the catalog enumerates the maximal ones.
 
 Each graph is one read-only boolean matrix. Distances come from the
 network's ``distances`` table (``math.hypot``; numpy's hypot may round a
-tie the other way); one broadcast tests every link pair, and a hyperarc
-takes the link rows and columns of its sub-links, read off the network's
-padded ``sublink_index`` table; the links are its first ``link_count`` rows.
+tie the other way) at its ``link_ends`` positions; one broadcast tests
+every link pair, and a hyperarc takes the link rows and columns of its
+sub-links, read off the network's padded ``sublink_index`` table; the
+links are its first ``link_count`` rows.
 
 The catalog comes from Bron-Kerbosch with pivoting on the complement
 graph, each vertex set a Python int with bit v-1 for vertex v; its
@@ -101,11 +102,8 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
     # the links are the first n hyperarcs, each delivering itself alone
     index = network.sublink_index[: n if level == "link" else None]
 
-    nodes = network.nodes
-    position = {nd.id: p for p, nd in enumerate(nodes)}
-    tails = [position[lk.tail] for lk in network.links]
-    heads = [position[lk.head] for lk in network.links]
-    rho = np.array([nodes[p].interf_radius for p in tails])
+    tails, heads = network.link_ends
+    rho = np.array([nd.interf_radius for nd in network.nodes])[tails]
     # hit[a, b]: the transmitter of link a reaches the receiver of link b,
     # so the diagonal is true; the trailing false row and column absorb padding
     hit = np.zeros((n + 1, n + 1), dtype=bool)

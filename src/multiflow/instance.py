@@ -47,7 +47,10 @@ def _require_int(value: Any, where: str) -> int:
 def _require_number(value: Any, where: str) -> float:
     if type(value) not in (int, float):
         raise ValidationError(f"{where}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond float range
+        out = math.inf
     if not math.isfinite(out):
         raise ValidationError(f"{where}: non-finite number")
     return out
@@ -171,7 +174,7 @@ def _read_json(path: str | Path) -> Any:
 
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or undecodable
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text, object_pairs_hook=unique)

@@ -119,11 +119,10 @@ def solve_mmf(
     n = network.link_count
     k = len(commodities)
     # inflow[p, a]: +1 when link a enters the p-th node, -1 when it leaves it
+    # (a link's tail and head differ, so each entry is written at most once)
+    inflow = np.zeros((len(network.nodes), n))
+    inflow[network.link_ends, np.arange(n)] = [[-1.0], [1.0]]
     position = {node.id: p for p, node in enumerate(network.nodes)}
-    inflow = np.zeros((len(position), n))
-    for lk in network.links:
-        inflow[position[lk.head], lk.index - 1] = 1.0
-        inflow[position[lk.tail], lk.index - 1] = -1.0
     pairs = [(position[com.source], position[com.sink]) for com in commodities]
     ends = np.array(pairs, dtype=np.intp).reshape(k, 2)
     # conservation at every node a link touches, except the commodity's own ends

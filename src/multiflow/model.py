@@ -2,14 +2,15 @@
 
 A node reaches receivers within its communication radius and occupies the
 medium within its interference radius, which is never smaller. Each
-network measures every node pair once, with ``math.hypot``; its links (the
-ordered in-range pairs, indexed 1..n in lexicographic (tail, head) order)
-and its conflict graphs all read that one table. A hyperarc (i, J) is one
-broadcast transmission from node i heard by every head in J; its sub-links
-(i, j) for j in J must all exist as links, and every link doubles as the
-weight-1 hyperarc delivering just itself. One padded table, built with
-the hyperarcs, maps each to its sub-links for every reader of the
-network. ``build_network`` is another name for the ``Network`` constructor.
+network measures every node pair once, one ``math.hypot`` map over the
+coordinate differences; its links (the ordered in-range pairs, indexed
+1..n in lexicographic (tail, head) order, their ends kept as node
+positions) and its conflict graphs all read that one table. A hyperarc
+(i, J) is one broadcast transmission from node i heard by every head in J;
+its sub-links (i, j) for j in J must all exist as links, and every link
+doubles as the weight-1 hyperarc delivering just itself. One padded table,
+built with the hyperarcs, maps each to its sub-links for every reader of
+the network. ``build_network`` is another name for the ``Network`` constructor.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ class Node:
             )
 
 
-def distance(u: Node, v: Node) -> float:
-    """Euclidean distance between two nodes."""
-    return math.hypot(u.x - v.x, u.y - v.y)
-
-
 @dataclass(frozen=True)
 class Link:
     """A directed in-range pair (tail, head) with its 1-based canonical index."""
@@ -61,22 +57,6 @@ class Link:
     tail: int
     head: int
     index: int
-
-    def __post_init__(self) -> None:
-        if self.tail == self.head:
-            raise ValidationError(f"link ({self.tail}, {self.head}): tail equals head")
-
-
-def _checked_heads(tail: int, heads: Iterable[int]) -> frozenset[int]:
-    listed = list(heads)
-    heads = frozenset(listed)
-    if not heads:
-        raise ValidationError(f"hyperarc at node {tail}: empty head set")
-    if len(heads) != len(listed):
-        raise ValidationError(f"hyperarc at node {tail}: repeated head id")
-    if tail in heads:
-        raise ValidationError(f"hyperarc at node {tail}: tail listed among heads")
-    return heads
 
 
 @dataclass(frozen=True)
@@ -91,9 +71,6 @@ class Hyperarc:
     heads: frozenset[int]
     index: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "heads", _checked_heads(self.tail, self.heads))
-
     @property
     def weight(self) -> int:
         return len(self.heads)
@@ -104,14 +81,16 @@ class Network:
 
     ``distances[p, q]`` is the ``math.hypot`` distance of the p-th and q-th
     nodes in id order; link (i, j) exists when 0 < d(i, j) <= comm_radius(i).
-    Explicit head sets win over ``coding_nodes``, which give each coding
+    Read-only ``link_ends`` holds each link's tail and head positions in
+    ``nodes`` as its two rows, in link order. Explicit head sets, checked
+    here and only here, win over ``coding_nodes``, which give each coding
     node every 2..``max_coding_degree`` subset of its out-neighbors; with
     neither, the hyperarcs are the links. Hyperarcs list one weight-1 entry
-    per link, with its index, then the coded head sets sorted by (tail,
-    weight, sorted heads). Coding node ids must exist, and the degree must
-    be at least 2 whichever applies. Read-only ``sublink_index[h-1]`` lists
-    hyperarc h's 0-based link positions in ascending order, padded with
-    ``link_count`` up to the largest weight (at least one column).
+    per link, then the coded head sets sorted by (tail, weight, sorted
+    heads). Coding node ids must exist, and the degree must be at least 2
+    whichever applies. Read-only ``sublink_index[h-1]`` lists hyperarc h's
+    0-based link positions in ascending order, padded with ``link_count``
+    up to the largest weight (at least one column).
     """
 
     def __init__(
@@ -129,14 +108,19 @@ class Network:
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ValidationError(f"duplicate node ids: {dup}")
         self._node_map = {nd.id: nd for nd in self._nodes}
-        dist = [distance(u, v) for u in self._nodes for v in self._nodes]
-        self._distances = np.reshape(dist, (len(ids), len(ids)))
+        # the same float subtraction and math.hypot per ordered pair as a scalar loop
+        xy = np.array([(nd.x, nd.y) for nd in self._nodes], dtype=float).reshape(-1, 2)
+        dx, dy = (np.subtract.outer(c, c).ravel().tolist() for c in xy.T)
+        dist = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(ids) ** 2)
+        self._distances = dist.reshape(len(ids), len(ids))
         self._distances.flags.writeable = False
         radius = np.array([nd.comm_radius for nd in self._nodes])
         # row-major nonzero order is (tail id, head id) order
-        tails, heads = np.nonzero((self._distances > 0) & (self._distances <= radius[:, None]))
-        pairs = zip(tails.tolist(), heads.tolist())
-        self._links = tuple(Link(ids[t], ids[h], k + 1) for k, (t, h) in enumerate(pairs))
+        ends = np.array(np.nonzero((self._distances > 0) & (self._distances <= radius[:, None])))
+        ends.flags.writeable = False
+        self._link_ends = ends
+        tail_ids, head_ids = ([ids[p] for p in row] for row in ends.tolist())
+        self._links = tuple(map(Link, tail_ids, head_ids, range(1, len(head_ids) + 1)))
         self._by_ends = {(lk.tail, lk.head): lk for lk in self._links}
 
         n = len(self._links)
@@ -146,7 +130,7 @@ class Network:
         made: set[tuple[int, tuple[int, ...]]] = set()  # explicit (tail, row) keys
         if hyperarcs is None:
             # out-link positions run in head order, so each combination is a table row
-            runs = itertools.groupby(range(n), key=lambda p: self._links[p].tail)
+            runs = itertools.groupby(range(n), key=tail_ids.__getitem__)
             outs = {tail: list(run) for tail, run in runs}
             rows = [
                 (nid, combo)
@@ -156,7 +140,14 @@ class Network:
             ]
         else:  # explicit head sets as (tail, sub-link positions)
             for tail, heads in hyperarcs:
-                hs = sorted(_checked_heads(tail, heads))
+                listed = list(heads)
+                hs = sorted(set(listed))
+                if not hs:
+                    raise ValidationError(f"hyperarc at node {tail}: empty head set")
+                if len(hs) != len(listed):
+                    raise ValidationError(f"hyperarc at node {tail}: repeated head id")
+                if tail in hs:
+                    raise ValidationError(f"hyperarc at node {tail}: tail listed among heads")
                 if tail not in self._node_map:
                     raise ValidationError(f"hyperarc tail {tail}: unknown node id")
                 for j in hs:
@@ -176,10 +167,10 @@ class Network:
         width = max((len(row) for _, row in rows), default=1)
         table = np.full((n + len(rows), width), n, dtype=np.intp)
         table[:n, 0] = np.arange(n)
-        arcs = [Hyperarc(lk.tail, frozenset((lk.head,)), lk.index) for lk in self._links]
+        arcs = list(map(Hyperarc, tail_ids, map(frozenset, zip(head_ids)), range(1, n + 1)))
         for k, (tail, row) in enumerate(rows, n):
             table[k, : len(row)] = row
-            arcs.append(Hyperarc(tail, frozenset(self._links[p].head for p in row), k + 1))
+            arcs.append(Hyperarc(tail, frozenset(head_ids[p] for p in row), k + 1))
         table.flags.writeable = False
         self._sublink_index = table
         self._hyperarcs = tuple(arcs)
@@ -191,6 +182,10 @@ class Network:
     @property
     def distances(self) -> np.ndarray:
         return self._distances
+
+    @property
+    def link_ends(self) -> np.ndarray:
+        return self._link_ends
 
     @property
     def links(self) -> tuple[Link, ...]:
@@ -214,7 +209,7 @@ class Network:
 
     @property
     def max_weight(self) -> int:
-        return max((h.weight for h in self._hyperarcs), default=0)
+        return self._sublink_index.shape[1] if self._links else 0
 
     def node(self, node_id: int) -> Node:
         try:

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the package internals:
 maximal independent sets come from filtering every vertex subset or from
 a frozenset Bron-Kerbosch, catalogs and the inductive schedulable number
-from set loops, links from one ``distance`` call per ordered node pair,
+from set loops, distances from one ``math.hypot`` call per ordered node
+pair, links from one ``distance`` call per ordered pair of distinct nodes,
 generated hyperarcs from ``itertools.combinations`` over those links,
 sub-link rows from per-head link lookups, padded the old way,
 conflict graphs from testing every vertex pair with the pairwise
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -39,7 +41,7 @@ from multiflow import (
 from multiflow.cfs import _scan, _scan_masks
 from multiflow.cli import _round9
 from multiflow.lp import LinearProgram
-from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link, distance
+from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link
 
 # ---------------------------------------------------------------------------
 # canonical two-way relay fixtures
@@ -183,6 +185,18 @@ def pairwise_adjacency(network: Network, level: str) -> tuple[frozenset[int], ..
             adj[p].add(q + 1)
             adj[q].add(p + 1)
     return tuple(frozenset(a) for a in adj)
+
+
+def distance(u: Node, v: Node) -> float:
+    """Euclidean distance between two nodes, one ``math.hypot`` call."""
+    return math.hypot(u.x - v.x, u.y - v.y)
+
+
+def loop_distances(nodes) -> np.ndarray:
+    """Per-pair reference for ``Network.distances``: nodes in id order."""
+    ordered = sorted(nodes, key=lambda nd: nd.id)
+    rows = [[distance(u, v) for v in ordered] for u in ordered]
+    return np.array(rows, dtype=float).reshape(len(ordered), len(ordered))
 
 
 def loop_links(nodes) -> list[tuple[int, int]]:

@@ -322,3 +322,23 @@ def test_a_network_without_links_reports_zeros(demo_dir, tmp_path, capsys, comma
     assert {k: type(v) for k, v in numbers.items()} == {k: type(demo[k]) for k in numbers}
     assert "relative_gain" not in report
     assert report.get("catalog") == ([] if command == "inspect" else None)
+
+
+def test_an_integer_beyond_float_range_exits_1(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(relay_data()).replace('"x": 0.0', f'"x": {huge}', 1))
+    assert main(["inspect", str(instance)]) == 1
+    assert capsys.readouterr().err == "error: nodes[0].x: non-finite number\n"
+    instance.write_text(json.dumps(relay_data()))
+    demand = tmp_path / "demand.json"
+    demand.write_text(f'{{"1-3": {huge}}}')
+    assert main(["schedule", str(instance), "--demand", str(demand)]) == 1
+    assert capsys.readouterr().err == "error: demand['1-3']: non-finite number\n"
+
+
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    instance = tmp_path / "instance.json"
+    instance.write_bytes(b"\xff\xfe" + json.dumps(relay_data()).encode("utf-16-le"))
+    assert main(["inspect", str(instance)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {instance}: ")

@@ -18,12 +18,12 @@ from multiflow import (
 )
 import multiflow.conflict as conflict_module
 from multiflow.conflict import _row_lists, compat_masks, inductive_schedulable_number
-from multiflow.model import distance
 
 from helpers import (
     brute_force_max_independent_sets,
     closed_sets,
     coded_grid,
+    distance,
     hyperarcs_conflict,
     ix_compat_masks,
     links_conflict,

@@ -1,6 +1,7 @@
 """JSON instance and demand parsing."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -241,3 +242,32 @@ def test_json_files_reject_a_repeated_key(tmp_path):
         load_instance(instance)
     instance.write_text(text)
     assert load_instance(instance).network.link_count == 4
+
+
+HUGE = "1" + "0" * 400  # a JSON integer beyond float range
+
+
+def test_an_integer_beyond_float_range_is_non_finite():
+    big = json.loads(HUGE)
+    data = canonical_data()
+    data["nodes"][0]["x"] = big
+    with pytest.raises(ValidationError) as err:
+        parse_instance(data)
+    assert str(err.value) == "nodes[0].x: non-finite number"
+    data = {**canonical_data(), "bandwidth": {"1-3": big}}
+    with pytest.raises(ValidationError) as err:
+        parse_instance(data)
+    assert str(err.value) == "bandwidth['1-3']: non-finite number"
+    net = parse_instance(canonical_data()).network
+    with pytest.raises(ValidationError) as err:
+        parse_demand({"1-3": big}, net)
+    assert str(err.value) == "demand['1-3']: non-finite number"
+
+
+def test_a_file_that_is_not_utf8_cannot_be_read(tmp_path):
+    net = parse_instance(canonical_data()).network
+    for name, load in (("instance", load_instance), ("demand", lambda p: load_demand(p, net))):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(canonical_data()).encode("utf-16-le"))
+        with pytest.raises(ValidationError, match=re.escape(f"cannot read {path}: ")):
+            load(path)
