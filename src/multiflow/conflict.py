@@ -17,8 +17,8 @@ The catalog comes from Bron-Kerbosch with pivoting on the complement
 graph, each vertex set a Python int with bit v-1 for vertex v; its
 complement rows are the ``compat_masks`` the greedy scans with. The found
 sets are unpacked into one boolean member matrix, which scatters through
-the sub-link table into the incidence matrix and splits into frozensets,
-shared with the vertex sets when the two matrices hold the same values.
+the sub-link table into a boolean incidence matrix; the catalog keeps the
+two and splits their rows into frozensets only when a set tuple is read.
 Catalog order is ascending sorted vertex tuple; maximal sets never nest,
 so that is descending row order read as binary numbers with vertex 1 the
 top bit, and numpy sorts the packed rows without building tuples. The
@@ -29,6 +29,7 @@ closed`` (``closed`` the links' closed neighborhoods), a block at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -123,18 +124,27 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
 class SchedulableSetCatalog:
     """Maximal schedulable sets with their sub-link expansions.
 
-    ``hyperarc_sets[k]`` is a maximal independent set of graph vertices;
-    ``sublink_sets[k]`` is the union of those vertices' sub-links; and
-    ``incidence[k]`` is its 0/1 row over the link ordering.
+    ``member[k]`` is a maximal independent set and ``incidence[k]`` the union
+    of its vertices' sub-links, as read-only boolean rows over the vertices
+    and the links; ``hyperarc_sets`` and ``sublink_sets`` split those rows
+    into frozensets of 1-based ids on first read.
     """
 
-    hyperarc_sets: tuple[frozenset[int], ...]
-    sublink_sets: tuple[frozenset[int], ...]
+    member: np.ndarray
     incidence: np.ndarray
     link_count: int
 
     def __len__(self) -> int:
-        return len(self.hyperarc_sets)
+        return len(self.member)
+
+    @cached_property
+    def hyperarc_sets(self) -> tuple[frozenset[int], ...]:
+        return _row_sets(self.member)
+
+    @cached_property
+    def sublink_sets(self) -> tuple[frozenset[int], ...]:
+        same = np.array_equal(self.member, self.incidence)  # every set's links are its vertex ids
+        return self.hyperarc_sets if same else _row_sets(self.incidence)
 
 
 def _bits(x: int):
@@ -220,21 +230,15 @@ def enumerate_schedulable_sets(
             f"raise the cap or use the greedy scheduler"
         )
     member = _maximal_independent_sets(cg)
-    sets = _row_sets(member)
     n = cg.link_count
     rows, verts = np.nonzero(member)
     links = cg.sublink_index[verts]
     real = links < n
-    incidence = np.zeros((len(member), n))
-    incidence[np.broadcast_to(rows[:, None], links.shape)[real], links[real]] = 1.0
-    same = np.array_equal(member, incidence)  # every set's links are its vertex ids
-    del member, rows, verts, links, real
-    return SchedulableSetCatalog(
-        hyperarc_sets=sets,
-        sublink_sets=sets if same else _row_sets(incidence),
-        incidence=incidence,
-        link_count=n,
-    )
+    incidence = np.zeros((len(member), n), dtype=bool)
+    incidence[np.broadcast_to(rows[:, None], links.shape)[real], links[real]] = True
+    member.flags.writeable = False
+    incidence.flags.writeable = False
+    return SchedulableSetCatalog(member=member, incidence=incidence, link_count=n)
 
 
 def closed_neighborhoods(g: ConflictGraph) -> np.ndarray:
@@ -252,10 +256,11 @@ def inductive_schedulable_number(catalog: SchedulableSetCatalog, closed: np.ndar
     This is the factor by which the greedy schedule length can exceed the
     optimal fractional length.
     """
-    if not catalog.sublink_sets:
+    if not len(catalog):
         raise ValidationError("empty schedulable-set catalog")
     if not closed.size:
         raise ValidationError("no links, so no conflict neighborhoods")
-    # overlap counts for _ISN_ROWS sets at a time, never a catalog-sized product
-    blocks = range(0, len(catalog), _ISN_ROWS)
-    return int(max((catalog.incidence[k : k + _ISN_ROWS] @ closed).max() for k in blocks))
+    # overlap counts for _ISN_ROWS sets at a time, never a catalog-sized product,
+    # in float: a boolean product would OR the overlaps, not count them
+    blocks = (catalog.incidence[k : k + _ISN_ROWS] for k in range(0, len(catalog), _ISN_ROWS))
+    return int(max((block.astype(float) @ closed).max() for block in blocks))

@@ -136,7 +136,7 @@ def solve_mmf(
     A = np.zeros((conserve + n + 1, c.size))
     A[np.arange(conserve)[:, None], com_of[:, None] * n + np.arange(n)] = inflow[node_of]
     A[conserve:-1, : k * n] = np.tile(np.diag(1.0 / bw), k)
-    np.negative(catalog.incidence.T, out=A[conserve:-1, k * n :])
+    np.negative(catalog.incidence.T, dtype=float, out=A[conserve:-1, k * n :])
     A[-1, k * n :] = 1.0  # the budget
     bounds = np.zeros(A.shape[0])
     bounds[-1] = 1.0
@@ -169,7 +169,8 @@ def _covering_shares(demand, catalog: SchedulableSetCatalog) -> tuple[dict[int, 
         raise UncoverableDemandError(
             f"links {missing} have positive demand but appear in no schedulable set"
         )
-    out = solve_lp(LinearProgram(-np.ones(len(catalog)), -catalog.incidence.T, -d))
+    rows = np.negative(catalog.incidence.T, dtype=float)
+    out = solve_lp(LinearProgram(-np.ones(len(catalog)), rows, -d))
     if out.status != "optimal":
         raise SolverError(f"schedule LP ended {out.status}")
     # unlike -x, 0.0 - x gives no -0.0 for an empty program

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -32,7 +33,6 @@ from multiflow import (
     FractionalSchedule,
     Network,
     Node,
-    SchedulableSetCatalog,
     SolverError,
     ValidationError,
     build_conflict_graph,
@@ -335,24 +335,36 @@ def loop_maximal_independent_sets(cg: ConflictGraph) -> tuple[frozenset[int], ..
     return tuple(found)
 
 
-def loop_schedulable_sets(cg: ConflictGraph) -> SchedulableSetCatalog:
+@dataclass(frozen=True, eq=False)
+class LoopCatalog:
+    """A catalog as the set loops build it: both set tuples stored, each matrix filled from one."""
+
+    hyperarc_sets: tuple[frozenset[int], ...]
+    sublink_sets: tuple[frozenset[int], ...]
+    member: np.ndarray
+    incidence: np.ndarray
+    link_count: int
+
+    def __len__(self) -> int:
+        return len(self.hyperarc_sets)
+
+
+def loop_schedulable_sets(cg: ConflictGraph) -> LoopCatalog:
     """Set-loop reference for ``multiflow.enumerate_schedulable_sets`` (no cap)."""
     sets = loop_maximal_independent_sets(cg)
     sublinks = sublink_sets(cg)
     unions = tuple(frozenset().union(*(sublinks[v - 1] for v in s)) for s in sets)
-    incidence = np.zeros((len(sets), cg.link_count))
-    for k, ls in enumerate(unions):
+    member = np.zeros((len(sets), cg.vertex_count), dtype=bool)
+    incidence = np.zeros((len(sets), cg.link_count), dtype=bool)
+    for k, (s, ls) in enumerate(zip(sets, unions)):
+        for v in s:
+            member[k, v - 1] = True
         for a in ls:
-            incidence[k, a - 1] = 1.0
-    return SchedulableSetCatalog(
-        hyperarc_sets=sets,
-        sublink_sets=unions,
-        incidence=incidence,
-        link_count=cg.link_count,
-    )
+            incidence[k, a - 1] = True
+    return LoopCatalog(sets, unions, member, incidence, cg.link_count)
 
 
-def loop_inductive_schedulable_number(catalog: SchedulableSetCatalog, neighborhoods) -> int:
+def loop_inductive_schedulable_number(catalog, neighborhoods) -> int:
     """Set-loop reference for ``inductive_schedulable_number`` (nonempty inputs)."""
     return max(len(ls & nb) for ls in catalog.sublink_sets for nb in closed_sets(neighborhoods))
 

@@ -1,6 +1,7 @@
 """Conflict graphs, schedulable-set enumeration, and neighborhood bounds."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -233,6 +234,35 @@ def test_canonical_catalog():
     assert np.array_equal(catalog.incidence, expected)
 
 
+def test_catalog_matrices_are_read_only():
+    catalog = enumerate_schedulable_sets(build_conflict_graph(relay_coded(), "hyperarc"))
+    for matrix in (catalog.member, catalog.incidence):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = False
+    assert [sorted(s) for s in catalog.hyperarc_sets] == [[1], [2], [3], [4], [5]]
+
+
+def test_catalog_splits_its_sets_only_when_read():
+    catalog = enumerate_schedulable_sets(build_conflict_graph(relay_plain(), "link"))
+    assert "hyperarc_sets" not in vars(catalog) and "sublink_sets" not in vars(catalog)
+    assert len(catalog) == 4
+    assert "hyperarc_sets" not in vars(catalog)
+    assert catalog.sublink_sets is catalog.hyperarc_sets is vars(catalog)["hyperarc_sets"]
+
+
+def test_5x5_catalog_enumeration_stays_under_16_mib():
+    # 31,770 sets over 80 links: the two boolean matrices, not a frozenset per set
+    gh = build_conflict_graph(build_network(coded_grid(5, 5).nodes), "hyperarc")
+    tracemalloc.start()
+    try:
+        catalog = enumerate_schedulable_sets(gh, cap=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(catalog) == 31770
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
 def test_enumeration_cap():
     gh = build_conflict_graph(relay_coded(), "hyperarc")
     with pytest.raises(EnumerationCapError):
@@ -301,7 +331,8 @@ def assert_catalog_matches_loop_oracle(cg, nb) -> None:
     # tuple equality pins the order as well as every entry
     assert got.hyperarc_sets == want.hyperarc_sets
     assert got.sublink_sets == want.sublink_sets
-    assert got.incidence.dtype == np.float64
+    assert got.member.dtype == got.incidence.dtype == bool
+    assert np.array_equal(got.member, want.member)
     assert np.array_equal(got.incidence, want.incidence)
     assert got.link_count == want.link_count
     if len(want):

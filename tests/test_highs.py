@@ -67,7 +67,11 @@ def test_covering_lengths_on_4x4_grids_match_highs(coded):
         d = rng.uniform(0.0, 0.2, net.link_count)
         _, length = optimal_fractional_schedule(d, catalog)
         res = linprog(
-            np.ones(len(catalog)), A_ub=-catalog.incidence.T, b_ub=-d, bounds=(0, None), method="highs"
+            np.ones(len(catalog)),
+            A_ub=-catalog.incidence.T.astype(float),
+            b_ub=-d,
+            bounds=(0, None),
+            method="highs",
         )
         assert res.status == 0
         assert abs(length - res.fun) <= 1e-9 * max(1.0, res.fun)

@@ -21,11 +21,13 @@ from multiflow import (
     polytope_membership,
     solve_mmf,
 )
+import multiflow.mmf as mmf_module
 from multiflow.instance import parse_demand
 from multiflow.schedule import check_per_link
 
 from helpers import (
     assert_valid_solution,
+    coded_grid,
     random_commodities,
     random_network,
     relay_coded,
@@ -58,8 +60,10 @@ def test_the_audit_rejects_a_scheduled_set_that_conflicts():
     net, coms = relay_plain(), relay_commodities()
     sol = solve_mmf(net, coms, mode="plain")
     assert all(len(sol.catalog.hyperarc_sets[j]) == 1 for j in sol.schedule_weights)
-    both = tuple(frozenset(s | {1, 2}) for s in sol.catalog.hyperarc_sets)
-    tampered = dataclasses.replace(sol, catalog=dataclasses.replace(sol.catalog, hyperarc_sets=both))
+    both = sol.catalog.member.copy()
+    both[:, :2] = True  # every set gains vertices 1 and 2
+    tampered = dataclasses.replace(sol, catalog=dataclasses.replace(sol.catalog, member=both))
+    assert all({1, 2} <= s for s in tampered.catalog.hyperarc_sets)
     with pytest.raises(AssertionError):
         assert_valid_solution(net, coms, tampered)
 
@@ -78,6 +82,34 @@ def test_two_way_relay_coded_throughput():
         if w > 1e-9
     ]
     assert frozenset({3, 4}) in used
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_lp_rows_keep_every_bit_of_a_float_incidence_assembly(monkeypatch, width):
+    # the boolean incidence is negated in float: -1.0 and -0.0 entries, as from a float one
+    programs = []
+    solve_lp = mmf_module.solve_lp
+    monkeypatch.setattr(mmf_module, "solve_lp", lambda p, **kw: programs.append(p) or solve_lp(p, **kw))
+
+    def assert_same_bits(rows, want):
+        assert np.array_equal(rows, want)
+        assert np.array_equal(np.signbit(rows), np.signbit(want))
+
+    net = coded_grid(width, 3)
+    last = width * 3
+    coms = (Commodity(1, last), Commodity(last, 1), Commodity(width, last - width + 1))
+    k, n = len(coms), net.link_count
+    for mode in ("plain", "coding"):
+        sol = solve_mmf(net, coms, mode=mode, cap=1000)
+        program = programs.pop()
+        float_incidence = sol.catalog.incidence.astype(np.float64)
+        want = program.rows.copy()
+        want[np.count_nonzero(program.equal) : -1, k * n :] = -float_incidence.T
+        assert_same_bits(program.rows, want)
+    d = np.random.default_rng(width).uniform(0.0, 0.2, n)
+    optimal_fractional_schedule(d, sol.catalog)
+    assert_same_bits(programs.pop().rows, -float_incidence.T)
+    assert not programs
 
 
 def test_plain_mode_ignores_hyperarcs():
@@ -205,7 +237,7 @@ def test_membership_brackets_the_boundary():
 
 def test_membership_empty_catalog():
     empty = SchedulableSetCatalog(
-        hyperarc_sets=(), sublink_sets=(), incidence=np.zeros((0, 2)), link_count=2
+        member=np.zeros((0, 0), dtype=bool), incidence=np.zeros((0, 2), dtype=bool), link_count=2
     )
     assert polytope_membership(np.zeros(2), empty).inside
     assert not polytope_membership(np.array([0.1, 0.0]), empty).inside
@@ -219,7 +251,7 @@ def test_empty_programs_take_the_lp_path():
     assert sol.flows.shape == (1, 0) and sol.schedule_weights == {}
     assert sol.exact_throughput == Fraction(0)
     empty = SchedulableSetCatalog(
-        hyperarc_sets=(), sublink_sets=(), incidence=np.zeros((0, 2)), link_count=2
+        member=np.zeros((0, 0), dtype=bool), incidence=np.zeros((0, 2), dtype=bool), link_count=2
     )
     sched, length = optimal_fractional_schedule(np.zeros(2), empty)
     assert sched.entries == () and math.copysign(1.0, length) == 1.0 and length == 0.0
@@ -264,10 +296,7 @@ def test_optimal_schedule_covers_demand():
 
 def test_uncoverable_demand():
     catalog = SchedulableSetCatalog(
-        hyperarc_sets=(frozenset({1}),),
-        sublink_sets=(frozenset({1}),),
-        incidence=np.array([[1.0, 0.0]]),
-        link_count=2,
+        member=np.array([[True]]), incidence=np.array([[True, False]]), link_count=2
     )
     with pytest.raises(UncoverableDemandError) as err:
         optimal_fractional_schedule(np.array([0.5, 0.3]), catalog)
@@ -280,11 +309,11 @@ def test_uncoverable_demand():
 def test_uncoverable_demand_names_every_missing_link():
     # links 2 and 3 lie in no set
     catalog = SchedulableSetCatalog(
-        hyperarc_sets=(frozenset({1}), frozenset({2})),
-        sublink_sets=(frozenset({1}), frozenset({4})),
-        incidence=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+        member=np.array([[True, False], [False, True]]),
+        incidence=np.array([[True, False, False, False], [False, False, False, True]]),
         link_count=4,
     )
+    assert catalog.sublink_sets == (frozenset({1}), frozenset({4}))
     expected = "links [2, 3] have positive demand but appear in no schedulable set"
     with pytest.raises(UncoverableDemandError) as err:
         optimal_fractional_schedule(np.array([0.5, 0.25, 0.125, 0.5]), catalog)
