@@ -23,6 +23,7 @@ from .instance import demo_instances, load_demand, load_instance
 from .mmf import optimal_fractional_schedule, solve_mmf
 
 _TINY = 1e-12
+_JSON_ITEMS = 1024
 
 
 def _round9(value: float) -> float:
@@ -37,22 +38,23 @@ def _fmt(value: float) -> str:
 
 
 def _json(obj, pad: str) -> str:
-    # json.dumps(obj, indent=2, sort_keys=True) nested at pad, floats rounded
-    # to 9 digits: one join per container, and int lists through str
+    # json.dumps(obj, indent=2, sort_keys=True) nested at pad, floats rounded to 9 digits:
+    # int lists through str, and other lists joined _JSON_ITEMS item strings at a time
     inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     if isinstance(obj, list):
         if not obj:
             return "[]"
         if all(type(v) is int for v in obj):
-            items = map(str, obj)
-        else:
-            items = [_json(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+            return f"[\n{inner}{sep.join(map(str, obj))}\n{pad}]"
+        starts = range(0, len(obj), _JSON_ITEMS)
+        blocks = ([_json(v, inner) for v in obj[k : k + _JSON_ITEMS]] for k in starts)
+        return f"[\n{inner}{sep.join([sep.join(block) for block in blocks])}\n{pad}]"
     if isinstance(obj, float):
         value = _round9(obj)
         return repr(value) if math.isfinite(value) else json.dumps(value)

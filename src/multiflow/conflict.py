@@ -15,15 +15,15 @@ links are its first ``link_count`` rows.
 
 The catalog comes from Bron-Kerbosch with pivoting on the complement
 graph, each vertex set a Python int with bit v-1 for vertex v; its
-complement rows are the ``compat_masks`` the greedy scans with. The found
-sets are unpacked into one boolean member matrix, which scatters through
-the sub-link table into a boolean incidence matrix; the catalog keeps the
-two and splits their rows into frozensets only when a set tuple is read.
-Catalog order is ascending sorted vertex tuple; maximal sets never nest,
-so that is descending row order read as binary numbers with vertex 1 the
-top bit, and numpy sorts the packed rows without building tuples. The
-inductive schedulable number is the largest entry of ``incidence @
-closed`` (``closed`` the links' closed neighborhoods), a block at a time.
+complement rows are the ``compat_masks`` the greedy scans with. Catalog
+order is ascending sorted vertex tuple; maximal sets never nest, so that
+is descending row order read as binary numbers with vertex 1 the top bit:
+numpy sorts the packed sets by their bit-reversed bytes and unpacks them
+once into a boolean member matrix. Its rows scatter through the sub-link
+table into a boolean incidence matrix, which is the member matrix itself
+when every vertex delivers just its own link. The inductive schedulable
+number is the largest entry of ``incidence @ closed`` (``closed`` the
+links' closed neighborhoods). Each pass takes _BLOCK_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .errors import EnumerationCapError, ValidationError
 from .model import Network
 
 DEFAULT_ENUMERATION_CAP = 24
-_ISN_ROWS = 4096
-_MASK_ROWS = 1024
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +125,9 @@ class SchedulableSetCatalog:
 
     ``member[k]`` is a maximal independent set and ``incidence[k]`` the union
     of its vertices' sub-links, as read-only boolean rows over the vertices
-    and the links; ``hyperarc_sets`` and ``sublink_sets`` split those rows
-    into frozensets of 1-based ids on first read.
+    and the links; ``incidence`` is ``member`` when every vertex delivers
+    exactly its own link. ``hyperarc_sets`` and ``sublink_sets`` split those
+    rows into frozensets of 1-based ids on first read.
     """
 
     member: np.ndarray
@@ -139,12 +139,13 @@ class SchedulableSetCatalog:
 
     @cached_property
     def hyperarc_sets(self) -> tuple[frozenset[int], ...]:
-        return _row_sets(self.member)
+        return tuple(map(frozenset, _row_lists(self.member)))
 
     @cached_property
     def sublink_sets(self) -> tuple[frozenset[int], ...]:
-        same = np.array_equal(self.member, self.incidence)  # every set's links are its vertex ids
-        return self.hyperarc_sets if same else _row_sets(self.incidence)
+        if self.incidence is self.member:
+            return self.hyperarc_sets
+        return tuple(map(frozenset, _row_lists(self.incidence)))
 
 
 def _bits(x: int):
@@ -164,8 +165,8 @@ def row_masks(rows: np.ndarray) -> list[int]:
 def compat_masks(cg: ConflictGraph, order: np.ndarray) -> list[int]:
     """Bit j of mask k: matrix rows order[j] and order[k] are distinct, non-conflicting vertices."""
     compat: list[int] = []
-    for s in range(0, len(order), _MASK_ROWS):  # a block of rows, never a second V x V matrix
-        block = np.take(np.take(cg.matrix, order[s : s + _MASK_ROWS], axis=0), order, axis=1)
+    for s in range(0, len(order), _BLOCK_ROWS):  # a block of rows, never a second V x V matrix
+        block = np.take(np.take(cg.matrix, order[s : s + _BLOCK_ROWS], axis=0), order, axis=1)
         np.logical_not(block, out=block)
         block[np.arange(len(block)), np.arange(s, s + len(block))] = False
         compat += row_masks(block)
@@ -180,37 +181,35 @@ def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=bool)
     compat = compat_masks(cg, np.arange(n))
-    found: list[int] = []
+    width = (n + 7) // 8
+    found = bytearray()  # each set's mask as width little-endian bytes
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
         chosen, cand, excl = stack.pop()
         if not cand and not excl:
-            found.append(chosen)
+            found += chosen.to_bytes(width, "little")
             continue
         pivot = max(_bits(cand | excl), key=lambda u: (cand & compat[u]).bit_count())
         for v in _bits(cand & ~compat[pivot]):
             stack.append((chosen | 1 << v, cand & compat[v], excl & compat[v]))
             cand ^= 1 << v
             excl |= 1 << v
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in found), dtype=np.uint8)
-    member = np.unpackbits(packed.reshape(len(found), width), axis=1, count=n, bitorder="little")
-    # maximal sets never nest, so ascending sorted-vertex-tuple order is
-    # descending row order with vertex 1 as the most significant bit
-    order = np.lexsort(~np.packbits(member, axis=1).T[::-1])
-    return member.view(bool)[order]
+    packed = np.frombuffer(found, dtype=np.uint8).reshape(-1, width)
+    # maximal sets never nest, so sorted-vertex-tuple order is descending row order with
+    # vertex 1 the top bit: each little-endian mask byte read with its bits reversed
+    flip = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+    order = np.lexsort(~flip[packed].T[::-1])
+    return np.unpackbits(packed[order], axis=1, count=n, bitorder="little").view(bool)
 
 
 def _row_lists(rows: np.ndarray) -> list[list[int]]:
     # the ascending 1-based column ids of each row's nonzero entries
-    rows = rows.astype(bool, copy=False)
-    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
-    ids = (np.flatnonzero(rows) % rows.shape[1] + 1).tolist()
-    return [ids[b:e] for b, e in zip([0, *ends], ends)]
-
-
-def _row_sets(rows: np.ndarray) -> tuple[frozenset[int], ...]:
-    return tuple(map(frozenset, _row_lists(rows)))
+    lists: list[list[int]] = []
+    for s in range(0, len(rows), _BLOCK_ROWS):
+        ends = np.cumsum(np.count_nonzero(rows[s : s + _BLOCK_ROWS], axis=1)).tolist()
+        ids = (np.flatnonzero(rows[s : s + _BLOCK_ROWS]) % rows.shape[1] + 1).tolist()
+        lists += [ids[b:e] for b, e in zip([0, *ends], ends)]
+    return lists
 
 
 def enumerate_schedulable_sets(
@@ -230,13 +229,15 @@ def enumerate_schedulable_sets(
             f"raise the cap or use the greedy scheduler"
         )
     member = _maximal_independent_sets(cg)
-    n = cg.link_count
-    rows, verts = np.nonzero(member)
-    links = cg.sublink_index[verts]
-    real = links < n
-    incidence = np.zeros((len(member), n), dtype=bool)
-    incidence[np.broadcast_to(rows[:, None], links.shape)[real], links[real]] = True
     member.flags.writeable = False
+    n, index = cg.link_count, cg.sublink_index
+    if cg.vertex_count == n and (index[:, 0] == np.arange(n)).all() and (index[:, 1:] == n).all():
+        return SchedulableSetCatalog(member=member, incidence=member, link_count=n)
+    incidence = np.zeros((len(member), n), dtype=bool)
+    for s in range(0, len(member), _BLOCK_ROWS):
+        rows, verts = np.nonzero(member[s : s + _BLOCK_ROWS])
+        rows, links = np.broadcast_arrays(s + rows[:, None], index[verts])
+        incidence[rows[links < n], links[links < n]] = True  # n pads the sub-link table
     incidence.flags.writeable = False
     return SchedulableSetCatalog(member=member, incidence=incidence, link_count=n)
 
@@ -260,7 +261,7 @@ def inductive_schedulable_number(catalog: SchedulableSetCatalog, closed: np.ndar
         raise ValidationError("empty schedulable-set catalog")
     if not closed.size:
         raise ValidationError("no links, so no conflict neighborhoods")
-    # overlap counts for _ISN_ROWS sets at a time, never a catalog-sized product,
+    # overlap counts for _BLOCK_ROWS sets at a time, never a catalog-sized product,
     # in float: a boolean product would OR the overlaps, not count them
-    blocks = (catalog.incidence[k : k + _ISN_ROWS] for k in range(0, len(catalog), _ISN_ROWS))
+    blocks = (catalog.incidence[k : k + _BLOCK_ROWS] for k in range(0, len(catalog), _BLOCK_ROWS))
     return int(max((block.astype(float) @ closed).max() for block in blocks))

@@ -173,8 +173,9 @@ def _covering_shares(demand, catalog: SchedulableSetCatalog) -> tuple[dict[int, 
     out = solve_lp(LinearProgram(-np.ones(len(catalog)), rows, -d))
     if out.status != "optimal":
         raise SolverError(f"schedule LP ended {out.status}")
+    eps = _WEIGHT_EPS * min(1.0, float(d.max(initial=0.0)))  # as the greedy's, for small units
     # unlike -x, 0.0 - x gives no -0.0 for an empty program
-    return {j: float(v) for j, v in enumerate(out.x) if v > _WEIGHT_EPS}, 0.0 - out.value
+    return {j: float(v) for j, v in enumerate(out.x) if v > eps}, 0.0 - out.value
 
 
 def polytope_membership(demand, catalog: SchedulableSetCatalog) -> Membership:

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ValidationError
 
 DEFAULT_MAX_CODING_DEGREE = 3
+_MAX_CODED = 100_000  # the most hyperarcs that coding nodes may generate
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,14 @@ class Network:
         if hyperarcs is None:
             # out-link positions run in head order, so each combination is a table row
             runs = itertools.groupby(range(n), key=tail_ids.__getitem__)
-            outs = {tail: list(run) for tail, run in runs}
-            rows = [
-                (nid, combo)
-                for nid in coding
-                for size in range(2, min(max_coding_degree, len(outs.get(nid, ()))) + 1)
-                for combo in itertools.combinations(outs[nid], size)
+            outs = dict.fromkeys(coding, []) | {tail: list(run) for tail, run in runs}
+            sizes = [
+                (v, k) for v in coding for k in range(2, min(max_coding_degree, len(outs[v])) + 1)
             ]
+            count = sum(math.comb(len(outs[v]), k) for v, k in sizes)
+            if count > _MAX_CODED:  # checked before any is made: out-degree d may ask for ~2^d
+                raise ValidationError(f"{count} coded hyperarcs, above the limit of {_MAX_CODED}")
+            rows = [(v, combo) for v, k in sizes for combo in itertools.combinations(outs[v], k)]
         else:  # explicit head sets as (tail, sub-link positions)
             for tail, heads in hyperarcs:
                 listed = list(heads)

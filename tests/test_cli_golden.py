@@ -207,3 +207,16 @@ EDGE_REPORTS = {
 def test_render_json_matches_the_standard_encoder_on_edge_values(name):
     report = EDGE_REPORTS[name]
     assert render_json(report) == json_render(report)
+
+
+@pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])
+def test_render_json_joins_long_lists_in_blocks_like_the_standard_encoder(count):
+    # lists of containers and of mixed scalars are joined a block of items at a time
+    report = {
+        "catalog": [list(range(1, k % 7 + 2)) for k in range(count)],
+        "schedule": [{"set": [k, k + 1], "lambda": k / 3} for k in range(count)],
+        "mixed": [k if k % 2 else k / 7 for k in range(count)],
+        "ints": list(range(count)),
+        "nested": {"deep": [[float(k), [k]] for k in range(count)]},
+    }
+    assert render_json(report) == json_render(report)

@@ -10,6 +10,7 @@ import pytest
 from multiflow import (
     EnumerationCapError,
     Node,
+    SchedulableSetCatalog,
     ValidationError,
     build_conflict_graph,
     build_network,
@@ -250,17 +251,36 @@ def test_catalog_splits_its_sets_only_when_read():
     assert catalog.sublink_sets is catalog.hyperarc_sets is vars(catalog)["hyperarc_sets"]
 
 
-def test_5x5_catalog_enumeration_stays_under_16_mib():
-    # 31,770 sets over 80 links: the two boolean matrices, not a frozenset per set
-    gh = build_conflict_graph(build_network(coded_grid(5, 5).nodes), "hyperarc")
+def traced_enumeration(cg):
+    """The catalog and the tracemalloc peak of enumerating it."""
     tracemalloc.start()
     try:
-        catalog = enumerate_schedulable_sets(gh, cap=100)
+        catalog = enumerate_schedulable_sets(cg, cap=cg.vertex_count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return catalog, peak
+
+
+def test_5x5_catalog_enumeration_stays_under_5_mib():
+    # 31,770 sets over 80 links: one shared boolean matrix of 2.4 MiB, then at
+    # most a block more; a frozenset per set took 44.6 MiB, two matrices 10.7
+    gh = build_conflict_graph(build_network(coded_grid(5, 5).nodes), "hyperarc")
+    catalog, peak = traced_enumeration(gh)
     assert len(catalog) == 31770
-    assert peak <= 16 * 2**20, peak / 2**20
+    assert peak <= 5 * 2**20, peak / 2**20
+
+
+def test_sparse_catalog_enumeration_peaks_within_twice_its_catalog():
+    # many sets of many vertices: index arrays over the whole catalog peaked
+    # at 8 times the matrices held
+    rng = np.random.default_rng(3)
+    catalog, peak = traced_enumeration(make_conflict_graph(40, random_edges(rng, 40, 0.1)))
+    assert len(catalog) == 10062
+    # the two matrices, counted once when they are one
+    held = sum({id(m): m.nbytes for m in (catalog.member, catalog.incidence)}.values())
+    assert peak <= 2 * held, peak / held
+    assert catalog.incidence is catalog.member
 
 
 def test_enumeration_cap():
@@ -408,7 +428,7 @@ def test_compat_masks_are_the_same_packed_in_any_block_size(monkeypatch, block):
     whole = compat_masks(cg, order)
     small = make_conflict_graph(20, random_edges(rng, 20, 0.3))
     catalog = enumerate_schedulable_sets(small, cap=20).hyperarc_sets
-    monkeypatch.setattr(conflict_module, "_MASK_ROWS", block)
+    monkeypatch.setattr(conflict_module, "_BLOCK_ROWS", block)
     assert compat_masks(cg, order) == whole
     assert enumerate_schedulable_sets(small, cap=20).hyperarc_sets == catalog
     # bit j of compat[k]: positions j and k hold distinct, non-conflicting vertices
@@ -428,8 +448,24 @@ def test_catalog_matches_loop_oracle_on_networks(net):
         assert_catalog_matches_loop_oracle(build_conflict_graph(net, level), nb)
 
 
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+def test_row_lists_and_isn_match_their_oracles_across_block_edges(rows):
+    rng = np.random.default_rng(rows)
+    links = 30
+    incidence = rng.random((rows, links)) < 0.2
+    incidence[-1] = True  # the largest overlap sits in the last row of the last block
+    incidence.flags.writeable = False
+    catalog = SchedulableSetCatalog(member=incidence, incidence=incidence, link_count=links)
+    assert _row_lists(incidence) == [(np.flatnonzero(r) + 1).tolist() for r in incidence]
+    closed = link_neighborhoods(make_conflict_graph(links, random_edges(rng, links, 0.3)))
+    want = loop_inductive_schedulable_number(catalog, closed)
+    assert want == int(np.count_nonzero(closed, axis=1).max())
+    assert inductive_schedulable_number(catalog, closed) == want
+
+
 def test_link_level_catalog_shares_its_sets():
     catalog = enumerate_schedulable_sets(build_conflict_graph(coded_grid(3, 2), "link"))
+    assert catalog.incidence is catalog.member  # one matrix, not two equal ones
     assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
 
 
@@ -439,8 +475,10 @@ def test_plain_hyperarc_catalog_shares_its_sets():
     gh = build_conflict_graph(net, "hyperarc")
     assert np.array_equal(gh.sublink_index, build_conflict_graph(net, "link").sublink_index)
     catalog = enumerate_schedulable_sets(gh)
+    assert catalog.incidence is catalog.member
     assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
     coded = enumerate_schedulable_sets(build_conflict_graph(relay_coded(), "hyperarc"))
+    assert coded.incidence is not coded.member
     assert coded.sublink_sets != coded.hyperarc_sets
 
 
@@ -480,6 +518,7 @@ def test_catalog_shares_its_sets_when_every_set_is_its_own_links():
     index[:, 0] = np.arange(5)
     padded = replace(cg, sublink_index=index)
     catalog = enumerate_schedulable_sets(padded)
+    assert catalog.incidence is catalog.member
     assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
     assert_catalog_matches_loop_oracle(padded, link_neighborhoods(cg))
 
@@ -489,6 +528,7 @@ def test_catalog_with_permuted_sublinks_keeps_its_own_sets():
     shifted = [{v % 5 + 1} for v in range(1, 6)]
     cg = make_conflict_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], sublinks=shifted)
     catalog = enumerate_schedulable_sets(cg)
+    assert catalog.incidence is not catalog.member
     assert catalog.sublink_sets != catalog.hyperarc_sets
     assert_catalog_matches_loop_oracle(cg, link_neighborhoods(make_conflict_graph(5, [])))
 

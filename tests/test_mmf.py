@@ -294,6 +294,18 @@ def test_optimal_schedule_covers_demand():
         assert abs(sched.length - length) <= 1e-9
 
 
+@pytest.mark.parametrize("unit", [1e-13, 1e-9])
+def test_exact_schedule_covers_demands_in_small_units(unit):
+    # an absolute 1e-12 share cutoff once dropped every share of a 1e-13 demand
+    net, d = relay_coded(), np.full(4, unit)
+    sched, length = optimal_fractional_schedule(d, coded_catalog())
+    assert length == pytest.approx(3 * unit, rel=1e-9)
+    assert sched.length == pytest.approx(length, rel=1e-9)
+    assert np.all(sched.capacity(net) >= d * (1 - 1e-9))
+    membership = polytope_membership(d, coded_catalog())
+    assert membership.inside and sum(membership.certificate.values()) == pytest.approx(length)
+
+
 def test_uncoverable_demand():
     catalog = SchedulableSetCatalog(
         member=np.array([[True]]), incidence=np.array([[True, False]]), link_count=2

@@ -1,6 +1,8 @@
 """Nodes, links, hyperarcs, and network construction."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from multiflow import (
     ValidationError,
     build_network,
 )
+from multiflow.cli import main
 from multiflow.instance import parse_instance
 from multiflow.conflict import build_conflict_graph
 from multiflow.model import (
@@ -195,6 +198,38 @@ def test_build_network_coding_nodes_match_generate_hyperarcs():
         build_network(relay_nodes(), coding_nodes=[3], max_coding_degree=1)
     # the degree is capped by the out-degree, so a huge one is cheap
     assert build_network(relay_nodes(), coding_nodes=[3], max_coding_degree=10**12).hyperarc_count == 5
+
+
+def star_nodes(leaves: int) -> list[Node]:
+    """Node 1 amid a unit circle of leaves: it reaches every leaf, and no leaf reaches a node."""
+    angles = [2 * math.pi * k / leaves for k in range(leaves)]
+    ring = [Node(k + 2, math.cos(a), math.sin(a), 0.1, 0.1) for k, a in enumerate(angles)]
+    return [Node(1, 0.0, 0.0, 1.0, 1.0)] + ring
+
+
+def test_generated_hyperarcs_past_the_limit_raise_before_any_is_made(tmp_path, capsys):
+    # 30 out-neighbours at degree 30 ask for 2^30 - 31 head sets
+    nodes = star_nodes(30)
+    assert build_network(nodes).link_count == 30
+    tracemalloc.start()
+    try:
+        message = r"^1073741793 coded hyperarcs, above the limit of 100000$"
+        with pytest.raises(ValidationError, match=message):
+            build_network(nodes, coding_nodes=[1], max_coding_degree=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+    # the count is exact: C(30, 2) + C(30, 3) = 4,495 pass at degree 3
+    assert build_network(nodes, coding_nodes=[1]).hyperarc_count == 30 + 4495
+    rows = [
+        {"id": nd.id, "x": nd.x, "y": nd.y, "r": nd.comm_radius, "rho": nd.interf_radius}
+        for nd in nodes
+    ]
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"nodes": rows, "coding_nodes": [1], "max_coding_degree": 30}))
+    assert main(["inspect", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message[1:-1]}\n"
 
 
 # one malformed hyperarc per fault, and the one message each fault raises
