@@ -38,10 +38,10 @@ def coding_first_ordering(gh: ConflictGraph) -> tuple[int, ...]:
 def _scan_masks(gh: ConflictGraph, order: np.ndarray) -> tuple[list[int], list[int]]:
     # bit k is the k-th vertex in scan order: compat[k] holds the positions
     # not in conflict with k, holders[a] those whose vertex delivers link a
-    h = len(order)
+    compat, h = compat_masks(gh, order), len(order)
     delivers = np.zeros((gh.link_count + 1, h), dtype=bool)  # the last row takes the padding
     delivers[gh.sublink_index[order], np.arange(h)[:, None]] = True
-    return compat_masks(gh, order), row_masks(delivers[:-1])
+    return compat, row_masks(delivers[:-1])
 
 
 def _scan(free: int, compat: list[int]) -> list[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -241,7 +242,9 @@ def _table(report: dict) -> list[str]:
     return lines + [f"wrote {path}" for path in report.get("written", ())]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # one parser per process; each handler looks its command up when called
     parser = argparse.ArgumentParser(
         prog="multiflow",
         description="Maximum multiflow and fractional link scheduling "
@@ -262,29 +265,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--mode", choices=("auto", "plain", "coding"), default="auto")
     common(p)
-    p.set_defaults(handler=cmd_solve)
+    p.set_defaults(handler=lambda args: cmd_solve(args))
 
     p = sub.add_parser("compare", help="plain versus coding throughput")
     p.add_argument("instance")
     common(p)
-    p.set_defaults(handler=cmd_compare)
+    p.set_defaults(handler=lambda args: cmd_compare(args))
 
     p = sub.add_parser("inspect", help="conflict graphs and schedulable sets")
     p.add_argument("instance")
     common(p)
-    p.set_defaults(handler=cmd_inspect)
+    p.set_defaults(handler=lambda args: cmd_inspect(args))
 
     p = sub.add_parser("schedule", help="fractional schedule for a demand")
     p.add_argument("instance")
     p.add_argument("--demand", required=True, help="JSON file mapping \"tail-head\" to rates")
     p.add_argument("--algorithm", choices=("cfs", "exact"), default="cfs")
     common(p)
-    p.set_defaults(handler=cmd_schedule)
+    p.set_defaults(handler=lambda args: cmd_schedule(args))
 
     p = sub.add_parser("demo", help="write the bundled two-way relay instances")
     p.add_argument("--dir", default=".")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(handler=cmd_demo)
+    p.set_defaults(handler=lambda args: cmd_demo(args))
 
     return parser
 

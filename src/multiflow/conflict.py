@@ -6,16 +6,16 @@ hyperarcs conflict when any pair of their sub-links does, so hyperarcs
 sharing a tail always conflict. Schedulable sets are the independent sets
 of these graphs; the catalog enumerates the maximal ones.
 
-Each graph is one read-only boolean matrix. Distances come from the
-network's ``distances`` table (``math.hypot``; numpy's hypot may round a
-tie the other way) at its ``link_ends`` positions; one broadcast tests
-every link pair, and a hyperarc takes the link rows and columns of its
-sub-links, read off the network's padded ``sublink_index`` table; the
-links are its first ``link_count`` rows.
+A graph stores the read-only relation it is induced from; over a network
+that is the link relation, tested on the network's ``distances`` table
+(``math.hypot``; numpy's hypot may round a tie the other way) at its
+``link_ends`` positions, and a hyperarc's links are its row of the padded
+``sublink_index`` table. The vertex ``matrix`` is built only when read:
+the greedy's and the catalog's ``compat_masks`` gather from the relation.
 
 The catalog comes from Bron-Kerbosch with pivoting on the complement
-graph, each vertex set a Python int with bit v-1 for vertex v; its
-complement rows are the ``compat_masks`` the greedy scans with. Catalog
+graph, each vertex set a Python int with bit v-1 for vertex v, and stops
+past _MAX_SETS sets. Catalog
 order is ascending sorted vertex tuple; maximal sets never nest, so that
 is descending row order read as binary numbers with vertex 1 the top bit:
 numpy sorts the packed sets by their bit-reversed bytes and unpacks them
@@ -28,6 +28,7 @@ links' closed neighborhoods). Each pass takes _BLOCK_ROWS rows at a time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -39,28 +40,44 @@ from .model import Network
 
 DEFAULT_ENUMERATION_CAP = 24
 _BLOCK_ROWS = 1024
+_MAX_SETS = 1_000_000  # the most maximal sets a catalog may hold
 
 
 @dataclass(frozen=True, eq=False)
 class ConflictGraph:
     """A conflict graph with 1-based vertices aligned to link or hyperarc indices.
 
-    ``sublink_index[v-1]`` lists the 0-based links vertex v delivers,
-    padded with ``link_count``: ``Network.sublink_index`` at hyperarc
-    level, its first ``link_count`` rows at link level; its unpadded
-    count is v's weight.
-    ``matrix[u-1, v-1]`` is true when u and v conflict; the matrix is
-    read-only and symmetric with a false diagonal.
+    ``sublink_index[v-1]`` lists the 0-based links vertex v delivers, padded
+    with ``link_count``: ``Network.sublink_index``, or its first ``link_count``
+    rows at link level; its unpadded count is v's weight. ``relation`` is a
+    read-only symmetric boolean matrix over B base rows with a true diagonal
+    and a false padding row and column B; ``members[v-1]`` lists v's base rows,
+    padded with B (a network's graphs relate links, so it is ``sublink_index``).
+    Vertices conflict when any of their base rows relate: read-only
+    ``matrix[u-1, v-1]``, symmetric with a false diagonal, built on first read.
     """
 
     level: str
     sublink_index: np.ndarray
     link_count: int
-    matrix: np.ndarray
+    relation: np.ndarray
+    members: np.ndarray
 
     @property
     def vertex_count(self) -> int:
         return len(self.sublink_index)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        # touched[u, b]: some base row of u relates to b, so matrix[u, v] ORs
+        # touched[u, b] over v's base rows b: column takes, no transpose
+        touched = _gather_any(self.relation, self.members)
+        matrix = np.take(touched, self.members[:, 0], axis=1)
+        for column in self.members.T[1:]:
+            matrix |= np.take(touched, column, axis=1)
+        np.fill_diagonal(matrix, False)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def edge_count(self) -> int:
@@ -86,11 +103,17 @@ class ConflictGraph:
         return not self.matrix[np.ix_(idx, idx)].any()
 
 
-def _gather_any(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    # out[u] ORs rows[index[u, k]] over k: one row gather per column of index
-    out = np.take(rows, index[:, 0], axis=0)
+def _gather_any(rows: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # out[u] ORs rows[index[u, k]] over k: a row gather per column of index, the later
+    # ones _BLOCK_ROWS at a time into one buffer; every index is in range, and "wrap"
+    # spares numpy the copy of out it makes under "raise"
+    out = np.take(rows, index[:, 0], axis=0, out=out, mode="wrap")
+    buf = np.empty((_BLOCK_ROWS, *rows.shape[1:]), dtype=rows.dtype)
     for column in index.T[1:]:
-        out |= np.take(rows, column, axis=0)
+        for s in range(0, len(index), _BLOCK_ROWS):
+            part = buf[: len(index) - s]
+            np.take(rows, column[s : s + len(part)], axis=0, out=part, mode="wrap")
+            out[s : s + len(part)] |= part
     return out
 
 
@@ -103,20 +126,17 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
     index = network.sublink_index[: n if level == "link" else None]
 
     tails, heads = network.link_ends
-    rho = np.array([nd.interf_radius for nd in network.nodes])[tails]
-    # hit[a, b]: the transmitter of link a reaches the receiver of link b,
-    # so the diagonal is true; the trailing false row and column absorb padding
+    m = len(network.nodes)
+    reach = network.distances <= np.array([nd.interf_radius for nd in network.nodes])[:, None]
+    # sides[p, b]: node p reaches link b's receiver; sides[m + p, b]: link b's
+    # transmitter reaches node p; the false last column takes the padding
+    sides = np.zeros((2 * m, n + 1), dtype=bool)
+    sides[:m, :n], sides[m:, :n] = reach[:, heads], reach.T[:, tails]
+    # hit[a, b]: either link's transmitter reaches the other's receiver
     hit = np.zeros((n + 1, n + 1), dtype=bool)
-    reach = np.take(np.take(network.distances, tails, axis=0), heads, axis=1)
-    np.less_equal(reach, rho[:, None], out=hit[:n, :n])
-    hit |= hit.T
-    # touched[u, b]: some sub-link of u conflicts with link b; the matrix is
-    # symmetric, so matrix[v, u] ORs touched[u, b] over v's sub-links b
-    touched = _gather_any(hit, index)
-    matrix = _gather_any(np.ascontiguousarray(touched.T), index)
-    np.fill_diagonal(matrix, False)
-    matrix.flags.writeable = False
-    return ConflictGraph(level=level, sublink_index=index, link_count=n, matrix=matrix)
+    _gather_any(sides, np.stack([tails, m + heads], axis=1), out=hit[:n])
+    hit.flags.writeable = False
+    return ConflictGraph(level, sublink_index=index, link_count=n, relation=hit, members=index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,14 +183,23 @@ def row_masks(rows: np.ndarray) -> list[int]:
 
 
 def compat_masks(cg: ConflictGraph, order: np.ndarray) -> list[int]:
-    """Bit j of mask k: matrix rows order[j] and order[k] are distinct, non-conflicting vertices."""
-    compat: list[int] = []
-    for s in range(0, len(order), _BLOCK_ROWS):  # a block of rows, never a second V x V matrix
-        block = np.take(np.take(cg.matrix, order[s : s + _BLOCK_ROWS], axis=0), order, axis=1)
-        np.logical_not(block, out=block)
-        block[np.arange(len(block)), np.arange(s, s + len(block))] = False
-        compat += row_masks(block)
-    return compat
+    """Bit j of mask k: vertices order[j] and order[k] (0-based) are distinct, non-conflicting."""
+    rows, h, width = cg.members[order], len(order), len(cg.relation)
+    # touched[j, i, b]: base row b relates to one of position 8j + i's (its own among
+    # them: the diagonal is true); packed[j, b] holds it in bit i, with no transpose
+    touched = np.zeros((-(-h // 8), 8, width), dtype=np.uint8)
+    _gather_any(cg.relation.view(np.uint8), rows, out=touched.reshape(-1, width)[:h])
+    packed = touched[:, 0].copy()
+    for i in range(1, 8):
+        packed |= touched[:, i] << i
+    del touched
+    # seen[b]: the positions whose vertex relates to base row b, as one int
+    seen = [int.from_bytes(row.tobytes(), "little") for row in packed.T.copy()]
+    related = map(seen.__getitem__, rows[:, 0].tolist())
+    for column in rows.T[1:].tolist():
+        related = map(operator.or_, related, map(seen.__getitem__, column))
+    full = (1 << h) - 1
+    return [full ^ mask for mask in related]
 
 
 def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
@@ -183,11 +212,15 @@ def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
     compat = compat_masks(cg, np.arange(n))
     width = (n + 7) // 8
     found = bytearray()  # each set's mask as width little-endian bytes
+    limit = _MAX_SETS * width
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
         chosen, cand, excl = stack.pop()
         if not cand and not excl:
             found += chosen.to_bytes(width, "little")
+            if len(found) > limit:
+                count = len(found) // width
+                raise EnumerationCapError(f"{count} schedulable sets pass the limit of {_MAX_SETS}")
             continue
         pivot = max(_bits(cand | excl), key=lambda u: (cand & compat[u]).bit_count())
         for v in _bits(cand & ~compat[pivot]):
@@ -218,8 +251,9 @@ def enumerate_schedulable_sets(
     """Enumerate every maximal independent set of the conflict graph.
 
     Raises ValidationError for a negative ``cap`` and EnumerationCapError
-    above ``cap`` vertices, where the greedy scheduler fits instead. The
-    output order is deterministic (sorted by vertex tuple).
+    above ``cap`` vertices or past _MAX_SETS sets, where the greedy
+    scheduler fits instead. The output order is deterministic (sorted by
+    vertex tuple).
     """
     if cap < 0:
         raise ValidationError(f"the enumeration cap must be nonnegative, got {cap}")

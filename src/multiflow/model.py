@@ -2,15 +2,16 @@
 
 A node reaches receivers within its communication radius and occupies the
 medium within its interference radius, which is never smaller. Each
-network measures every node pair once, one ``math.hypot`` map over the
-coordinate differences; its links (the ordered in-range pairs, indexed
-1..n in lexicographic (tail, head) order, their ends kept as node
-positions) and its conflict graphs all read that one table. A hyperarc
-(i, J) is one broadcast transmission from node i heard by every head in J;
-its sub-links (i, j) for j in J must all exist as links, and every link
-doubles as the weight-1 hyperarc delivering just itself. One padded table,
-built with the hyperarcs, maps each to its sub-links for every reader of
-the network. ``build_network`` is another name for the ``Network`` constructor.
+network measures every unordered node pair once with ``math.hypot`` and
+mirrors the table; its links (the ordered in-range pairs, indexed 1..n in
+lexicographic (tail, head) order, their ends kept as node positions) and
+its conflict graphs all read that one table. A hyperarc (i, J) is one
+broadcast transmission from node i heard by every head in J; its sub-links
+(i, j) for j in J must all exist as links, and every link doubles as the
+weight-1 hyperarc delivering just itself. One padded table maps each
+hyperarc to its sub-links for every reader of the network; the
+``Hyperarc`` records are built only when ``hyperarcs`` is first read.
+``build_network`` is another name for the ``Network`` constructor.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -91,7 +93,8 @@ class Network:
     heads). Coding node ids must exist, and the degree must be at least 2
     whichever applies. Read-only ``sublink_index[h-1]`` lists hyperarc h's
     0-based link positions in ascending order, padded with ``link_count``
-    up to the largest weight (at least one column).
+    up to the largest weight (at least one column); ``hyperarcs`` is built
+    from it and the kept head sets on first read.
     """
 
     def __init__(
@@ -109,11 +112,14 @@ class Network:
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ValidationError(f"duplicate node ids: {dup}")
         self._node_map = {nd.id: nd for nd in self._nodes}
-        # the same float subtraction and math.hypot per ordered pair as a scalar loop
+        # the float subtraction and math.hypot of a scalar loop, once per unordered
+        # pair: a - b is exactly -(b - a) and hypot ignores signs, so the mirror is exact
         xy = np.array([(nd.x, nd.y) for nd in self._nodes], dtype=float).reshape(-1, 2)
-        dx, dy = (np.subtract.outer(c, c).ravel().tolist() for c in xy.T)
-        dist = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(ids) ** 2)
-        self._distances = dist.reshape(len(ids), len(ids))
+        upper, lower = np.triu_indices(len(ids), 1)
+        dx, dy = ((c[upper] - c[lower]).tolist() for c in xy.T)
+        dist = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(dx))
+        self._distances = np.zeros((len(ids), len(ids)))
+        self._distances[upper, lower] = self._distances[lower, upper] = dist
         self._distances.flags.writeable = False
         radius = np.array([nd.comm_radius for nd in self._nodes])
         # row-major nonzero order is (tail id, head id) order
@@ -166,16 +172,16 @@ class Network:
                     raise ValidationError(f"duplicate hyperarc ({tail}, {hs})")
                 made.add((tail, row))
             rows = sorted(made, key=lambda tr: (tr[0], len(tr[1]), tr[1]))
-        width = max((len(row) for _, row in rows), default=1)
-        table = np.full((n + len(rows), width), n, dtype=np.intp)
+        weights = [len(row) for _, row in rows]
+        table = np.full((n + len(rows), max(weights, default=1)), n, dtype=np.intp)
         table[:n, 0] = np.arange(n)
-        arcs = list(map(Hyperarc, tail_ids, map(frozenset, zip(head_ids)), range(1, n + 1)))
-        for k, (tail, row) in enumerate(rows, n):
-            table[k, : len(row)] = row
-            arcs.append(Hyperarc(tail, frozenset(head_ids[p] for p in row), k + 1))
+        for w in set(weights):
+            at = [k for k, x in enumerate(weights, n) if x == w]
+            cells = itertools.chain.from_iterable(row for _, row in rows if len(row) == w)
+            table[at, :w] = np.fromiter(cells, dtype=np.intp, count=len(at) * w).reshape(-1, w)
         table.flags.writeable = False
         self._sublink_index = table
-        self._hyperarcs = tuple(arcs)
+        self._coded = rows
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -193,9 +199,13 @@ class Network:
     def links(self) -> tuple[Link, ...]:
         return self._links
 
-    @property
+    @cached_property
     def hyperarcs(self) -> tuple[Hyperarc, ...]:
-        return self._hyperarcs
+        heads = [lk.head for lk in self._links]
+        arcs = [Hyperarc(lk.tail, frozenset((lk.head,)), lk.index) for lk in self._links]
+        for k, (tail, row) in enumerate(self._coded, len(arcs) + 1):
+            arcs.append(Hyperarc(tail, frozenset(heads[p] for p in row), k))
+        return tuple(arcs)
 
     @property
     def sublink_index(self) -> np.ndarray:
@@ -207,7 +217,7 @@ class Network:
 
     @property
     def hyperarc_count(self) -> int:
-        return len(self._hyperarcs)
+        return len(self._sublink_index)
 
     @property
     def max_weight(self) -> int:

@@ -40,6 +40,7 @@ from multiflow import (
 )
 from multiflow.cfs import _scan, _scan_masks
 from multiflow.cli import _round9
+from multiflow.conflict import row_masks
 from multiflow.lp import LinearProgram
 from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link
 
@@ -135,7 +136,14 @@ def make_conflict_graph(n: int, edges, sublinks=None, link_count=None) -> Confli
         if link_count is None:
             link_count = max((max(s) for s in sublinks if s), default=0)
     index = padded_sublink_index(sublinks, link_count)
-    return ConflictGraph("hyperarc", sublink_index=index, link_count=link_count, matrix=matrix)
+    # the graph relates its own vertices: a true diagonal, then a false padding row and column
+    relation = np.zeros((n + 1, n + 1), dtype=bool)
+    relation[:n, :n] = matrix | np.eye(n, dtype=bool)
+    relation.flags.writeable = False
+    members = np.arange(n)[:, None]
+    return ConflictGraph(
+        "hyperarc", sublink_index=index, link_count=link_count, relation=relation, members=members
+    )
 
 
 def neighbor_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
@@ -391,6 +399,36 @@ def ix_compat_masks(cg: ConflictGraph, order) -> list[int]:
     """Reference for ``conflict.compat_masks``: one ``np.ix_`` block, bits set one at a time."""
     free = np.logical_not(cg.matrix[np.ix_(order, order)])
     return [sum(1 << j for j in range(len(order)) if j != k and free[k, j]) for k in range(len(order))]
+
+
+def eager_conflict_matrix(network: Network, level: str) -> np.ndarray:
+    """Reference for ``ConflictGraph.matrix``: the whole link test in floats, then two gathers."""
+    n = network.link_count
+    index = network.sublink_index[: n if level == "link" else None]
+    tails, heads = network.link_ends
+    rho = np.array([nd.interf_radius for nd in network.nodes])[tails]
+    hit = np.zeros((n + 1, n + 1), dtype=bool)
+    reach = np.take(np.take(network.distances, tails, axis=0), heads, axis=1)
+    np.less_equal(reach, rho[:, None], out=hit[:n, :n])
+    hit |= hit.T
+
+    def gather_any(rows, idx):
+        return np.logical_or.reduce([np.take(rows, column, axis=0) for column in idx.T])
+
+    matrix = gather_any(np.ascontiguousarray(gather_any(hit, index).T), index)
+    np.fill_diagonal(matrix, False)
+    return matrix
+
+
+def permuted_compat_masks(cg: ConflictGraph, order) -> list[int]:
+    """Reference for ``conflict.compat_masks``: blocks of ``matrix`` permuted into scan order."""
+    compat: list[int] = []
+    for s in range(0, len(order), 1024):
+        block = np.take(np.take(cg.matrix, order[s : s + 1024], axis=0), order, axis=1)
+        np.logical_not(block, out=block)
+        block[np.arange(len(block)), np.arange(s, s + len(block))] = False
+        compat += row_masks(block)
+    return compat
 
 
 def sum_length_bound(demand, closed: np.ndarray) -> float:

@@ -12,7 +12,9 @@ import importlib
 import importlib.util
 import io
 import pkgutil
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +44,13 @@ def test_public_names_resolve_and_only_the_package_lists_them():
     readme = (ROOT / "README.md").read_text()
     listed = readme.split("The package exports these 23 names", 1)[1].split("\n\n", 2)[1]
     assert re.findall(r"`(\w+)`", listed) == names
+
+
+def test_importing_the_package_loads_no_command_line_code():
+    code = "import sys, multiflow; print(sorted({'argparse', 'multiflow.cli'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -1,5 +1,8 @@
 """Greedy coding-first scheduling and its length guarantees."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -445,3 +448,31 @@ def test_a_link_no_surviving_vertex_holds_is_left_unserved():
         for v in vs:
             rates[[a - 1 for a in sublink_sets(gh)[v - 1]]] += lam
     assert rates.tolist() == [0.0, 0.0, 0.25, 0.0]
+
+
+def stratified_coded_network(seed: int, columns: int, rows: int):
+    """Coded nodes at two per unit area, one drawn in each cell of a square lattice."""
+    rng = np.random.default_rng(seed)
+    cells = np.transpose(np.meshgrid(np.arange(columns), np.arange(rows))).reshape(-1, 2)
+    xy = (cells + rng.random(cells.shape)) / math.sqrt(2)
+    nodes = [Node(k + 1, float(x), float(y), 1.0, 1.5) for k, (x, y) in enumerate(xy)]
+    return build_network(nodes, coding_nodes=range(1, len(nodes) + 1), max_coding_degree=2)
+
+
+def test_graph_and_greedy_peak_below_twice_the_squared_vertex_count():
+    # the H x H matrix, its permuted blocks and the links' float distances
+    # took 3.5 H^2 bytes together; gathering from the link relation takes 0.64 H^2
+    net = stratified_coded_network(289, 17, 17)
+    h = net.hyperarc_count
+    assert 3500 <= h <= 5000, h
+    demand = np.random.default_rng(289).uniform(0.0, 0.05, net.link_count)
+    tracemalloc.start()
+    try:
+        gh = build_conflict_graph(net, "hyperarc")
+        schedule = cfs_schedule(net, gh, coding_first_ordering(gh), demand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * h * h, peak / h**2
+    assert "matrix" not in vars(gh)
+    assert np.allclose(schedule.capacity(net), demand, rtol=0, atol=1e-12)

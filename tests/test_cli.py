@@ -1,12 +1,19 @@
 """End-to-end command line behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from multiflow.cli import main
+import multiflow.conflict as conflict_module
+from multiflow.cli import build_parser, main
 
 from helpers import relay_data
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -342,3 +349,51 @@ def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys):
     instance.write_bytes(b"\xff\xfe" + json.dumps(relay_data()).encode("utf-16-le"))
     assert main(["inspect", str(instance)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read {instance}: ")
+
+
+def fresh_run(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command in a new interpreter."""
+    code = "import sys; from multiflow.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-c", code, *argv]
+    done = subprocess.run(command, capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(demo_dir, tmp_path, capsys):
+    coded = str(demo_dir / "two_way_relay_coded.json")
+    demand = tmp_path / "demand.json"
+    demand.write_text(json.dumps({"1-3": 0.25, "3-2": 0.125}))
+    schedule = ["schedule", coded, "--demand", str(demand)]
+    # each call after the first leaves out an option the one before it set
+    runs = [
+        schedule + ["--algorithm", "exact"],
+        schedule,
+        ["solve", coded, "--mode", "plain"],
+        ["solve", coded],
+        ["inspect", coded, "--format", "json"],
+        ["inspect", coded],
+    ]
+    assert build_parser() is build_parser()
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh_run(argv), argv
+
+
+def test_the_set_limit_acts_like_the_cap_on_every_command(demo_dir, tmp_path, capsys, monkeypatch):
+    coded = str(demo_dir / "two_way_relay_coded.json")
+    demand = tmp_path / "demand.json"
+    demand.write_text(json.dumps({"1-3": 0.25}))
+    schedule = ["schedule", coded, "--demand", str(demand)]
+    monkeypatch.setattr(conflict_module, "_MAX_SETS", 4)  # the coded relay has 5 sets, 4 uncoded
+    message = "5 schedulable sets pass the limit of 4"
+    for argv in (["solve", coded], ["compare", coded], schedule + ["--algorithm", "exact"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    report = run_json(capsys, ["inspect", coded])
+    assert report["note"] == f"catalog omitted: {message}" and "catalog" not in report
+    report = run_json(capsys, schedule)
+    assert "optimal_length" not in report and report["length"] == 0.25
+    monkeypatch.setattr(conflict_module, "_MAX_SETS", 5)
+    assert run_json(capsys, ["inspect", coded])["catalog_size"] == 5

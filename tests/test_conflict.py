@@ -15,6 +15,7 @@ from multiflow import (
     build_conflict_graph,
     build_network,
     closed_neighborhoods,
+    coding_first_ordering,
     enumerate_schedulable_sets,
     solve_mmf,
 )
@@ -26,6 +27,7 @@ from helpers import (
     closed_sets,
     coded_grid,
     distance,
+    eager_conflict_matrix,
     hyperarcs_conflict,
     ix_compat_masks,
     links_conflict,
@@ -35,6 +37,7 @@ from helpers import (
     neighbor_sets,
     node_map,
     pairwise_adjacency,
+    permuted_compat_masks,
     random_graph,
     random_network,
     relay_coded,
@@ -428,9 +431,16 @@ def test_compat_masks_are_the_same_packed_in_any_block_size(monkeypatch, block):
     whole = compat_masks(cg, order)
     small = make_conflict_graph(20, random_edges(rng, 20, 0.3))
     catalog = enumerate_schedulable_sets(small, cap=20).hyperarc_sets
+    # two sub-link columns: the later one is ORed in a block at a time
+    gh = build_conflict_graph(coded_grid(3, 3), "hyperarc")
+    coded_order = rng.permutation(gh.vertex_count)
+    coded = (compat_masks(gh, coded_order), gh.matrix)
     monkeypatch.setattr(conflict_module, "_BLOCK_ROWS", block)
     assert compat_masks(cg, order) == whole
     assert enumerate_schedulable_sets(small, cap=20).hyperarc_sets == catalog
+    gh = build_conflict_graph(coded_grid(3, 3), "hyperarc")
+    assert compat_masks(gh, coded_order) == coded[0]
+    assert np.array_equal(gh.matrix, coded[1])
     # bit j of compat[k]: positions j and k hold distinct, non-conflicting vertices
     for k in range(129):
         row = [(whole[k] >> j) & 1 for j in range(129)]
@@ -571,3 +581,66 @@ def test_independent_sets_cover_every_vertex():
         assert covered == set(range(1, cg.vertex_count + 1))
         for s in catalog.hyperarc_sets:
             assert cg.is_independent(s)
+
+
+def test_compat_masks_match_the_permuted_matrix_oracle():
+    rng = np.random.default_rng(173)
+    graphs = []
+    for _ in range(40):
+        net = random_network(rng)
+        graphs += [build_conflict_graph(net, level) for level in ("link", "hyperarc")]
+    grids = [coded_grid(w, h) for w, h in ((3, 3), (4, 3), (4, 4))]
+    graphs += [build_conflict_graph(grid, "hyperarc") for grid in grids]
+    # odd sub-links under a vertex relation: shared, skipped, empty and past every edge
+    odd = [{1}, {1, 3}, {2, 3, 5}, {8}, set(), {2}, {1, 2, 3, 5}]
+    graphs.append(make_conflict_graph(7, [(1, 2), (2, 5), (4, 6), (3, 7)], sublinks=odd))
+    graphs.append(make_conflict_graph(7, [], sublinks=odd, link_count=9))
+    for cg in graphs:
+        n = cg.vertex_count
+        for order in (np.arange(n), rng.permutation(n), np.array(coding_first_ordering(cg)) - 1):
+            assert compat_masks(cg, order) == permuted_compat_masks(cg, order)
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+def test_compat_masks_match_the_oracle_across_block_edges(n):
+    rng = np.random.default_rng(n)
+    upper = np.transpose(np.triu_indices(n, 1)) + 1
+    cg = make_conflict_graph(n, upper[rng.random(len(upper)) < 0.01].tolist())
+    for order in (np.arange(n), rng.permutation(n)):
+        assert compat_masks(cg, order) == permuted_compat_masks(cg, order)
+
+
+def test_the_matrix_is_derived_on_first_read_as_the_eager_build_made_it():
+    rng = np.random.default_rng(181)
+    for _ in range(120):
+        net = random_network(rng)
+        n = net.link_count
+        for level in ("link", "hyperarc"):
+            g = build_conflict_graph(net, level)
+            assert "matrix" not in vars(g)
+            assert g.members is g.sublink_index
+            # links relate symmetrically, each to itself; the padding row and column relate to none
+            rel = g.relation
+            assert rel.shape == (n + 1, n + 1) and not rel.flags.writeable
+            assert np.array_equal(rel, rel.T) and rel.diagonal()[:n].all()
+            assert not rel[n].any()
+            assert np.array_equal(g.matrix, eager_conflict_matrix(net, level))
+            assert g.matrix is vars(g)["matrix"] and not g.matrix.flags.writeable
+
+
+def test_a_catalog_past_the_set_limit_raises_before_any_set_is_unpacked(monkeypatch):
+    rng = np.random.default_rng(3)
+    graph = make_conflict_graph(40, random_edges(rng, 40, 0.1))  # 10,062 maximal sets
+    monkeypatch.setattr(conflict_module, "_MAX_SETS", 10_000)
+    tracemalloc.start()
+    try:
+        message = r"^10001 schedulable sets pass the limit of 10000$"
+        with pytest.raises(EnumerationCapError, match=message):
+            enumerate_schedulable_sets(graph, cap=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 59 KiB: the packed sets found so far; the member matrix alone would be 393 KiB
+    assert peak <= 2**18, peak
+    monkeypatch.setattr(conflict_module, "_MAX_SETS", 10_062)
+    assert len(enumerate_schedulable_sets(graph, cap=40)) == 10_062

@@ -1,5 +1,6 @@
 """Nodes, links, hyperarcs, and network construction."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -310,11 +311,14 @@ def test_network_measures_each_node_pair_once(monkeypatch):
     for level in ("link", "hyperarc"):
         build_conflict_graph(net, level)
     monkeypatch.undo()
-    # one call per ordered node pair, on the pair's coordinate differences
+    # one call per unordered node pair, on the pair's coordinate differences
     xy = [(float(i % 3), float(i // 3)) for i in ids]
-    assert sorted(calls) == sorted((x - u, y - v) for x, y in xy for u, v in xy)
+    assert len(calls) == 36
+    pairs = itertools.combinations(xy, 2)
+    assert sorted(calls) == sorted((x - u, y - v) for (x, y), (u, v) in pairs)
     assert net.distances.shape == (9, 9) and not net.distances.flags.writeable
     assert net.distances.tobytes() == loop_distances(net.nodes).tobytes()
+    assert net.distances.tobytes() == np.ascontiguousarray(net.distances.T).tobytes()
 
 
 @pytest.mark.parametrize("hyperarcs", [None, [(3, (1, 2))]], ids=["generated", "explicit"])
@@ -418,33 +422,44 @@ def count_constructions(monkeypatch) -> list:
     return built
 
 
+def assert_hyperarcs_built_on_first_read(net: Network, built: list) -> tuple[Hyperarc, ...]:
+    """Loading built no Hyperarc; the first read builds each once, a second read none."""
+    assert built == [] and "hyperarcs" not in vars(net)
+    arcs = net.hyperarcs
+    assert len(built) == len(arcs) == net.hyperarc_count
+    built.clear()
+    assert net.hyperarcs is arcs and built == []
+    return arcs
+
+
 def test_explicit_head_sets_build_each_hyperarc_once(monkeypatch):
     grid = coded_grid(4, 3, 3)
     coded = [(h.tail, sorted(h.heads, reverse=True)) for h in grid.hyperarcs[grid.link_count :]]
     singles = [(lk.tail, [lk.head]) for lk in grid.links[::4]]
+    oracle = generate_hyperarcs(grid, range(1, 13), 3)
     built = count_constructions(monkeypatch)
     net = build_network(grid.nodes, hyperarcs=coded[::-1] + singles)
     # one per link and one per coded head set; a weight-1 entry builds nothing
-    assert len(built) == net.hyperarc_count
-    assert net.hyperarcs == grid.hyperarcs
+    assert assert_hyperarcs_built_on_first_read(net, built) == oracle
     assert all(h.index == k for k, h in enumerate(net.hyperarcs, 1))
-    built.clear()
     relay = build_network(relay_nodes(), hyperarcs=[(3, (1, 2))])
-    assert len(built) == relay.hyperarc_count == 5
-    assert relay.hyperarcs[-1] == Hyperarc(3, frozenset({1, 2}), 5)
+    arcs = assert_hyperarcs_built_on_first_read(relay, built)
+    assert len(arcs) == 5 and arcs[-1] == Hyperarc(3, frozenset({1, 2}), 5)
 
 
 def test_loading_a_coded_grid_builds_each_hyperarc_once(monkeypatch):
+    grid = coded_grid(4, 4, 3)
     nodes = [
         {"id": nd.id, "x": nd.x, "y": nd.y, "r": nd.comm_radius, "rho": nd.interf_radius}
-        for nd in coded_grid(4, 4).nodes
+        for nd in grid.nodes
     ]
+    oracle = generate_hyperarcs(grid, range(1, 17), 3)
     built = count_constructions(monkeypatch)
     net = parse_instance(
         {"nodes": nodes, "coding_nodes": list(range(1, 17)), "max_coding_degree": 3}
     ).network
     assert net.max_weight == 3
-    assert len(built) == net.hyperarc_count
+    assert assert_hyperarcs_built_on_first_read(net, built) == oracle
 
 
 def test_distances_match_the_per_pair_oracle():
