@@ -12,8 +12,8 @@ a scan keeps the lowest free position and then only positions compatible
 with every pick, and each link a round settles clears its holders from the
 mask of surviving positions, so no round touches every vertex. Residuals
 and each position's links are Python lists, so a round makes no numpy call.
-A residual at or under 1e-12 times the largest demand (1e-12 once that
-demand reaches 1) counts as settled.
+A residual at or under ``settle_cutoff`` (1e-12 times the largest demand,
+1e-12 once that demand reaches 1) counts as settled.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import numpy as np
 from .conflict import ConflictGraph, compat_masks, row_masks
 from .errors import SolverError, ValidationError
 from .model import Network
-from .schedule import FractionalSchedule, check_per_link
+from .schedule import FractionalSchedule, check_per_link, settle_cutoff
 
-_RESIDUAL_EPS = 1e-12
 _BOUND_ROWS = 1024
 
 
@@ -68,8 +67,7 @@ def cfs_schedule(network: Network, gh: ConflictGraph, ordering, demand) -> Fract
     if sorted(ordering) != list(range(1, gh.vertex_count + 1)):
         raise ValidationError(f"the ordering is not a permutation of 1..{gh.vertex_count}")
     d = check_per_link(demand, n)
-    # the cutoff scales with demands in small units, so none is dropped for its unit
-    eps = _RESIDUAL_EPS * min(1.0, float(d.max(initial=0.0)))
+    eps = settle_cutoff(d)
     order = np.array(ordering, dtype=np.intp) - 1
     compat, holders = _scan_masks(gh, order)
     table = gh.sublink_index[order]
@@ -102,8 +100,9 @@ def cfs_schedule(network: Network, gh: ConflictGraph, ordering, demand) -> Fract
 def cfs_length_bound(demand, closed: np.ndarray) -> float:
     """Worst closed-neighborhood demand: the greedy length never exceeds it."""
     d = check_per_link(demand, len(closed))
-    # a running sum in ascending link order (adding 0.0 changes no sum), a
-    # block of rows at a time; a BLAS product may round differently
-    blocks = range(0, len(closed), _BOUND_ROWS)
-    sums = (np.cumsum(np.where(closed[k : k + _BOUND_ROWS], d, 0.0), axis=1)[:, -1] for k in blocks)
-    return max((float(s.max()) for s in sums), default=0.0)
+
+    def block_max(k: int) -> float:
+        # an in-place running sum in ascending link order; a BLAS product may round differently
+        part = np.where(closed[k : k + _BOUND_ROWS], d, 0.0)
+        return float(np.cumsum(part, axis=1, out=part)[:, -1].max())
+    return max(map(block_max, range(0, len(closed), _BOUND_ROWS)), default=0.0)

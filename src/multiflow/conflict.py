@@ -10,20 +10,19 @@ A graph stores the read-only relation it is induced from; over a network
 that is the link relation, tested on the network's ``distances`` table
 (``math.hypot``; numpy's hypot may round a tie the other way) at its
 ``link_ends`` positions, and a hyperarc's links are its row of the padded
-``sublink_index`` table. The vertex ``matrix`` is built only when read:
-the greedy's and the catalog's ``compat_masks`` gather from the relation.
+``sublink_index`` table. The counts, the greedy and the catalog read the
+packer ``compat_masks``, a query its vertices' relation block: no vertex matrix.
 
-The catalog comes from Bron-Kerbosch with pivoting on the complement
-graph, each vertex set a Python int with bit v-1 for vertex v, and stops
-past _MAX_SETS sets. Catalog
-order is ascending sorted vertex tuple; maximal sets never nest, so that
-is descending row order read as binary numbers with vertex 1 the top bit:
-numpy sorts the packed sets by their bit-reversed bytes and unpacks them
-once into a boolean member matrix. Its rows scatter through the sub-link
-table into a boolean incidence matrix, which is the member matrix itself
-when every vertex delivers just its own link. The inductive schedulable
-number is the largest entry of ``incidence @ closed`` (``closed`` the
-links' closed neighborhoods). Each pass takes _BLOCK_ROWS rows at a time.
+The catalog comes from Bron-Kerbosch with pivoting on the complement graph,
+each vertex set a Python int with bit v-1 for vertex v, and stops past
+_MAX_SETS sets. Catalog order is ascending sorted vertex tuple; maximal sets
+never nest, so that is descending row order read as binary numbers with vertex
+1 the top bit: numpy sorts the packed sets by their bit-reversed bytes and
+unpacks them once into a boolean member matrix. Its rows scatter through the
+sub-link table into a boolean incidence matrix, which is the member matrix
+itself when every vertex delivers just its own link. The inductive schedulable
+number is the largest entry of ``incidence @ closed`` (``closed`` the links'
+closed neighborhoods). Each pass takes _BLOCK_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class ConflictGraph:
     read-only symmetric boolean matrix over B base rows with a true diagonal
     and a false padding row and column B; ``members[v-1]`` lists v's base rows,
     padded with B (a network's graphs relate links, so it is ``sublink_index``).
-    Vertices conflict when any of their base rows relate: read-only
-    ``matrix[u-1, v-1]``, symmetric with a false diagonal, built on first read.
+    Two distinct vertices conflict when any of their base rows relate; a
+    link-level vertex is exactly one base row.
     """
 
     level: str
@@ -68,39 +67,32 @@ class ConflictGraph:
         return len(self.sublink_index)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        # touched[u, b]: some base row of u relates to b, so matrix[u, v] ORs
-        # touched[u, b] over v's base rows b: column takes, no transpose
-        touched = _gather_any(self.relation, self.members)
-        matrix = np.take(touched, self.members[:, 0], axis=1)
-        for column in self.members.T[1:]:
-            matrix |= np.take(touched, column, axis=1)
-        np.fill_diagonal(matrix, False)
-        matrix.flags.writeable = False
-        return matrix
+    def _degrees(self) -> np.ndarray:
+        h = self.vertex_count
+        return np.fromiter((h - 1 - m.bit_count() for m in compat_masks(self, np.arange(h))), int)
 
     @property
     def edge_count(self) -> int:
-        return int(np.count_nonzero(self.matrix)) // 2
+        return int(self._degrees.sum()) // 2
 
     @property
     def max_conflict_degree(self) -> int:
-        return int(np.count_nonzero(self.matrix, axis=1).max(initial=0))
+        return int(self._degrees.max(initial=0))
 
-    def _rows(self, vertices: Iterable[int]) -> np.ndarray:
-        # 0-based matrix rows; numpy would read 0 and negative ids from the end
+    def _block(self, vertices: Iterable[int]) -> np.ndarray:
+        # [i, j]: the i-th and j-th ids differ and conflict; numpy would read 0 and -1 from the end
         idx = np.array(list(vertices), dtype=np.intp)
         if np.any((idx < 1) | (idx > self.vertex_count)):
             raise ValidationError(f"vertex ids must lie in 1..{self.vertex_count}")
-        return idx - 1
+        rows = self.members[idx - 1]
+        block = self.relation[np.ix_(rows.ravel(), rows.ravel())].reshape(*rows.shape, *rows.shape)
+        return block.any(axis=(1, 3)) & (idx[:, None] != idx)
 
     def conflicts(self, u: int, v: int) -> bool:
-        i, j = self._rows((u, v))
-        return bool(self.matrix[i, j])
+        return bool(self._block((u, v))[0, 1])
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
-        idx = self._rows(sorted(set(vertices)))
-        return not self.matrix[np.ix_(idx, idx)].any()
+        return not self._block(set(vertices)).any()
 
 
 def _gather_any(rows: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -108,7 +100,7 @@ def _gather_any(rows: np.ndarray, index: np.ndarray, out: np.ndarray | None = No
     # ones _BLOCK_ROWS at a time into one buffer; every index is in range, and "wrap"
     # spares numpy the copy of out it makes under "raise"
     out = np.take(rows, index[:, 0], axis=0, out=out, mode="wrap")
-    buf = np.empty((_BLOCK_ROWS, *rows.shape[1:]), dtype=rows.dtype)
+    buf = np.empty((min(_BLOCK_ROWS, len(index)), *rows.shape[1:]), dtype=rows.dtype)
     for column in index.T[1:]:
         for s in range(0, len(index), _BLOCK_ROWS):
             part = buf[: len(index) - s]
@@ -280,7 +272,10 @@ def closed_neighborhoods(g: ConflictGraph) -> np.ndarray:
     """Closed link neighborhoods: read-only ``closed[a-1, b-1]`` is a == b or a conflict."""
     if g.level != "link":
         raise ValidationError("closed neighborhoods are defined over the link-level graph")
-    closed = g.matrix | np.eye(g.vertex_count, dtype=bool)
+    first, pad = g.members[:, 0], len(g.relation) - 1
+    if (first == pad).any() or (g.members[:, 1:] != pad).any():
+        raise ValidationError("each link-level vertex must be exactly one base row")
+    closed = g.relation[np.ix_(first, first)]
     closed.flags.writeable = False
     return closed
 

@@ -33,7 +33,7 @@ from .conflict import (
 from .errors import SolverError, UncoverableDemandError, ValidationError
 from .lp import LinearProgram, solve_lp
 from .model import Network
-from .schedule import FractionalSchedule, check_per_link
+from .schedule import FractionalSchedule, check_per_link, settle_cutoff
 
 MODES = ("plain", "coding")
 _WEIGHT_EPS = 1e-12
@@ -173,7 +173,7 @@ def _covering_shares(demand, catalog: SchedulableSetCatalog) -> tuple[dict[int, 
     out = solve_lp(LinearProgram(-np.ones(len(catalog)), rows, -d))
     if out.status != "optimal":
         raise SolverError(f"schedule LP ended {out.status}")
-    eps = _WEIGHT_EPS * min(1.0, float(d.max(initial=0.0)))  # as the greedy's, for small units
+    eps = settle_cutoff(d)  # the greedy's, so demands in small units keep their shares
     # unlike -x, 0.0 - x gives no -0.0 for an empty program
     return {j: float(v) for j, v in enumerate(out.x) if v > eps}, 0.0 - out.value
 

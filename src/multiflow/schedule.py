@@ -1,4 +1,4 @@
-"""Fractional schedules, their delivered per-link rates, and the per-link vector check."""
+"""Fractional schedules, their delivered per-link rates, the per-link check, the settle cutoff."""
 
 from __future__ import annotations
 
@@ -19,6 +19,11 @@ def check_per_link(values, link_count: int, name: str = "demand") -> np.ndarray:
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise ValidationError(f"{name} must be finite and nonnegative")
     return v
+
+
+def settle_cutoff(demand: np.ndarray) -> float:
+    """A schedule's zero share or residual: 1e-12, times the largest demand when that is under 1."""
+    return 1e-12 * min(1.0, float(demand.max(initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,9 @@ pair, links from one ``distance`` call per ordered pair of distinct nodes,
 generated hyperarcs from ``itertools.combinations`` over those links,
 sub-link rows from per-head link lookups, padded the old way,
 conflict graphs from testing every vertex pair with the pairwise
-protocol-model predicates below, greedy schedules from set-based
+protocol-model predicates below, vertex conflict matrices from a plain
+numpy gather of a graph's relation or, for a network, from the link test
+in floats, greedy schedules from set-based
 loops, linear programs are solved by enumerating basis vertices with exact
 rational arithmetic, a simplex basis is certified by dense rational
 Gauss-Jordan over every row, simplex phases are priced from scratch
@@ -146,9 +148,18 @@ def make_conflict_graph(n: int, edges, sublinks=None, link_count=None) -> Confli
     )
 
 
+def relation_matrix(cg: ConflictGraph) -> np.ndarray:
+    """The vertex conflict matrix, ``relation`` read at every pair of base rows, diagonal false."""
+    h, w = cg.members.shape
+    matrix = cg.relation[cg.members.reshape(h, w, 1, 1), cg.members.reshape(1, 1, h, w)]
+    matrix = matrix.any(axis=(1, 3))
+    np.fill_diagonal(matrix, False)
+    return matrix
+
+
 def neighbor_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
-    """The 1-based neighbors of each vertex, read off the conflict matrix."""
-    return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in cg.matrix)
+    """The 1-based neighbors of each vertex, read off ``relation_matrix``."""
+    return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in relation_matrix(cg))
 
 
 def closed_sets(closed: np.ndarray) -> tuple[frozenset[int], ...]:
@@ -397,12 +408,12 @@ def brute_force_max_independent_sets(cg: ConflictGraph) -> set[frozenset[int]]:
 
 def ix_compat_masks(cg: ConflictGraph, order) -> list[int]:
     """Reference for ``conflict.compat_masks``: one ``np.ix_`` block, bits set one at a time."""
-    free = np.logical_not(cg.matrix[np.ix_(order, order)])
+    free = np.logical_not(relation_matrix(cg)[np.ix_(order, order)])
     return [sum(1 << j for j in range(len(order)) if j != k and free[k, j]) for k in range(len(order))]
 
 
 def eager_conflict_matrix(network: Network, level: str) -> np.ndarray:
-    """Reference for ``ConflictGraph.matrix``: the whole link test in floats, then two gathers."""
+    """Reference vertex conflict matrix of a network: the link test in floats, then two gathers."""
     n = network.link_count
     index = network.sublink_index[: n if level == "link" else None]
     tails, heads = network.link_ends
@@ -421,10 +432,11 @@ def eager_conflict_matrix(network: Network, level: str) -> np.ndarray:
 
 
 def permuted_compat_masks(cg: ConflictGraph, order) -> list[int]:
-    """Reference for ``conflict.compat_masks``: blocks of ``matrix`` permuted into scan order."""
+    """Reference for ``conflict.compat_masks``: ``relation_matrix`` blocks in scan order."""
     compat: list[int] = []
+    matrix = relation_matrix(cg)
     for s in range(0, len(order), 1024):
-        block = np.take(np.take(cg.matrix, order[s : s + 1024], axis=0), order, axis=1)
+        block = np.take(np.take(matrix, order[s : s + 1024], axis=0), order, axis=1)
         np.logical_not(block, out=block)
         block[np.arange(len(block)), np.arange(s, s + len(block))] = False
         compat += row_masks(block)

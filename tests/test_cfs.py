@@ -32,6 +32,7 @@ from helpers import (
     neighbor_sets,
     random_demand,
     random_network,
+    relation_matrix,
     relay_coded,
     relay_plain,
     sublink_sets,
@@ -474,5 +475,42 @@ def test_graph_and_greedy_peak_below_twice_the_squared_vertex_count():
     finally:
         tracemalloc.stop()
     assert peak < 2 * h * h, peak / h**2
-    assert "matrix" not in vars(gh)
     assert np.allclose(schedule.capacity(net), demand, rtol=0, atol=1e-12)
+
+
+def traced_peak(call):
+    """The value of ``call()`` and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counts_and_closed_neighborhoods_build_no_vertex_matrix():
+    # a 100-node draw at the benchmark's density: the H x H matrix took 2.3 H^2
+    # bytes for the counts, and closed neighborhoods held it and an np.eye besides
+    net = stratified_coded_network(100, 10, 10)
+    n, h = net.link_count, net.hyperarc_count
+    assert 1200 <= h <= 1600, h
+    g = build_conflict_graph(net, "link")
+    gh = build_conflict_graph(net, "hyperarc")
+    closed, peak = traced_peak(lambda: closed_neighborhoods(g))
+    assert peak <= 2 * n * n, peak / n**2
+    assert np.array_equal(closed, relation_matrix(g) | np.eye(n, dtype=bool))
+    edges, peak = traced_peak(lambda: gh.edge_count)
+    assert peak < h * h, peak / h**2
+    assert edges == np.count_nonzero(relation_matrix(gh)) // 2
+
+
+def test_length_bound_holds_one_block_of_sums():
+    # three blocks of 1,024 rows: the sums run in place, and each block goes before the next
+    rng = np.random.default_rng(2100)
+    closed = rng.random((2100, 2100)) < 0.05
+    closed |= closed.T | np.eye(2100, dtype=bool)
+    d = rng.uniform(0.0, 0.05, 2100)
+    bound, peak = traced_peak(lambda: cfs_length_bound(d, closed))
+    block = 1024 * 2100 * 8
+    assert peak < 1.5 * block, peak / block
+    assert bound.hex() == sum_length_bound(d, closed).hex()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from multiflow import (
+    ConflictGraph,
     EnumerationCapError,
     Node,
     SchedulableSetCatalog,
@@ -40,6 +41,7 @@ from helpers import (
     permuted_compat_masks,
     random_graph,
     random_network,
+    relation_matrix,
     relay_coded,
     relay_commodities,
     relay_plain,
@@ -137,6 +139,8 @@ def test_vertex_ids_outside_the_graph_are_rejected(graph):
         with pytest.raises(ValidationError):
             g.conflicts(1, bad)
         with pytest.raises(ValidationError):
+            g.conflicts(bad, bad)
+        with pytest.raises(ValidationError):
             g.is_independent([bad, 1])
         with pytest.raises(ValidationError):
             g.is_independent([bad])
@@ -162,7 +166,7 @@ def assert_matches_pairwise(net):
         expected = pairwise_adjacency(net, level)
         assert neighbor_sets(g) == expected
         assert g.edge_count == sum(len(a) for a in expected) // 2
-        assert not g.matrix.flags.writeable
+        assert g.max_conflict_degree == max(map(len, expected), default=0)
 
 
 def test_graphs_match_pairwise_oracle_on_random_networks():
@@ -217,7 +221,8 @@ def test_interference_tie_is_an_edge_in_both_matrices():
         assert g.conflicts(a, b) is (not nudge)
         assert gh.conflicts(a, b) is (not nudge)
         assert gh.conflicts(coded.index, a) is (not nudge)
-        assert gh.matrix[a - 1, coded.index - 1] == (not nudge)
+        assert gh.conflicts(a, coded.index) is (not nudge)
+        assert eager_conflict_matrix(net, "hyperarc")[a - 1, coded.index - 1] == (not nudge)
         assert_matches_pairwise(net)
 
 
@@ -434,17 +439,18 @@ def test_compat_masks_are_the_same_packed_in_any_block_size(monkeypatch, block):
     # two sub-link columns: the later one is ORed in a block at a time
     gh = build_conflict_graph(coded_grid(3, 3), "hyperarc")
     coded_order = rng.permutation(gh.vertex_count)
-    coded = (compat_masks(gh, coded_order), gh.matrix)
+    coded = (compat_masks(gh, coded_order), gh.relation)
     monkeypatch.setattr(conflict_module, "_BLOCK_ROWS", block)
     assert compat_masks(cg, order) == whole
     assert enumerate_schedulable_sets(small, cap=20).hyperarc_sets == catalog
     gh = build_conflict_graph(coded_grid(3, 3), "hyperarc")
     assert compat_masks(gh, coded_order) == coded[0]
-    assert np.array_equal(gh.matrix, coded[1])
+    assert np.array_equal(gh.relation, coded[1])
     # bit j of compat[k]: positions j and k hold distinct, non-conflicting vertices
+    matrix = relation_matrix(cg)
     for k in range(129):
         row = [(whole[k] >> j) & 1 for j in range(129)]
-        assert row == [int(j != k and not cg.matrix[order[k], order[j]]) for j in range(129)]
+        assert row == [int(j != k and not matrix[order[k], order[j]]) for j in range(129)]
 
 
 @pytest.mark.parametrize(
@@ -502,7 +508,7 @@ def test_link_graph_reads_the_leading_rows_of_the_network_table():
         g = build_conflict_graph(net, "link")
         gh = build_conflict_graph(net, "hyperarc")
         # each link is the weight-1 hyperarc that delivers just itself
-        assert np.array_equal(g.matrix, gh.matrix[:n, :n])
+        assert np.array_equal(relation_matrix(g), relation_matrix(gh)[:n, :n])
         assert np.array_equal(g.sublink_index, net.sublink_index[:n])
         assert g.vertex_count == g.link_count == n
         assert not g.sublink_index.flags.writeable
@@ -552,6 +558,12 @@ def test_closed_neighborhoods_canonical():
     gh = build_conflict_graph(relay_coded(), "hyperarc")
     with pytest.raises(ValidationError):
         closed_neighborhoods(gh)
+    # a link-level vertex is exactly one base row: two (a coded hyperarc) or none is refused
+    assert (gh.members[:, 1:] < len(gh.relation) - 1).any()
+    no_row = np.full_like(g.members, len(g.relation) - 1)
+    for bad in (replace(gh, level="link"), replace(g, members=no_row)):
+        with pytest.raises(ValidationError):
+            closed_neighborhoods(bad)
 
 
 def test_inductive_schedulable_number_canonical():
@@ -610,22 +622,69 @@ def test_compat_masks_match_the_oracle_across_block_edges(n):
         assert compat_masks(cg, order) == permuted_compat_masks(cg, order)
 
 
-def test_the_matrix_is_derived_on_first_read_as_the_eager_build_made_it():
+def assert_reads_match(g, oracle, rng) -> None:
+    """Counts and queries of ``g`` against a vertex conflict matrix built without the package."""
+    h = g.vertex_count
+    assert g.edge_count == np.count_nonzero(oracle) // 2
+    assert g.max_conflict_degree == np.count_nonzero(oracle, axis=1).max(initial=0)
+    for _ in range(20 if h else 0):
+        u, v = rng.integers(1, h + 1, size=2).tolist()
+        assert g.conflicts(u, v) is bool(oracle[u - 1, v - 1])
+        assert g.conflicts(u, u) is False
+        idx = rng.permutation(h)[: rng.integers(1, min(h, 6) + 1)]
+        # a repeated id is the same vertex, not a conflict
+        subset = (idx + 1).tolist() + [int(idx[0]) + 1]
+        assert g.is_independent(subset) is not oracle[np.ix_(idx, idx)].any()
+    assert g.is_independent([])
+
+
+def test_the_relation_and_every_read_of_it_match_the_eager_build():
     rng = np.random.default_rng(181)
     for _ in range(120):
         net = random_network(rng)
         n = net.link_count
         for level in ("link", "hyperarc"):
             g = build_conflict_graph(net, level)
-            assert "matrix" not in vars(g)
             assert g.members is g.sublink_index
             # links relate symmetrically, each to itself; the padding row and column relate to none
             rel = g.relation
             assert rel.shape == (n + 1, n + 1) and not rel.flags.writeable
             assert np.array_equal(rel, rel.T) and rel.diagonal()[:n].all()
             assert not rel[n].any()
-            assert np.array_equal(g.matrix, eager_conflict_matrix(net, level))
-            assert g.matrix is vars(g)["matrix"] and not g.matrix.flags.writeable
+            eager = eager_conflict_matrix(net, level)
+            assert np.array_equal(relation_matrix(g), eager)
+            assert_reads_match(g, eager, rng)
+            if level == "link":
+                closed = closed_neighborhoods(g)
+                assert np.array_equal(closed, eager | np.eye(n, dtype=bool))
+                assert not closed.flags.writeable
+                # the same graph over its base rows in another order, the padding row last
+                perm = np.append(rng.permutation(n), n)
+                moved = replace(g, relation=rel[np.ix_(perm, perm)], members=np.argsort(perm)[g.members])
+                assert np.array_equal(closed_neighborhoods(moved), closed)
+                assert not closed_neighborhoods(moved).flags.writeable
+
+
+def test_hand_made_graph_reads_match_their_edges_and_a_plain_gather():
+    rng = np.random.default_rng(191)
+    for n in (0, 1, 1025):
+        upper = np.transpose(np.triu_indices(n, 1)) + 1
+        edges = upper[rng.random(len(upper)) < 0.01]
+        want = np.zeros((n, n), dtype=bool)
+        want[edges[:, 0] - 1, edges[:, 1] - 1] = want[edges[:, 1] - 1, edges[:, 0] - 1] = True
+        g = make_conflict_graph(n, edges.tolist())
+        assert np.array_equal(relation_matrix(g), want)
+        assert_reads_match(g, want, rng)
+    # up to three base rows a vertex over a nine-row relation, shared, repeated or padding
+    rel = rng.random((10, 10)) < 0.15
+    rel |= rel.T | np.eye(10, dtype=bool)
+    rel[9] = rel[:, 9] = False
+    rel.flags.writeable = False
+    members = np.sort(rng.integers(0, 10, size=(40, 3)), axis=1)
+    g = ConflictGraph(
+        "hyperarc", sublink_index=members, link_count=9, relation=rel, members=members
+    )
+    assert_reads_match(g, relation_matrix(g), rng)
 
 
 def test_a_catalog_past_the_set_limit_raises_before_any_set_is_unpacked(monkeypatch):
