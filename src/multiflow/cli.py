@@ -23,15 +23,12 @@ from .errors import EnumerationCapError, SolverError, ValidationError
 from .instance import demo_instances, load_demand, load_instance
 from .mmf import optimal_fractional_schedule, solve_mmf
 
-_TINY = 1e-12
 _JSON_ITEMS = 1024
 
 
 def _round9(value: float) -> float:
-    # 9 significant digits for every number we print
-    if abs(value) < _TINY:
-        return 0.0
-    return float(f"{float(value):.9g}")
+    # 9 significant digits for every number we print; + 0.0 turns -0.0 into 0.0
+    return float(f"{float(value):.9g}") + 0.0
 
 
 def _fmt(value: float) -> str:
@@ -83,7 +80,7 @@ def cmd_solve(args) -> dict:
         flow = {}
         for lk in inst.network.links:
             rate = float(sol.flows[i, lk.index - 1])
-            if rate > _TINY:
+            if rate:
                 flow[f"{lk.tail}-{lk.head}"] = rate
         commodities.append(
             {
@@ -116,12 +113,13 @@ def cmd_compare(args) -> dict:
         solve_mmf(inst.network, inst.commodities, mode=m, bandwidth=inst.bandwidth, cap=args.cap)
         for m in ("plain", "coding")
     )
+    alike = _round9(coded.throughput) == _round9(plain.throughput)  # no gain below print precision
     report = {
         "plain_throughput": plain.throughput,
         "coding_throughput": coded.throughput,
-        "absolute_gain": coded.throughput - plain.throughput,
+        "absolute_gain": 0.0 if alike else coded.throughput - plain.throughput,
     }
-    if plain.throughput > _TINY:
+    if plain.throughput > 0:
         report["relative_gain"] = coded.throughput / plain.throughput
     return report
 
@@ -178,7 +176,7 @@ def cmd_schedule(args) -> dict:
     }
     if optimal is not None:
         report["optimal_length"] = optimal
-        if optimal > _TINY:
+        if optimal > 0:
             report["ratio"] = length / optimal
     return report
 

@@ -36,7 +36,6 @@ from .model import Network
 from .schedule import FractionalSchedule, check_per_link, settle_cutoff
 
 MODES = ("plain", "coding")
-_WEIGHT_EPS = 1e-12
 _LENGTH_EPS = 1e-9
 
 
@@ -60,6 +59,7 @@ class MmfSolution:
     its objective row times them, the net rate out of its source;
     ``schedule_weights`` maps catalog set positions (0-based) to their
     time shares, which form the schedule certificate with ``catalog``.
+    Every zero is exact, set by ``settle_cutoff`` in units of the fastest link.
     """
 
     mode: str
@@ -145,17 +145,18 @@ def solve_mmf(
     out = solve_lp(program, exact_check=exact_check)
     if out.status != "optimal":
         raise SolverError(f"throughput LP ended {out.status}")
-    flows = out.x[: k * n].reshape(k, n) * scale
-    shares = out.x[k * n :]
-    weights = {j: float(v) for j, v in enumerate(shares) if v > _WEIGHT_EPS}
+    eps = settle_cutoff(bw)  # at the LP's scale, the fastest link's airtime: 1e-12
+    x = np.where(out.x > eps, out.x, 0.0)
+    flows = x[: k * n].reshape(k, n) * scale
     objectives = c[: k * n].reshape(k, n)  # +1 on the source's out-links, -1 on its in-links
-    per = tuple(float(sum(f[r > 0]) - sum(f[r < 0])) for f, r in zip(flows, objectives))
+    values = [sum(f[r > 0]) - sum(f[r < 0]) for f, r in zip(flows, objectives)]
+    *per, value = (float(v) if v > eps * scale else 0.0 for v in values + [out.value * scale])
     return MmfSolution(
         mode=mode,
-        throughput=float(out.value) * scale,
-        per_commodity=per,
+        throughput=value,
+        per_commodity=tuple(per),
         flows=flows,
-        schedule_weights=weights,
+        schedule_weights={j: float(v) for j, v in enumerate(x[k * n :]) if v},
         catalog=catalog,
         exact_throughput=None if out.exact_value is None else out.exact_value * Fraction(scale),
     )

@@ -22,7 +22,7 @@ def check_per_link(values, link_count: int, name: str = "demand") -> np.ndarray:
 
 
 def settle_cutoff(demand: np.ndarray) -> float:
-    """A schedule's zero share or residual: 1e-12, times the largest demand when that is under 1."""
+    """The one zero rule: a returned value at or under 1e-12 times min(1, largest demand) is 0."""
     return 1e-12 * min(1.0, float(demand.max(initial=0.0)))
 
 

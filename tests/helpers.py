@@ -83,6 +83,20 @@ def relay_data(**fields) -> dict:
     return {"nodes": nodes, **fields}
 
 
+def grid_instance(width: int, height: int, coded: bool) -> dict:
+    """Unit-spaced grid with r = 1 and rho = 1.5, as instance data; coded grids broadcast to pairs."""
+    nodes = [
+        {"id": y * width + x + 1, "x": float(x), "y": float(y), "r": 1.0, "rho": 1.5}
+        for y in range(height)
+        for x in range(width)
+    ]
+    inst: dict = {"nodes": nodes}
+    if coded:
+        inst["coding_nodes"] = [nd["id"] for nd in nodes]
+        inst["max_coding_degree"] = 2
+    return inst
+
+
 def coded_grid(width: int, height: int, max_coding_degree: int = 2) -> Network:
     """Unit-spaced grid, r = 1 and rho = 1.5, every node coding up to the given degree."""
     nodes = [
@@ -385,7 +399,8 @@ def loop_schedulable_sets(cg: ConflictGraph) -> LoopCatalog:
 
 def loop_inductive_schedulable_number(catalog, neighborhoods) -> int:
     """Set-loop reference for ``inductive_schedulable_number`` (nonempty inputs)."""
-    return max(len(ls & nb) for ls in catalog.sublink_sets for nb in closed_sets(neighborhoods))
+    closed = closed_sets(neighborhoods)
+    return max(len(ls & nb) for ls in catalog.sublink_sets for nb in closed)
 
 
 def brute_force_max_independent_sets(cg: ConflictGraph) -> set[frozenset[int]]:
@@ -757,3 +772,16 @@ def assert_valid_solution(net: Network, commodities, sol, bandwidth=None) -> Non
         assert abs(sol.per_commodity[i] - (out - into)) <= 1e-12, (i, sol.per_commodity)
     assert len(sol.per_commodity) == len(commodities)
     assert abs(sum(sol.per_commodity) - sol.throughput) <= 1e-6
+    assert_exact_zeros(sol, bandwidth)
+
+
+def assert_exact_zeros(sol, bandwidth=None) -> None:
+    """Every returned flow, share and value is exactly 0 or above 1e-12 at the solve's scale.
+
+    The scale is the fastest link: 1e-12 of its airtime for shares, and 1e-12
+    times its bandwidth for flows and values.
+    """
+    cutoff = 1e-12 * (1.0 if bandwidth is None else float(np.max(bandwidth)))
+    rates = [*sol.flows.ravel().tolist(), *sol.per_commodity, sol.throughput]
+    assert not [v for v in rates if v != 0.0 and v <= cutoff]
+    assert not [v for v in sol.schedule_weights.values() if v <= 1e-12]

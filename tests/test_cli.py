@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import multiflow.conflict as conflict_module
-from multiflow.cli import build_parser, main
+from multiflow.cli import build_parser, main, render_json
+from multiflow.instance import load_instance
 
-from helpers import relay_data
+from helpers import grid_instance, relay_data
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+RELAY_LINKS = ("1-3", "2-3", "3-1", "3-2")
 
 
 @pytest.fixture
@@ -42,11 +44,73 @@ def test_demo_writes_instances(tmp_path, capsys):
 def test_solve_in_bit_per_second(demo_dir, tmp_path, capsys):
     # every link at 1 Gbit/s, written in bit/s
     data = json.loads((demo_dir / "two_way_relay_coded.json").read_text())
-    data["bandwidth"] = {key: 1e9 for key in ("1-3", "2-3", "3-1", "3-2")}
+    data["bandwidth"] = {key: 1e9 for key in RELAY_LINKS}
     instance = tmp_path / "gigabit.json"
     instance.write_text(json.dumps(data))
     report = run_json(capsys, ["solve", str(instance)])
     assert report["throughput"] == 666666667.0
+
+
+@pytest.fixture(scope="module")
+def corner_4x4(tmp_path_factory):
+    """The plain 4x4 grid's corner triple as data, its link keys, and its unit-bandwidth JSON."""
+    data = grid_instance(4, 4, coded=False)
+    data["commodities"] = [{"source": s, "sink": t} for s, t in ((1, 16), (16, 1), (4, 13))]
+    unit = tmp_path_factory.mktemp("corner") / "unit.json"
+    unit.write_text(json.dumps(data))
+    keys = [f"{lk.tail}-{lk.head}" for lk in load_instance(unit).network.links]
+    args = build_parser().parse_args(["solve", str(unit), "--mode", "plain", "--cap", "100"])
+    return data, keys, json.loads(render_json(args.handler(args)))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e9])
+def test_a_4x4_corner_solve_scales_with_its_bandwidths(tmp_path, capsys, corner_4x4, scale):
+    # an absolute print cutoff once dropped every flow at 1e-13 and let LP noise print at 1e9
+    data, keys, want = corner_4x4
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps({**data, "bandwidth": dict.fromkeys(keys, scale)}))
+    got = run_json(capsys, ["solve", str(scaled), "--mode", "plain", "--cap", "100"])
+    assert [len(c["flow"]) for c in want["commodities"]] == [12, 12, 0]
+    for c, c0 in zip(got["commodities"], want["commodities"], strict=True):
+        assert c["flow"] == pytest.approx({k: v * scale for k, v in c0["flow"].items()}, rel=1e-8)
+        assert c["value"] == pytest.approx(c0["value"] * scale, rel=1e-8)
+    assert got["schedule"] == want["schedule"]
+    assert f"{got['throughput']:.9g}" == f"{want['throughput'] * scale:.9g}"
+
+
+def test_compare_in_tiny_units(demo_dir, tmp_path, capsys):
+    # every bandwidth at 1e-13: an absolute print cutoff once zeroed both throughputs
+    data = json.loads((demo_dir / "two_way_relay_coded.json").read_text())
+    data["bandwidth"] = {key: 1e-13 for key in RELAY_LINKS}
+    instance = tmp_path / "tiny.json"
+    instance.write_text(json.dumps(data))
+    assert run_json(capsys, ["compare", str(instance)]) == {
+        "plain_throughput": 5e-14,
+        "coding_throughput": 6.66666667e-14,
+        "absolute_gain": 1.66666667e-14,
+        "relative_gain": 1.33333333,
+    }
+    assert main(["compare", str(instance)]) == 0
+    assert capsys.readouterr().out == (
+        "plain_throughput   5e-14\n"
+        "coding_throughput  6.66666667e-14\n"
+        "absolute_gain      1.66666667e-14\n"
+        "relative_gain      1.33333333\n"
+    )
+
+
+@pytest.mark.parametrize("algorithm", ["cfs", "exact"])
+def test_schedule_in_tiny_units(demo_dir, tmp_path, capsys, algorithm):
+    # a 1e-13 demand on every link: each lambda prints as 1e-13, not as 0
+    demand = tmp_path / "tiny.json"
+    demand.write_text(json.dumps({key: 1e-13 for key in RELAY_LINKS}))
+    instance = str(demo_dir / "two_way_relay_coded.json")
+    argv = ["schedule", instance, "--demand", str(demand), "--algorithm", algorithm]
+    report = run_json(capsys, argv)
+    assert [entry["lambda"] for entry in report["schedule"]] == [1e-13] * 3
+    assert report["length"] == report["optimal_length"] == 3e-13
+    assert report["neighborhood_bound"] == 4e-13
+    assert report["ratio"] == 1.0
 
 
 def test_solve_plain(demo_dir, capsys):

@@ -15,7 +15,7 @@ import pytest
 
 from multiflow.cli import build_parser, main, render_json
 
-from helpers import json_render
+from helpers import grid_instance, json_render
 
 README_DEMAND = '{"1-3": 0.25, "3-2": 0.125}'
 
@@ -82,20 +82,6 @@ GRID_GOLDEN = {
     # 100 hyperarc vertices, 2,861 sets
     "grid_4x4_coded": "c1d0e5b17ce428082f178ac57bddfc5e6c95f7b90338dea69a89d75bd4e553c5",
 }
-
-
-def grid_instance(width: int, height: int, coded: bool) -> dict:
-    """Unit-spaced grid with r = 1 and rho = 1.5; coded grids broadcast to pairs."""
-    nodes = [
-        {"id": y * width + x + 1, "x": float(x), "y": float(y), "r": 1.0, "rho": 1.5}
-        for y in range(height)
-        for x in range(width)
-    ]
-    inst: dict = {"nodes": nodes}
-    if coded:
-        inst["coding_nodes"] = [nd["id"] for nd in nodes]
-        inst["max_coding_degree"] = 2
-    return inst
 
 
 @pytest.mark.parametrize("name", sorted(GRID_GOLDEN))
@@ -207,6 +193,14 @@ EDGE_REPORTS = {
 def test_render_json_matches_the_standard_encoder_on_edge_values(name):
     report = EDGE_REPORTS[name]
     assert render_json(report) == json_render(report)
+
+
+def test_render_json_prints_negative_zero_as_zero_and_tiny_values_as_they_are():
+    # literal bytes: the oracle above rounds with the renderer's own rule, so it cannot catch one
+    report = {"z": -0.0, "t": 1e-13, "l": [-0.0, 1e-13, -1e-13]}
+    assert render_json(report) == (
+        '{\n  "l": [\n    0.0,\n    1e-13,\n    -1e-13\n  ],\n  "t": 1e-13,\n  "z": 0.0\n}'
+    )
 
 
 @pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])

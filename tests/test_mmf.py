@@ -26,6 +26,7 @@ from multiflow.instance import parse_demand
 from multiflow.schedule import check_per_link
 
 from helpers import (
+    assert_exact_zeros,
     assert_valid_solution,
     coded_grid,
     random_commodities,
@@ -127,7 +128,7 @@ def test_bandwidth_scales_throughput():
     assert abs(half.throughput - 0.25) <= 1e-9
 
 
-@pytest.mark.parametrize("bw", [1e-12, 1e-9, 1e9, 1e12])
+@pytest.mark.parametrize("bw", [1e-13, 1e-12, 1e-9, 1e9, 1e12])
 @pytest.mark.parametrize(
     "mode, q", [("plain", Fraction(1, 2)), ("coding", Fraction(2, 3))], ids=["plain", "coding"]
 )
@@ -140,6 +141,7 @@ def test_bandwidths_far_from_one_scale_the_relay_throughput(mode, q, bw):
     # flows come back in the bandwidth's unit too
     assert math.isclose(sum(sol.per_commodity), sol.throughput, rel_tol=1e-12)
     assert np.all(sol.flows.sum(axis=0) <= schedule_capacity(sol, bandwidth) * (1 + 1e-12))
+    assert_exact_zeros(sol, bandwidth)
 
 
 def test_throughput_is_homogeneous_in_the_bandwidth():
@@ -153,8 +155,9 @@ def test_throughput_is_homogeneous_in_the_bandwidth():
             base = solve_mmf(net, coms, mode, bw).throughput
             positive += base > 0
             for s in (1e-12, 1e-9, 1e9, 1e12):
-                scaled = solve_mmf(net, coms, mode, s * bw).throughput
-                assert math.isclose(scaled, s * base, rel_tol=1e-9), (mode, s, base, scaled)
+                sol = solve_mmf(net, coms, mode, s * bw)
+                assert math.isclose(sol.throughput, s * base, rel_tol=1e-9), (mode, s, base)
+                assert_exact_zeros(sol, s * bw)
     assert positive >= 20
 
 
