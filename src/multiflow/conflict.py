@@ -168,12 +168,6 @@ def _bits(x: int):
         x ^= low
 
 
-def row_masks(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as a Python int, bit k set where column k is."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def compat_masks(cg: ConflictGraph, order: np.ndarray) -> list[int]:
     """Bit j of mask k: vertices order[j] and order[k] (0-based) are distinct, non-conflicting."""
     rows, h, width = cg.members[order], len(order), len(cg.relation)

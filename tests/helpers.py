@@ -40,9 +40,9 @@ from multiflow import (
     build_conflict_graph,
     build_network,
 )
-from multiflow.cfs import _scan, _scan_masks
+from multiflow.cfs import _scan
 from multiflow.cli import _round9
-from multiflow.conflict import row_masks
+from multiflow.conflict import compat_masks
 from multiflow.lp import LinearProgram
 from multiflow.model import DEFAULT_MAX_CODING_DEGREE, Hyperarc, Link
 
@@ -281,7 +281,7 @@ def coding_first_mwis(candidates, omega, gh: ConflictGraph) -> frozenset[int]:
     if not remaining:
         raise ValidationError("empty candidate set")
     order = np.array(omega, dtype=np.intp) - 1
-    compat, _ = _scan_masks(gh, order)
+    compat = compat_masks(gh, order)
     free = sum(1 << k for k, v in enumerate(omega) if v in remaining)
     return frozenset((order[_scan(free, compat)] + 1).tolist())
 
@@ -444,6 +444,12 @@ def eager_conflict_matrix(network: Network, level: str) -> np.ndarray:
     matrix = gather_any(np.ascontiguousarray(gather_any(hit, index).T), index)
     np.fill_diagonal(matrix, False)
     return matrix
+
+
+def row_masks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python int, bit k set where column k is."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def permuted_compat_masks(cg: ConflictGraph, order) -> list[int]:

@@ -240,7 +240,7 @@ def test_cfs_length_bound_canonical():
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
 def test_length_bound_is_bit_equal_to_an_ascending_sum(monkeypatch, block):
-    monkeypatch.setattr(cfs_module, "_BOUND_ROWS", block)
+    monkeypatch.setattr(cfs_module, "_BLOCK_ROWS", block)
     rng = np.random.default_rng(149)
     nets = [random_network(rng) for _ in range(30)] + [coded_grid(4, 4), relay_coded()]
     for net in nets:
@@ -365,10 +365,11 @@ def test_scan_masks_pack_the_compat_masks_and_each_links_holders():
     gh = synthetic_graph(rng, 129, net.link_count)
     omega = tuple((rng.permutation(129) + 1).tolist())
     order = np.array(omega) - 1
-    compat, holders = cfs_module._scan_masks(gh, order)
+    compat, holders, links = cfs_module._scan_masks(gh, order)
     assert compat == compat_masks(gh, order)
-    # bit j of holders[a]: the vertex at scan position j delivers link a
     sublinks = sublink_sets(gh)
+    assert [sorted(a + 1 for a in row) for row in links] == [sorted(sublinks[v]) for v in order]
+    # bit j of holders[a]: the vertex at scan position j delivers link a
     for a in range(net.link_count):
         assert [(holders[a] >> j) & 1 for j in range(129)] == [
             int(a + 1 in sublinks[v]) for v in order
@@ -451,6 +452,19 @@ def test_a_link_no_surviving_vertex_holds_is_left_unserved():
     assert rates.tolist() == [0.0, 0.0, 0.25, 0.0]
 
 
+@pytest.mark.parametrize(
+    "edges, want",
+    [([], [({1, 3}, 0.5)]), ([(1, 3)], [({1}, 0.5), ({3}, 0.5)])],
+    ids=["apart", "in-conflict"],
+)
+def test_a_vertex_that_delivers_no_link_is_never_picked(edges, want):
+    # vertex 2 holds no link; the loop oracle takes valid input only, so the entries are literal
+    net = line_network(3)  # 4 links
+    gh = make_conflict_graph(3, edges, sublinks=[{1}, set(), {2}], link_count=4)
+    sched = cfs_schedule(net, gh, coding_first_ordering(gh), np.full(4, 0.5))
+    assert sched.entries == tuple((frozenset(vs), lam) for vs, lam in want)
+
+
 def stratified_coded_network(seed: int, columns: int, rows: int):
     """Coded nodes at two per unit area, one drawn in each cell of a square lattice."""
     rng = np.random.default_rng(seed)
@@ -470,11 +484,18 @@ def test_graph_and_greedy_peak_below_twice_the_squared_vertex_count():
     tracemalloc.start()
     try:
         gh = build_conflict_graph(net, "hyperarc")
-        schedule = cfs_schedule(net, gh, coding_first_ordering(gh), demand)
-        peak = tracemalloc.get_traced_memory()[1]
+        ordering = coding_first_ordering(gh)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        schedule = cfs_schedule(net, gh, ordering, demand)
+        greedy_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 2 * h * h, peak / h**2
+    assert max(peak, held + greedy_peak) < 2 * h * h, max(peak, held + greedy_peak) / h**2
+    # the compat ints, the packer's links x H bytes and the holders' links x H bits;
+    # with a links x H boolean table of who delivers what, the call peaked at 1.7 links x H
+    lh = net.link_count * h
+    assert greedy_peak < 1.45 * lh, greedy_peak / lh
     assert np.allclose(schedule.capacity(net), demand, rtol=0, atol=1e-12)
 
 
