@@ -58,7 +58,7 @@ def cfs_schedule(network: Network, gh: ConflictGraph, ordering, demand) -> Fract
     Every round: each surviving vertex is assigned the minimum residual
     demand over its sub-links, zero-demand vertices leave for good, one
     conflict-free set is chosen coding-first, runs for the smallest
-    assigned demand among its members, and that time is subtracted from
+    assigned demand among its vertices, and that time is subtracted from
     every sub-link it serves. The ordering must list every vertex once.
     On a hand-made graph a vertex with no link is never picked, and a
     link that no surviving vertex holds is left unserved.
@@ -99,6 +99,8 @@ def cfs_schedule(network: Network, gh: ConflictGraph, ordering, demand) -> Fract
 def cfs_length_bound(demand, closed: np.ndarray) -> float:
     """Worst closed-neighborhood demand: the greedy length never exceeds it."""
     d = check_per_link(demand, len(closed))
+    if closed.shape != (len(d),) * 2:
+        raise ValidationError(f"closed is {closed.shape} for {len(d)} links")
 
     def block_max(k: int) -> float:
         # an in-place running sum in ascending link order; a BLAS product may round differently

@@ -1,28 +1,25 @@
 """Protocol-model conflict graphs over links and hyperarcs.
 
 Two links conflict when either transmitter sits within interference range
-of the other's receiver; the comparison is inclusive with no slack. Two
-hyperarcs conflict when any pair of their sub-links does, so hyperarcs
-sharing a tail always conflict. Schedulable sets are the independent sets
-of these graphs; the catalog enumerates the maximal ones.
-
-A graph stores the read-only relation it is induced from; over a network
-that is the link relation, tested on the network's ``distances`` table
-(``math.hypot``; numpy's hypot may round a tie the other way) at its
-``link_ends`` positions, and a hyperarc's links are its row of the padded
-``sublink_index`` table. The counts, the greedy and the catalog read the
-packer ``compat_masks``, a query its vertices' relation block: no vertex matrix.
+of the other's receiver; the comparison is inclusive with no slack, on the
+network's ``distances`` table (``math.hypot``; numpy's hypot may round a
+tie the other way). A graph stores just this read-only link relation and
+each vertex's links, its row of the padded ``sublink_index`` table: two
+vertices conflict when any pair of their links does, so hyperarcs sharing
+a tail always conflict. The counts, the greedy and the catalog read the
+packer ``compat_masks``, and closed neighborhoods are a view of the
+relation: no vertex matrix. Schedulable sets are the independent sets of
+these graphs; the catalog enumerates the maximal ones.
 
 The catalog comes from Bron-Kerbosch with pivoting on the complement graph,
 each vertex set a Python int with bit v-1 for vertex v, and stops past
-_MAX_SETS sets. Catalog order is ascending sorted vertex tuple; maximal sets
-never nest, so that is descending row order read as binary numbers with vertex
-1 the top bit: numpy sorts the packed sets by their bit-reversed bytes and
-unpacks them once into a boolean member matrix. Its rows scatter through the
-sub-link table into a boolean incidence matrix, which is the member matrix
-itself when every vertex delivers just its own link. The inductive schedulable
-number is the largest entry of ``incidence @ closed`` (``closed`` the links'
-closed neighborhoods). Each pass takes _BLOCK_ROWS rows at a time.
+_MAX_SETS sets. numpy sorts the packed sets into catalog order, ascending
+sorted vertex tuple, and unpacks them once into a boolean member matrix. Its
+rows scatter through the sub-link table into a boolean incidence matrix,
+which is the member matrix itself when every vertex delivers just its own
+link. The inductive schedulable number is the largest entry of
+``incidence @ closed`` (``closed`` the links' closed neighborhoods). Each
+pass takes _BLOCK_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -48,19 +44,18 @@ class ConflictGraph:
 
     ``sublink_index[v-1]`` lists the 0-based links vertex v delivers, padded
     with ``link_count``: ``Network.sublink_index``, or its first ``link_count``
-    rows at link level; its unpadded count is v's weight. ``relation`` is a
-    read-only symmetric boolean matrix over B base rows with a true diagonal
-    and a false padding row and column B; ``members[v-1]`` lists v's base rows,
-    padded with B (a network's graphs relate links, so it is ``sublink_index``).
-    Two distinct vertices conflict when any of their base rows relate; a
-    link-level vertex is exactly one base row.
+    rows at link level; its unpadded count is v's weight. ``relation`` is the
+    read-only symmetric link relation, true on the diagonal, with a false
+    padding row and column ``link_count``; vertices sharing a link conflict.
     """
 
     level: str
     sublink_index: np.ndarray
-    link_count: int
     relation: np.ndarray
-    members: np.ndarray
+
+    @property
+    def link_count(self) -> int:
+        return len(self.relation) - 1
 
     @property
     def vertex_count(self) -> int:
@@ -78,21 +73,6 @@ class ConflictGraph:
     @property
     def max_conflict_degree(self) -> int:
         return int(self._degrees.max(initial=0))
-
-    def _block(self, vertices: Iterable[int]) -> np.ndarray:
-        # [i, j]: the i-th and j-th ids differ and conflict; numpy would read 0 and -1 from the end
-        idx = np.array(list(vertices), dtype=np.intp)
-        if np.any((idx < 1) | (idx > self.vertex_count)):
-            raise ValidationError(f"vertex ids must lie in 1..{self.vertex_count}")
-        rows = self.members[idx - 1]
-        block = self.relation[np.ix_(rows.ravel(), rows.ravel())].reshape(*rows.shape, *rows.shape)
-        return block.any(axis=(1, 3)) & (idx[:, None] != idx)
-
-    def conflicts(self, u: int, v: int) -> bool:
-        return bool(self._block((u, v))[0, 1])
-
-    def is_independent(self, vertices: Iterable[int]) -> bool:
-        return not self._block(set(vertices)).any()
 
 
 def _gather_any(rows: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -128,7 +108,7 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
     hit = np.zeros((n + 1, n + 1), dtype=bool)
     _gather_any(sides, np.stack([tails, m + heads], axis=1), out=hit[:n])
     hit.flags.writeable = False
-    return ConflictGraph(level, sublink_index=index, link_count=n, relation=hit, members=index)
+    return ConflictGraph(level, sublink_index=index, relation=hit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +124,10 @@ class SchedulableSetCatalog:
 
     member: np.ndarray
     incidence: np.ndarray
-    link_count: int
+
+    @property
+    def link_count(self) -> int:
+        return self.incidence.shape[1]
 
     def __len__(self) -> int:
         return len(self.member)
@@ -170,22 +153,22 @@ def _bits(x: int):
 
 def compat_masks(cg: ConflictGraph, order: np.ndarray) -> list[int]:
     """Bit j of mask k: vertices order[j] and order[k] (0-based) are distinct, non-conflicting."""
-    rows, h, width = cg.members[order], len(order), len(cg.relation)
-    # touched[j, i, b]: base row b relates to one of position 8j + i's (its own among
-    # them: the diagonal is true); packed[j, b] holds it in bit i, with no transpose
+    rows, h, width = cg.sublink_index[order], len(order), len(cg.relation)
+    # touched[j, i, b]: link b relates to a link of position 8j + i; packed[j, b] has it in bit i
     touched = np.zeros((-(-h // 8), 8, width), dtype=np.uint8)
     _gather_any(cg.relation.view(np.uint8), rows, out=touched.reshape(-1, width)[:h])
     packed = touched[:, 0].copy()
     for i in range(1, 8):
         packed |= touched[:, i] << i
     del touched
-    # seen[b]: the positions whose vertex relates to base row b, as one int
+    # seen[b]: the positions whose vertex relates to link b, as one int
     seen = [int.from_bytes(row.tobytes(), "little") for row in packed.T.copy()]
     related = map(seen.__getitem__, rows[:, 0].tolist())
     for column in rows.T[1:].tolist():
         related = map(operator.or_, related, map(seen.__getitem__, column))
+    # a vertex with no link relates to none, itself included, so its own bit is cleared here
     full = (1 << h) - 1
-    return [full ^ mask for mask in related]
+    return [full ^ (mask | 1 << k) for k, mask in enumerate(related)]
 
 
 def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
@@ -252,26 +235,21 @@ def enumerate_schedulable_sets(
     member.flags.writeable = False
     n, index = cg.link_count, cg.sublink_index
     if cg.vertex_count == n and (index[:, 0] == np.arange(n)).all() and (index[:, 1:] == n).all():
-        return SchedulableSetCatalog(member=member, incidence=member, link_count=n)
+        return SchedulableSetCatalog(member=member, incidence=member)
     incidence = np.zeros((len(member), n), dtype=bool)
     for s in range(0, len(member), _BLOCK_ROWS):
         rows, verts = np.nonzero(member[s : s + _BLOCK_ROWS])
         rows, links = np.broadcast_arrays(s + rows[:, None], index[verts])
         incidence[rows[links < n], links[links < n]] = True  # n pads the sub-link table
     incidence.flags.writeable = False
-    return SchedulableSetCatalog(member=member, incidence=incidence, link_count=n)
+    return SchedulableSetCatalog(member=member, incidence=incidence)
 
 
 def closed_neighborhoods(g: ConflictGraph) -> np.ndarray:
-    """Closed link neighborhoods: read-only ``closed[a-1, b-1]`` is a == b or a conflict."""
+    """Closed link neighborhoods as a view of ``relation``: [a-1, b-1] is a == b or a conflict."""
     if g.level != "link":
         raise ValidationError("closed neighborhoods are defined over the link-level graph")
-    first, pad = g.members[:, 0], len(g.relation) - 1
-    if (first == pad).any() or (g.members[:, 1:] != pad).any():
-        raise ValidationError("each link-level vertex must be exactly one base row")
-    closed = g.relation[np.ix_(first, first)]
-    closed.flags.writeable = False
-    return closed
+    return g.relation[: g.link_count, : g.link_count]
 
 
 def inductive_schedulable_number(catalog: SchedulableSetCatalog, closed: np.ndarray) -> int:
@@ -282,6 +260,8 @@ def inductive_schedulable_number(catalog: SchedulableSetCatalog, closed: np.ndar
     """
     if not len(catalog):
         raise ValidationError("empty schedulable-set catalog")
+    if closed.shape != (catalog.link_count,) * 2:
+        raise ValidationError(f"closed is {closed.shape} for {catalog.link_count} links")
     if not closed.size:
         raise ValidationError("no links, so no conflict neighborhoods")
     # overlap counts for _BLOCK_ROWS sets at a time, never a catalog-sized product,

@@ -124,8 +124,8 @@ def sublink_indices(network: Network, arc: Hyperarc) -> frozenset[int]:
 
 
 def padded_sublink_index(sublinks, link_count: int) -> np.ndarray:
-    """0-based sub-links, one row per vertex, short rows padded with ``link_count``."""
-    index = np.full((len(sublinks), max(map(len, sublinks), default=1)), link_count)
+    """0-based sub-links, one row per vertex, padded with ``link_count`` to one column at least."""
+    index = np.full((len(sublinks), max([1, *map(len, sublinks)])), link_count)
     for v, s in enumerate(sublinks):
         index[v, : len(s)] = sorted(a - 1 for a in s)
     return index
@@ -139,10 +139,10 @@ def sublink_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
 
 
 def make_conflict_graph(n: int, edges, sublinks=None, link_count=None) -> ConflictGraph:
-    """Build a conflict graph directly, without any geometry behind it."""
-    matrix = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
-        matrix[u - 1, v - 1] = matrix[v - 1, u - 1] = True
+    """Build a conflict graph directly from link-level ``edges``, without any geometry behind it.
+
+    Without ``sublinks`` vertex v delivers link v alone, so ``edges`` relate vertices too.
+    """
     if sublinks is None:
         sublinks = tuple(frozenset({v}) for v in range(1, n + 1))
         if link_count is None:
@@ -152,23 +152,32 @@ def make_conflict_graph(n: int, edges, sublinks=None, link_count=None) -> Confli
         if link_count is None:
             link_count = max((max(s) for s in sublinks if s), default=0)
     index = padded_sublink_index(sublinks, link_count)
-    # the graph relates its own vertices: a true diagonal, then a false padding row and column
-    relation = np.zeros((n + 1, n + 1), dtype=bool)
-    relation[:n, :n] = matrix | np.eye(n, dtype=bool)
+    ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2) - 1
+    if not ((0 <= ends) & (ends < link_count)).all():
+        raise ValueError(f"edge ends must lie in 1..{link_count}")
+    # the link relation: symmetric, a true diagonal, then a false padding row and column
+    relation = np.zeros((link_count + 1, link_count + 1), dtype=bool)
+    relation[ends[:, 0], ends[:, 1]] = relation[ends[:, 1], ends[:, 0]] = True
+    relation[np.arange(link_count), np.arange(link_count)] = True
     relation.flags.writeable = False
-    members = np.arange(n)[:, None]
-    return ConflictGraph(
-        "hyperarc", sublink_index=index, link_count=link_count, relation=relation, members=members
-    )
+    return ConflictGraph("hyperarc", sublink_index=index, relation=relation)
 
 
-def relation_matrix(cg: ConflictGraph) -> np.ndarray:
-    """The vertex conflict matrix, ``relation`` read at every pair of base rows, diagonal false."""
-    h, w = cg.members.shape
-    matrix = cg.relation[cg.members.reshape(h, w, 1, 1), cg.members.reshape(1, 1, h, w)]
-    matrix = matrix.any(axis=(1, 3))
+def relation_matrix(cg: ConflictGraph, vertices=None) -> np.ndarray:
+    """The vertex conflict matrix, ``relation`` read at every pair of sub-links, diagonal false.
+
+    ``vertices`` picks and orders the rows and columns (0-based); all of them by default.
+    """
+    rows = cg.sublink_index if vertices is None else cg.sublink_index[vertices]
+    h, w = rows.shape
+    matrix = cg.relation[rows.reshape(h, w, 1, 1), rows.reshape(1, 1, h, w)].any(axis=(1, 3))
     np.fill_diagonal(matrix, False)
     return matrix
+
+
+def is_independent(cg: ConflictGraph, vertices) -> bool:
+    """No two of the 1-based ``vertices`` conflict; a repeated id is the same vertex."""
+    return not relation_matrix(cg, np.array(sorted(set(vertices)), dtype=np.intp) - 1).any()
 
 
 def neighbor_sets(cg: ConflictGraph) -> tuple[frozenset[int], ...]:
@@ -306,7 +315,7 @@ def loop_coding_first_mwis(candidates, omega, gh: ConflictGraph, adjacency=None)
 
 
 def loop_cfs_schedule(network: Network, gh: ConflictGraph, omega, demand) -> FractionalSchedule:
-    """Per-vertex loop reference for ``multiflow.cfs_schedule`` (valid input only)."""
+    """Per-vertex loop reference for ``multiflow.cfs_schedule`` (a valid ordering and demand)."""
     residual = np.asarray(demand, dtype=float).copy()
     # 1e-12 in the units of the largest demand while that demand is under 1
     eps = 1e-12 * min(1.0, max(residual.tolist(), default=0.0))
@@ -315,7 +324,10 @@ def loop_cfs_schedule(network: Network, gh: ConflictGraph, omega, demand) -> Fra
     sublinks = sublink_sets(gh)
     entries: list[tuple[frozenset[int], float]] = []
     while surviving:
-        assigned = {v: min(residual[a - 1] for a in sublinks[v - 1]) for v in surviving}
+        # a vertex with no link has nothing left to serve, so it leaves with the first round
+        assigned = {
+            v: min((residual[a - 1] for a in sublinks[v - 1]), default=0.0) for v in surviving
+        }
         surviving = {v for v in surviving if assigned[v] > eps}
         if not surviving:
             break

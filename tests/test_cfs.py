@@ -1,5 +1,6 @@
 """Greedy coding-first scheduling and its length guarantees."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -25,6 +26,7 @@ from multiflow.conflict import compat_masks, inductive_schedulable_number
 from helpers import (
     coded_grid,
     coding_first_mwis,
+    is_independent,
     loop_capacity,
     loop_cfs_schedule,
     loop_coding_first_mwis,
@@ -127,7 +129,7 @@ def test_mwis_respects_candidates_and_independence():
         cands = {v for v in range(1, n + 1) if rng.random() < 0.7} or {1}
         picked = coding_first_mwis(cands, omega, cg)
         assert picked <= cands
-        assert cg.is_independent(picked)
+        assert is_independent(cg, picked)
         # maximal within the candidates
         adjacency = neighbor_sets(cg)
         for v in cands - picked:
@@ -225,7 +227,7 @@ def test_cfs_delivers_demand_exactly():
         assert len(sched) <= net.link_count
         for vs, lam in sched.entries:
             assert lam > 0
-            assert gh.is_independent(vs)
+            assert is_independent(gh, vs)
 
 
 def test_cfs_length_bound_canonical():
@@ -311,19 +313,15 @@ def line_network(nodes: int):
     return build_network([Node(i + 1, float(i), 0.0, 1.0, 1.5) for i in range(nodes)])
 
 
-def synthetic_graph(rng, vertices: int, links: int):
-    """Random graph whose vertices deliver 1-3 of the links; vertices sharing a link conflict."""
+def synthetic_graph(rng, vertices: int, links: int, fewest: int = 1):
+    """Random graph whose vertices deliver ``fewest``-3 of the links over a random link relation."""
     sublinks = [
-        set((rng.choice(links, size=int(rng.integers(1, 4)), replace=False) + 1).tolist())
+        set((rng.choice(links, size=int(rng.integers(fewest, 4)), replace=False) + 1).tolist())
         for _ in range(vertices)
     ]
-    p = float(rng.uniform(0.05, 0.6))
-    edges = [
-        (u, v)
-        for u in range(1, vertices + 1)
-        for v in range(u + 1, vertices + 1)
-        if sublinks[u - 1] & sublinks[v - 1] or rng.random() < p
-    ]
+    p = float(rng.uniform(0.0, 0.3))
+    pairs = itertools.combinations(range(1, links + 1), 2)
+    edges = [pair for pair in pairs if rng.random() < p]
     return make_conflict_graph(vertices, edges, sublinks=sublinks, link_count=links)
 
 
@@ -400,7 +398,7 @@ def test_cfs_matches_loop_oracle_on_any_scan_order():
             omega = tuple((rng.permutation(gh.vertex_count) + 1).tolist())
             for d in edge_demands(rng, net.link_count):
                 sched = assert_matches_oracle(net, gh, omega, d)
-                assert all(gh.is_independent(vs) for vs, _ in sched.entries)
+                assert all(is_independent(gh, vs) for vs, _ in sched.entries)
 
 
 def test_demand_at_or_under_the_cutoff_schedules_nothing():
@@ -439,9 +437,9 @@ def test_demands_in_small_units_are_delivered(unit):
 
 def test_a_link_no_surviving_vertex_holds_is_left_unserved():
     net = line_network(3)  # 4 links
-    # link 4 is only delivered by vertex 3, which also holds the zero-demand link 1;
-    # link 2 has no vertex at all
-    gh = make_conflict_graph(3, [(1, 3)], sublinks=[{1}, {3}, {1, 4}], link_count=4)
+    # link 4 is only delivered by vertex 3, which also holds the zero-demand link 1
+    # (so vertices 1 and 3 conflict); link 2 has no vertex at all
+    gh = make_conflict_graph(3, [], sublinks=[{1}, {3}, {1, 4}], link_count=4)
     d = np.array([0.0, 0.5, 0.25, 0.75])
     sched = assert_matches_oracle(net, gh, coding_first_ordering(gh), d)
     assert [(sorted(vs), lam) for vs, lam in sched.entries] == [([2], 0.25)]
@@ -454,15 +452,63 @@ def test_a_link_no_surviving_vertex_holds_is_left_unserved():
 
 @pytest.mark.parametrize(
     "edges, want",
-    [([], [({1, 3}, 0.5)]), ([(1, 3)], [({1}, 0.5), ({3}, 0.5)])],
+    [([], [({1, 3}, 0.5)]), ([(1, 2)], [({1}, 0.5), ({3}, 0.5)])],
     ids=["apart", "in-conflict"],
 )
 def test_a_vertex_that_delivers_no_link_is_never_picked(edges, want):
-    # vertex 2 holds no link; the loop oracle takes valid input only, so the entries are literal
+    # vertex 2 holds no link; vertices 1 and 3 deliver links 1 and 2, related or not
     net = line_network(3)  # 4 links
     gh = make_conflict_graph(3, edges, sublinks=[{1}, set(), {2}], link_count=4)
-    sched = cfs_schedule(net, gh, coding_first_ordering(gh), np.full(4, 0.5))
+    sched = assert_matches_oracle(net, gh, coding_first_ordering(gh), np.full(4, 0.5))
     assert sched.entries == tuple((frozenset(vs), lam) for vs, lam in want)
+
+
+@pytest.mark.parametrize("vertices", [9, 65, 129])
+def test_the_greedy_never_picks_a_vertex_that_delivers_no_link(vertices):
+    rng = np.random.default_rng(2000 + vertices)
+    net = line_network(7)  # 12 links
+    gh = synthetic_graph(rng, vertices, net.link_count, fewest=0)
+    idle = {v for v, links in enumerate(sublink_sets(gh), 1) if not links}
+    assert idle
+    for omega in (coding_first_ordering(gh), tuple((rng.permutation(vertices) + 1).tolist())):
+        for d in edge_demands(rng, net.link_count):
+            sched = assert_matches_oracle(net, gh, omega, d)
+            assert not any(vs & idle for vs, _ in sched.entries)
+
+
+def test_the_vertices_of_each_greedy_entry_deliver_disjoint_links():
+    # the rounds serve each picked link once: vertices sharing a link always conflict
+    rng = np.random.default_rng(2001)
+    nets = [random_network(rng) for _ in range(30)] + [weight3_network(rng) for _ in range(4)]
+    cases = [(net, build_conflict_graph(net, "hyperarc")) for net in nets]
+    net = line_network(7)
+    cases += [(net, synthetic_graph(rng, v, net.link_count, fewest=0)) for v in (9, 65, 129)]
+    for net, gh in cases:
+        sublinks = sublink_sets(gh)
+        shuffled = tuple((rng.permutation(gh.vertex_count) + 1).tolist())
+        for omega in (coding_first_ordering(gh), shuffled):
+            for d in edge_demands(rng, net.link_count):
+                for vs, _ in cfs_schedule(net, gh, omega, d).entries:
+                    served = [a for v in vs for a in sublinks[v - 1]]
+                    assert len(served) == len(set(served)), (sorted(vs), served)
+
+
+def test_a_closed_matrix_that_is_not_links_by_links_is_refused():
+    net = relay_coded()
+    closed = closed_neighborhoods(build_conflict_graph(net, "link"))
+    catalog = enumerate_schedulable_sets(build_conflict_graph(net, "hyperarc"))
+    d = np.full(4, 0.25)
+    for shape in ((4, 3), (4, 5), (4,), (3, 3)):
+        bad = np.ones(shape, dtype=bool)
+        with pytest.raises(ValidationError, match=r"^closed is \(|^demand has shape"):
+            cfs_length_bound(d, bad)
+        with pytest.raises(ValidationError, match=rf"^closed is \({shape[0]},.* for 4 links$"):
+            inductive_schedulable_number(catalog, bad)
+    assert cfs_length_bound(d, closed) == 1.0 and inductive_schedulable_number(catalog, closed) == 2
+    # a square matrix that matches the demand but not the catalog
+    with pytest.raises(ValidationError, match=r"^closed is \(3, 3\) for 4 links$"):
+        inductive_schedulable_number(catalog, closed[:3, :3])
+    assert cfs_length_bound(d[:3], closed[:3, :3]) == 0.75
 
 
 def stratified_coded_network(seed: int, columns: int, rows: int):

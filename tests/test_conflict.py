@@ -2,7 +2,7 @@
 
 import itertools
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from helpers import (
     distance,
     eager_conflict_matrix,
     hyperarcs_conflict,
+    is_independent,
     ix_compat_masks,
     links_conflict,
     loop_inductive_schedulable_number,
@@ -71,7 +72,7 @@ def test_far_links_do_not_conflict():
     b = net.find_link(3, 4)
     assert not links_conflict(a, b, node_map(net))
     g = build_conflict_graph(net, "link")
-    assert not g.conflicts(a.index, b.index)
+    assert is_independent(g, (a.index, b.index))
 
 
 def test_interference_radius_controls_conflicts():
@@ -80,10 +81,10 @@ def test_interference_radius_controls_conflicts():
     g = build_conflict_graph(near, "link")
     a = near.find_link(1, 2).index
     b = near.find_link(4, 3).index
-    assert not g.conflicts(a, b)
+    assert is_independent(g, (a, b))
     loud = line_network(1.0, r=1.0, rho=2.0)
     g2 = build_conflict_graph(loud, "link")
-    assert g2.conflicts(loud.find_link(1, 2).index, loud.find_link(4, 3).index)
+    assert not is_independent(g2, (loud.find_link(1, 2).index, loud.find_link(4, 3).index))
 
 
 def test_same_tail_hyperarcs_always_conflict():
@@ -125,27 +126,8 @@ def test_canonical_conflict_graphs_are_complete():
     assert [len(s) for s in sublink_sets(gh)] == [1, 1, 1, 1, 2]
     assert sublink_sets(gh)[4] == frozenset({3, 4})
     assert gh.sublink_index.tolist() == [[0, 4], [1, 4], [2, 4], [3, 4], [2, 3]]
-    assert not gh.is_independent([1, 5])
-    assert gh.is_independent([5])
-
-
-@pytest.mark.parametrize("graph", ["link", "hyperarc"])
-def test_vertex_ids_outside_the_graph_are_rejected(graph):
-    # numpy would read 0 and -1 as the last vertex's row
-    g = build_conflict_graph(relay_plain() if graph == "link" else relay_coded(), graph)
-    for bad in (0, -1, g.vertex_count + 1):
-        with pytest.raises(ValidationError):
-            g.conflicts(bad, 1)
-        with pytest.raises(ValidationError):
-            g.conflicts(1, bad)
-        with pytest.raises(ValidationError):
-            g.conflicts(bad, bad)
-        with pytest.raises(ValidationError):
-            g.is_independent([bad, 1])
-        with pytest.raises(ValidationError):
-            g.is_independent([bad])
-    assert g.is_independent([]) and g.is_independent([g.vertex_count])
-    assert g.conflicts(1, g.vertex_count) and not g.conflicts(1, 1)
+    assert not is_independent(gh, [1, 5])
+    assert is_independent(gh, [5])
 
 
 def coded_geometric_network(seed: int):
@@ -218,10 +200,9 @@ def test_interference_tie_is_an_edge_in_both_matrices():
         assert coded.heads == frozenset({4, 5})
         tie = distance(net.node(3), net.node(2))
         assert tie > 1.5 if nudge else tie == 1.5
-        assert g.conflicts(a, b) is (not nudge)
-        assert gh.conflicts(a, b) is (not nudge)
-        assert gh.conflicts(coded.index, a) is (not nudge)
-        assert gh.conflicts(a, coded.index) is (not nudge)
+        assert is_independent(g, (a, b)) is nudge
+        assert is_independent(gh, (a, b)) is nudge
+        assert is_independent(gh, (coded.index, a)) is nudge
         assert eager_conflict_matrix(net, "hyperarc")[a - 1, coded.index - 1] == (not nudge)
         assert_matches_pairwise(net)
 
@@ -375,17 +356,16 @@ def test_catalog_matches_loop_oracle_on_random_graphs(n):
         p = 0.5 if n > 9 else float(rng.uniform(0.1, 0.9))
         cg = make_conflict_graph(n, random_edges(rng, n, p))
         assert_catalog_matches_loop_oracle(cg, link_neighborhoods(cg))
-        # the same graph with 1 to 3 sub-links per vertex, some links in no vertex
+        # 1 to 3 sub-links per vertex over a sparser link relation, some links in no vertex
         links = n // 2 + 3
         sublinks = [
             (rng.choice(links, size=int(rng.integers(1, 4)), replace=False) + 1).tolist()
             for _ in range(n)
         ]
         coded = make_conflict_graph(
-            n, random_edges(rng, n, p), sublinks=sublinks, link_count=links
+            n, random_edges(rng, links, p / 2), sublinks=sublinks, link_count=links
         )
-        link_graph = make_conflict_graph(links, random_edges(rng, links, 0.3))
-        assert_catalog_matches_loop_oracle(coded, link_neighborhoods(link_graph))
+        assert_catalog_matches_loop_oracle(coded, link_neighborhoods(coded))
 
 
 @pytest.mark.parametrize("n", [1, 9, 70])
@@ -471,7 +451,8 @@ def test_row_lists_and_isn_match_their_oracles_across_block_edges(rows):
     incidence = rng.random((rows, links)) < 0.2
     incidence[-1] = True  # the largest overlap sits in the last row of the last block
     incidence.flags.writeable = False
-    catalog = SchedulableSetCatalog(member=incidence, incidence=incidence, link_count=links)
+    catalog = SchedulableSetCatalog(member=incidence, incidence=incidence)
+    assert catalog.link_count == links
     assert _row_lists(incidence) == [(np.flatnonzero(r) + 1).tolist() for r in incidence]
     closed = link_neighborhoods(make_conflict_graph(links, random_edges(rng, links, 0.3)))
     want = loop_inductive_schedulable_number(catalog, closed)
@@ -540,13 +521,63 @@ def test_catalog_shares_its_sets_when_every_set_is_its_own_links():
 
 
 def test_catalog_with_permuted_sublinks_keeps_its_own_sets():
-    # as many vertices as links, but vertex v delivers link v % 5 + 1
+    # as many vertices as links, but vertex v delivers link v % 5 + 1: the vertex path
+    # 1-2-3-4-5 is the link path 2-3-4-5-1
     shifted = [{v % 5 + 1} for v in range(1, 6)]
-    cg = make_conflict_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], sublinks=shifted)
+    cg = make_conflict_graph(5, [(2, 3), (3, 4), (4, 5), (5, 1)], sublinks=shifted)
+    assert neighbor_sets(cg) == ({2}, {1, 3}, {2, 4}, {3, 5}, {4})
     catalog = enumerate_schedulable_sets(cg)
     assert catalog.incidence is not catalog.member
     assert catalog.sublink_sets != catalog.hyperarc_sets
-    assert_catalog_matches_loop_oracle(cg, link_neighborhoods(make_conflict_graph(5, [])))
+    assert_catalog_matches_loop_oracle(cg, link_neighborhoods(cg))
+
+
+def test_the_graph_is_its_level_sub_links_and_link_relation():
+    assert [f.name for f in fields(ConflictGraph)] == ["level", "sublink_index", "relation"]
+    assert [f.name for f in fields(SchedulableSetCatalog)] == ["member", "incidence"]
+    for level in ("link", "hyperarc"):
+        g = build_conflict_graph(relay_coded(), level)
+        assert g.link_count == 4 == enumerate_schedulable_sets(g).link_count
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 40])
+def test_a_vertex_that_delivers_no_link_is_in_every_maximal_set(n):
+    # it relates to no link, not even through a diagonal of its own, so it conflicts
+    # with nothing; were it compatible with itself the search would pivot on it and
+    # list no set at all
+    rng = np.random.default_rng(400 + n)
+    links = n // 2 + 2
+    sublinks = [
+        (rng.choice(links, size=int(rng.integers(1, 4)), replace=False) + 1).tolist()
+        for _ in range(n)
+    ]
+    idle = set((rng.choice(n, size=max(1, n // 4), replace=False) + 1).tolist())
+    for v in idle:
+        sublinks[v - 1] = []
+    cg = make_conflict_graph(n, random_edges(rng, links, 0.2), sublinks=sublinks, link_count=links)
+    compat = compat_masks(cg, np.arange(n))
+    for v in idle:
+        assert compat[v - 1] == (1 << n) - 1 ^ 1 << (v - 1)
+    assert_catalog_matches_loop_oracle(cg, link_neighborhoods(cg))
+    catalog = enumerate_schedulable_sets(cg, cap=n)
+    assert len(catalog) and all(idle <= s for s in catalog.hyperarc_sets)
+
+
+def test_compat_masks_never_set_a_positions_own_bit():
+    rng = np.random.default_rng(401)
+    graphs = []
+    for _ in range(20):
+        net = random_network(rng)
+        graphs += [build_conflict_graph(net, level) for level in ("link", "hyperarc")]
+    for n in (1, 9, 70):
+        # some vertices with no link, which the relation's diagonal cannot reach
+        sublinks = [[] if rng.random() < 0.3 else [int(rng.integers(1, 6))] for _ in range(n)]
+        edges = random_edges(rng, 5, 0.3)
+        graphs.append(make_conflict_graph(n, edges, sublinks=sublinks, link_count=5))
+    for cg in graphs:
+        n = cg.vertex_count
+        for order in (np.arange(n), rng.permutation(n)):
+            assert not any(m >> k & 1 for k, m in enumerate(compat_masks(cg, order)))
 
 
 def test_closed_neighborhoods_canonical():
@@ -555,15 +586,11 @@ def test_closed_neighborhoods_canonical():
     assert g.max_conflict_degree == 3
     assert all(s == frozenset({1, 2, 3, 4}) for s in closed_sets(nb))
     assert nb.all() and not nb.flags.writeable
+    # a view of the link relation, not a copy of it
+    assert np.shares_memory(nb, g.relation) and nb.shape == (4, 4)
     gh = build_conflict_graph(relay_coded(), "hyperarc")
     with pytest.raises(ValidationError):
         closed_neighborhoods(gh)
-    # a link-level vertex is exactly one base row: two (a coded hyperarc) or none is refused
-    assert (gh.members[:, 1:] < len(gh.relation) - 1).any()
-    no_row = np.full_like(g.members, len(g.relation) - 1)
-    for bad in (replace(gh, level="link"), replace(g, members=no_row)):
-        with pytest.raises(ValidationError):
-            closed_neighborhoods(bad)
 
 
 def test_inductive_schedulable_number_canonical():
@@ -592,7 +619,7 @@ def test_independent_sets_cover_every_vertex():
         covered = set().union(*catalog.hyperarc_sets)
         assert covered == set(range(1, cg.vertex_count + 1))
         for s in catalog.hyperarc_sets:
-            assert cg.is_independent(s)
+            assert is_independent(cg, s)
 
 
 def test_compat_masks_match_the_permuted_matrix_oracle():
@@ -603,7 +630,7 @@ def test_compat_masks_match_the_permuted_matrix_oracle():
         graphs += [build_conflict_graph(net, level) for level in ("link", "hyperarc")]
     grids = [coded_grid(w, h) for w, h in ((3, 3), (4, 3), (4, 4))]
     graphs += [build_conflict_graph(grid, "hyperarc") for grid in grids]
-    # odd sub-links under a vertex relation: shared, skipped, empty and past every edge
+    # odd sub-links: shared, skipped, empty, and a link in no edge
     odd = [{1}, {1, 3}, {2, 3, 5}, {8}, set(), {2}, {1, 2, 3, 5}]
     graphs.append(make_conflict_graph(7, [(1, 2), (2, 5), (4, 6), (3, 7)], sublinks=odd))
     graphs.append(make_conflict_graph(7, [], sublinks=odd, link_count=9))
@@ -623,19 +650,19 @@ def test_compat_masks_match_the_oracle_across_block_edges(n):
 
 
 def assert_reads_match(g, oracle, rng) -> None:
-    """Counts and queries of ``g`` against a vertex conflict matrix built without the package."""
+    """Counts and packed masks of ``g`` against an independently built vertex conflict matrix."""
     h = g.vertex_count
     assert g.edge_count == np.count_nonzero(oracle) // 2
     assert g.max_conflict_degree == np.count_nonzero(oracle, axis=1).max(initial=0)
+    compat = compat_masks(g, np.arange(h))
     for _ in range(20 if h else 0):
         u, v = rng.integers(1, h + 1, size=2).tolist()
-        assert g.conflicts(u, v) is bool(oracle[u - 1, v - 1])
-        assert g.conflicts(u, u) is False
+        assert (compat[u - 1] >> (v - 1) & 1) == (u != v and not oracle[u - 1, v - 1])
         idx = rng.permutation(h)[: rng.integers(1, min(h, 6) + 1)]
         # a repeated id is the same vertex, not a conflict
         subset = (idx + 1).tolist() + [int(idx[0]) + 1]
-        assert g.is_independent(subset) is not oracle[np.ix_(idx, idx)].any()
-    assert g.is_independent([])
+        assert is_independent(g, subset) is not oracle[np.ix_(idx, idx)].any()
+    assert is_independent(g, [])
 
 
 def test_the_relation_and_every_read_of_it_match_the_eager_build():
@@ -645,7 +672,6 @@ def test_the_relation_and_every_read_of_it_match_the_eager_build():
         n = net.link_count
         for level in ("link", "hyperarc"):
             g = build_conflict_graph(net, level)
-            assert g.members is g.sublink_index
             # links relate symmetrically, each to itself; the padding row and column relate to none
             rel = g.relation
             assert rel.shape == (n + 1, n + 1) and not rel.flags.writeable
@@ -657,12 +683,7 @@ def test_the_relation_and_every_read_of_it_match_the_eager_build():
             if level == "link":
                 closed = closed_neighborhoods(g)
                 assert np.array_equal(closed, eager | np.eye(n, dtype=bool))
-                assert not closed.flags.writeable
-                # the same graph over its base rows in another order, the padding row last
-                perm = np.append(rng.permutation(n), n)
-                moved = replace(g, relation=rel[np.ix_(perm, perm)], members=np.argsort(perm)[g.members])
-                assert np.array_equal(closed_neighborhoods(moved), closed)
-                assert not closed_neighborhoods(moved).flags.writeable
+                assert not closed.flags.writeable and np.shares_memory(closed, rel)
 
 
 def test_hand_made_graph_reads_match_their_edges_and_a_plain_gather():
@@ -675,15 +696,14 @@ def test_hand_made_graph_reads_match_their_edges_and_a_plain_gather():
         g = make_conflict_graph(n, edges.tolist())
         assert np.array_equal(relation_matrix(g), want)
         assert_reads_match(g, want, rng)
-    # up to three base rows a vertex over a nine-row relation, shared, repeated or padding
+    # up to three links a vertex over a nine-link relation, shared, repeated or padding
     rel = rng.random((10, 10)) < 0.15
     rel |= rel.T | np.eye(10, dtype=bool)
     rel[9] = rel[:, 9] = False
     rel.flags.writeable = False
-    members = np.sort(rng.integers(0, 10, size=(40, 3)), axis=1)
-    g = ConflictGraph(
-        "hyperarc", sublink_index=members, link_count=9, relation=rel, members=members
-    )
+    index = np.sort(rng.integers(0, 10, size=(40, 3)), axis=1)
+    g = ConflictGraph("hyperarc", sublink_index=index, relation=rel)
+    assert g.link_count == 9
     assert_reads_match(g, relation_matrix(g), rng)
 
 

@@ -240,8 +240,9 @@ def test_membership_brackets_the_boundary():
 
 def test_membership_empty_catalog():
     empty = SchedulableSetCatalog(
-        member=np.zeros((0, 0), dtype=bool), incidence=np.zeros((0, 2), dtype=bool), link_count=2
+        member=np.zeros((0, 0), dtype=bool), incidence=np.zeros((0, 2), dtype=bool)
     )
+    assert empty.link_count == 2
     assert polytope_membership(np.zeros(2), empty).inside
     assert not polytope_membership(np.array([0.1, 0.0]), empty).inside
 
@@ -254,7 +255,7 @@ def test_empty_programs_take_the_lp_path():
     assert sol.flows.shape == (1, 0) and sol.schedule_weights == {}
     assert sol.exact_throughput == Fraction(0)
     empty = SchedulableSetCatalog(
-        member=np.zeros((0, 0), dtype=bool), incidence=np.zeros((0, 2), dtype=bool), link_count=2
+        member=np.zeros((0, 0), dtype=bool), incidence=np.zeros((0, 2), dtype=bool)
     )
     sched, length = optimal_fractional_schedule(np.zeros(2), empty)
     assert sched.entries == () and math.copysign(1.0, length) == 1.0 and length == 0.0
@@ -310,9 +311,7 @@ def test_exact_schedule_covers_demands_in_small_units(unit):
 
 
 def test_uncoverable_demand():
-    catalog = SchedulableSetCatalog(
-        member=np.array([[True]]), incidence=np.array([[True, False]]), link_count=2
-    )
+    catalog = SchedulableSetCatalog(member=np.array([[True]]), incidence=np.array([[True, False]]))
     with pytest.raises(UncoverableDemandError) as err:
         optimal_fractional_schedule(np.array([0.5, 0.3]), catalog)
     assert "2" in str(err.value)
@@ -326,7 +325,6 @@ def test_uncoverable_demand_names_every_missing_link():
     catalog = SchedulableSetCatalog(
         member=np.array([[True, False], [False, True]]),
         incidence=np.array([[True, False, False, False], [False, False, False, True]]),
-        link_count=4,
     )
     assert catalog.sublink_sets == (frozenset({1}), frozenset({4}))
     expected = "links [2, 3] have positive demand but appear in no schedulable set"
