@@ -154,7 +154,7 @@ def cmd_schedule(args) -> dict:
     net = inst.network
     demand = load_demand(args.demand, net)
     gh = build_conflict_graph(net, "hyperarc")
-    bound = cfs_length_bound(demand, closed_neighborhoods(build_conflict_graph(net, "link")))
+    bound = cfs_length_bound(demand, closed_neighborhoods(gh))
 
     try:
         catalog = enumerate_schedulable_sets(gh, args.cap)

@@ -42,16 +42,26 @@ _MAX_SETS = 1_000_000  # the most maximal sets a catalog may hold
 class ConflictGraph:
     """A conflict graph with 1-based vertices aligned to link or hyperarc indices.
 
-    ``sublink_index[v-1]`` lists the 0-based links vertex v delivers, padded
-    with ``link_count``: ``Network.sublink_index``, or its first ``link_count``
-    rows at link level; its unpadded count is v's weight. ``relation`` is the
-    read-only symmetric link relation, true on the diagonal, with a false
-    padding row and column ``link_count``; vertices sharing a link conflict.
+    ``sublink_index[v-1]`` lists the 0-based links vertex v delivers, padded with
+    ``link_count``: ``Network.sublink_index``, or its first ``link_count`` rows at link
+    level; its unpadded count is v's weight. ``relation`` is the read-only symmetric link
+    relation, true on the diagonal, with a false padding row and column ``link_count``;
+    vertices sharing a link conflict. ``level`` is a label: a network's levels share one relation.
     """
 
     level: str
     sublink_index: np.ndarray
     relation: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.level not in ("link", "hyperarc"):
+            raise ValidationError(f"unknown conflict graph level {self.level!r}")
+        rel, index = self.relation, self.sublink_index
+        n = len(rel) - 1 if rel.ndim == 2 and rel.shape[0] == rel.shape[1] else -1
+        if rel.dtype != bool or n < 0 or rel[n].any() or rel[:, n].any():
+            raise ValidationError(f"relation {rel.shape}: not square bool with false padding")
+        if index.ndim != 2 or index.dtype.kind not in "iu" or ((index < 0) | (index > n)).any():
+            raise ValidationError(f"sublink_index must be 2-D integers in 0..{n}")
 
     @property
     def link_count(self) -> int:
@@ -91,8 +101,6 @@ def _gather_any(rows: np.ndarray, index: np.ndarray, out: np.ndarray | None = No
 
 def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph:
     """Build the conflict graph of a network at link or hyperarc level."""
-    if level not in ("link", "hyperarc"):
-        raise ValidationError(f"unknown conflict graph level {level!r}")
     n = network.link_count
     # the links are the first n hyperarcs, each delivering itself alone
     index = network.sublink_index[: n if level == "link" else None]
@@ -246,9 +254,7 @@ def enumerate_schedulable_sets(
 
 
 def closed_neighborhoods(g: ConflictGraph) -> np.ndarray:
-    """Closed link neighborhoods as a view of ``relation``: [a-1, b-1] is a == b or a conflict."""
-    if g.level != "link":
-        raise ValidationError("closed neighborhoods are defined over the link-level graph")
+    """A read-only view of ``relation`` at either level: [a-1, b-1] is a == b or a conflict."""
     return g.relation[: g.link_count, : g.link_count]
 
 

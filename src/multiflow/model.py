@@ -94,7 +94,7 @@ class Network:
     whichever applies. Read-only ``sublink_index[h-1]`` lists hyperarc h's
     0-based link positions in ascending order, padded with ``link_count``
     up to the largest weight (at least one column); ``hyperarcs`` is built
-    from it and the kept head sets on first read.
+    from it and the links on first read.
     """
 
     def __init__(
@@ -134,7 +134,6 @@ class Network:
         coding = sorted(set(coding_nodes or ()))
         for nid in coding:
             self.node(nid)  # an unknown id raises
-        made: set[tuple[int, tuple[int, ...]]] = set()  # explicit (tail, row) keys
         if hyperarcs is None:
             # out-link positions run in head order, so each combination is a table row
             runs = itertools.groupby(range(n), key=tail_ids.__getitem__)
@@ -145,8 +144,9 @@ class Network:
             count = sum(math.comb(len(outs[v]), k) for v, k in sizes)
             if count > _MAX_CODED:  # checked before any is made: out-degree d may ask for ~2^d
                 raise ValidationError(f"{count} coded hyperarcs, above the limit of {_MAX_CODED}")
-            rows = [(v, combo) for v, k in sizes for combo in itertools.combinations(outs[v], k)]
-        else:  # explicit head sets as (tail, sub-link positions)
+            rows = [combo for v, k in sizes for combo in itertools.combinations(outs[v], k)]
+        else:  # explicit head sets as rows of sub-link positions, which fix the tail
+            made: set[tuple[int, ...]] = set()
             for tail, heads in hyperarcs:
                 listed = list(heads)
                 hs = sorted(set(listed))
@@ -168,20 +168,19 @@ class Network:
                 if len(hs) == 1:
                     continue  # already present as the weight-1 hyperarc of that link
                 row = tuple(self._by_ends[(tail, j)].index - 1 for j in hs)
-                if (tail, row) in made:
+                if row in made:
                     raise ValidationError(f"duplicate hyperarc ({tail}, {hs})")
-                made.add((tail, row))
-            rows = sorted(made, key=lambda tr: (tr[0], len(tr[1]), tr[1]))
-        weights = [len(row) for _, row in rows]
+                made.add(row)
+            rows = sorted(made, key=lambda row: (tail_ids[row[0]], len(row), row))
+        weights = list(map(len, rows))
         table = np.full((n + len(rows), max(weights, default=1)), n, dtype=np.intp)
         table[:n, 0] = np.arange(n)
         for w in set(weights):
             at = [k for k, x in enumerate(weights, n) if x == w]
-            cells = itertools.chain.from_iterable(row for _, row in rows if len(row) == w)
+            cells = itertools.chain.from_iterable(row for row in rows if len(row) == w)
             table[at, :w] = np.fromiter(cells, dtype=np.intp, count=len(at) * w).reshape(-1, w)
         table.flags.writeable = False
         self._sublink_index = table
-        self._coded = rows
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -201,11 +200,11 @@ class Network:
 
     @cached_property
     def hyperarcs(self) -> tuple[Hyperarc, ...]:
-        heads = [lk.head for lk in self._links]
-        arcs = [Hyperarc(lk.tail, frozenset((lk.head,)), lk.index) for lk in self._links]
-        for k, (tail, row) in enumerate(self._coded, len(arcs) + 1):
-            arcs.append(Hyperarc(tail, frozenset(heads[p] for p in row), k))
-        return tuple(arcs)
+        n, links = len(self._links), self._links
+        return tuple(
+            Hyperarc(links[row[0]].tail, frozenset(links[p].head for p in row if p < n), k)
+            for k, row in enumerate(self._sublink_index.tolist(), 1)
+        )
 
     @property
     def sublink_index(self) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import multiflow.cli as cli_module
 import multiflow.conflict as conflict_module
 from multiflow.cli import build_parser, main, render_json
 from multiflow.instance import load_instance
@@ -111,6 +112,36 @@ def test_schedule_in_tiny_units(demo_dir, tmp_path, capsys, algorithm):
     assert report["length"] == report["optimal_length"] == 3e-13
     assert report["neighborhood_bound"] == 4e-13
     assert report["ratio"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "command, options, levels",
+    [
+        ("schedule", ["--algorithm", "cfs"], ["hyperarc"]),
+        ("schedule", ["--algorithm", "exact"], ["hyperarc"]),
+        ("inspect", [], ["link", "hyperarc"]),
+    ],
+)
+def test_each_command_builds_the_graphs_it_reports(
+    demo_dir, tmp_path, capsys, monkeypatch, command, options, levels
+):
+    # schedule reads its bound off the hyperarc graph; inspect reports both graphs
+    built = []
+
+    def counting(network, level="link"):
+        built.append(level)
+        return conflict_module.build_conflict_graph(network, level)
+
+    monkeypatch.setattr(cli_module, "build_conflict_graph", counting)
+    demand = tmp_path / "unit.json"
+    demand.write_text(json.dumps(dict.fromkeys(RELAY_LINKS, 1.0)))
+    if command == "schedule":
+        options = options + ["--demand", str(demand)]
+    report = run_json(capsys, [command, str(demo_dir / "two_way_relay_coded.json"), *options])
+    assert built == levels
+    if command == "schedule":
+        assert (report["length"], report["neighborhood_bound"]) == (3.0, 4.0)
+        assert (report["optimal_length"], report["ratio"]) == (3.0, 1.0)
 
 
 def test_solve_plain(demo_dir, capsys):

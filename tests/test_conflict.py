@@ -212,6 +212,43 @@ def test_unknown_level_rejected():
         build_conflict_graph(relay_plain(), "node")
 
 
+def two_related_links() -> np.ndarray:
+    relation = np.zeros((3, 3), dtype=bool)
+    relation[:2, :2] = True
+    return relation
+
+
+@pytest.mark.parametrize(
+    "level, index, relation",
+    [
+        ("bogus", [[0], [1]], two_related_links()),
+        # -1 once read as the padding row by the packer and as the last link by the catalog
+        ("hyperarc", [[0], [-1]], two_related_links()),
+        ("hyperarc", [[0], [5]], two_related_links()),  # once a raw IndexError
+        ("hyperarc", [[0], [3]], two_related_links()),
+        ("hyperarc", [0, 1], two_related_links()),
+        ("hyperarc", [[0.0], [1.0]], two_related_links()),
+        ("hyperarc", [[0], [1]], two_related_links().astype(np.uint8)),
+        ("hyperarc", [[0], [1]], two_related_links()[:, :2]),
+        ("hyperarc", [[0], [1]], two_related_links()[0]),
+        ("hyperarc", np.zeros((0, 1), dtype=np.intp), np.zeros((0, 0), dtype=bool)),
+        ("hyperarc", [[0], [1]], np.ones((3, 3), dtype=bool)),
+        ("hyperarc", [[0], [1]], np.triu(np.ones((3, 3), dtype=bool))),  # a true padding column
+        ("hyperarc", [[0], [1]], np.tril(np.ones((3, 3), dtype=bool))),  # a true padding row
+    ],
+)
+def test_a_malformed_graph_is_refused(level, index, relation):
+    with pytest.raises(ValidationError):
+        ConflictGraph(level, sublink_index=np.array(index), relation=relation)
+
+
+def test_a_well_formed_graph_is_accepted_at_either_level():
+    for level in ("link", "hyperarc"):
+        for index in ([[0], [1]], [[0, 2], [1, 2]], np.array([[1], [0]], dtype=np.uint8)):
+            g = ConflictGraph(level, sublink_index=np.array(index), relation=two_related_links())
+            assert g.link_count == 2 and g.edge_count == 1
+
+
 def test_canonical_catalog():
     gh = build_conflict_graph(relay_coded(), "hyperarc")
     catalog = enumerate_schedulable_sets(gh)
@@ -329,11 +366,6 @@ def random_edges(rng, n: int, p: float) -> list[tuple[int, int]]:
     return [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
 
 
-def link_neighborhoods(graph):
-    """Closed neighborhoods of a synthetic graph read as a link-level graph."""
-    return closed_neighborhoods(replace(graph, level="link"))
-
-
 def assert_catalog_matches_loop_oracle(cg, nb) -> None:
     got = enumerate_schedulable_sets(cg, cap=cg.vertex_count)
     want = loop_schedulable_sets(cg)
@@ -355,7 +387,7 @@ def test_catalog_matches_loop_oracle_on_random_graphs(n):
     for _ in range(1 if n > 9 else 6):
         p = 0.5 if n > 9 else float(rng.uniform(0.1, 0.9))
         cg = make_conflict_graph(n, random_edges(rng, n, p))
-        assert_catalog_matches_loop_oracle(cg, link_neighborhoods(cg))
+        assert_catalog_matches_loop_oracle(cg, closed_neighborhoods(cg))
         # 1 to 3 sub-links per vertex over a sparser link relation, some links in no vertex
         links = n // 2 + 3
         sublinks = [
@@ -365,15 +397,15 @@ def test_catalog_matches_loop_oracle_on_random_graphs(n):
         coded = make_conflict_graph(
             n, random_edges(rng, links, p / 2), sublinks=sublinks, link_count=links
         )
-        assert_catalog_matches_loop_oracle(coded, link_neighborhoods(coded))
+        assert_catalog_matches_loop_oracle(coded, closed_neighborhoods(coded))
 
 
 @pytest.mark.parametrize("n", [1, 9, 70])
 def test_catalog_matches_loop_oracle_on_edgeless_and_complete_graphs(n):
     edgeless = make_conflict_graph(n, [])
     complete = make_conflict_graph(n, itertools.combinations(range(1, n + 1), 2))
-    assert_catalog_matches_loop_oracle(edgeless, link_neighborhoods(edgeless))
-    assert_catalog_matches_loop_oracle(complete, link_neighborhoods(complete))
+    assert_catalog_matches_loop_oracle(edgeless, closed_neighborhoods(edgeless))
+    assert_catalog_matches_loop_oracle(complete, closed_neighborhoods(complete))
     assert enumerate_schedulable_sets(edgeless, cap=n).hyperarc_sets == (
         frozenset(range(1, n + 1)),
     )
@@ -454,7 +486,7 @@ def test_row_lists_and_isn_match_their_oracles_across_block_edges(rows):
     catalog = SchedulableSetCatalog(member=incidence, incidence=incidence)
     assert catalog.link_count == links
     assert _row_lists(incidence) == [(np.flatnonzero(r) + 1).tolist() for r in incidence]
-    closed = link_neighborhoods(make_conflict_graph(links, random_edges(rng, links, 0.3)))
+    closed = closed_neighborhoods(make_conflict_graph(links, random_edges(rng, links, 0.3)))
     want = loop_inductive_schedulable_number(catalog, closed)
     assert want == int(np.count_nonzero(closed, axis=1).max())
     assert inductive_schedulable_number(catalog, closed) == want
@@ -500,7 +532,7 @@ def test_max_conflict_degree_is_the_largest_closed_row_minus_one():
     rng = np.random.default_rng(152)
     for _ in range(30):
         g = random_graph(rng, min_n=1, max_n=12)
-        closed = link_neighborhoods(g)
+        closed = closed_neighborhoods(g)
         assert g.max_conflict_degree == int(np.count_nonzero(closed, axis=1).max()) - 1
         assert g.max_conflict_degree == max(len(s) for s in neighbor_sets(g))
     assert make_conflict_graph(5, []).max_conflict_degree == 0
@@ -517,7 +549,7 @@ def test_catalog_shares_its_sets_when_every_set_is_its_own_links():
     catalog = enumerate_schedulable_sets(padded)
     assert catalog.incidence is catalog.member
     assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
-    assert_catalog_matches_loop_oracle(padded, link_neighborhoods(cg))
+    assert_catalog_matches_loop_oracle(padded, closed_neighborhoods(cg))
 
 
 def test_catalog_with_permuted_sublinks_keeps_its_own_sets():
@@ -529,7 +561,7 @@ def test_catalog_with_permuted_sublinks_keeps_its_own_sets():
     catalog = enumerate_schedulable_sets(cg)
     assert catalog.incidence is not catalog.member
     assert catalog.sublink_sets != catalog.hyperarc_sets
-    assert_catalog_matches_loop_oracle(cg, link_neighborhoods(cg))
+    assert_catalog_matches_loop_oracle(cg, closed_neighborhoods(cg))
 
 
 def test_the_graph_is_its_level_sub_links_and_link_relation():
@@ -558,7 +590,7 @@ def test_a_vertex_that_delivers_no_link_is_in_every_maximal_set(n):
     compat = compat_masks(cg, np.arange(n))
     for v in idle:
         assert compat[v - 1] == (1 << n) - 1 ^ 1 << (v - 1)
-    assert_catalog_matches_loop_oracle(cg, link_neighborhoods(cg))
+    assert_catalog_matches_loop_oracle(cg, closed_neighborhoods(cg))
     catalog = enumerate_schedulable_sets(cg, cap=n)
     assert len(catalog) and all(idle <= s for s in catalog.hyperarc_sets)
 
@@ -588,9 +620,11 @@ def test_closed_neighborhoods_canonical():
     assert nb.all() and not nb.flags.writeable
     # a view of the link relation, not a copy of it
     assert np.shares_memory(nb, g.relation) and nb.shape == (4, 4)
+    # the coded relay's hyperarc graph holds the same relation, so the same view of it
     gh = build_conflict_graph(relay_coded(), "hyperarc")
-    with pytest.raises(ValidationError):
-        closed_neighborhoods(gh)
+    closed = closed_neighborhoods(gh)
+    assert np.array_equal(closed, nb) and not closed.flags.writeable
+    assert np.shares_memory(closed, gh.relation)
 
 
 def test_inductive_schedulable_number_canonical():
@@ -680,10 +714,10 @@ def test_the_relation_and_every_read_of_it_match_the_eager_build():
             eager = eager_conflict_matrix(net, level)
             assert np.array_equal(relation_matrix(g), eager)
             assert_reads_match(g, eager, rng)
-            if level == "link":
-                closed = closed_neighborhoods(g)
-                assert np.array_equal(closed, eager | np.eye(n, dtype=bool))
-                assert not closed.flags.writeable and np.shares_memory(closed, rel)
+            closed = closed_neighborhoods(g)
+            link_eager = eager_conflict_matrix(net, "link")
+            assert np.array_equal(closed, link_eager | np.eye(n, dtype=bool))
+            assert not closed.flags.writeable and np.shares_memory(closed, rel)
 
 
 def test_hand_made_graph_reads_match_their_edges_and_a_plain_gather():
