@@ -20,13 +20,22 @@ which is the member matrix itself when every vertex delivers just its own
 link. The inductive schedulable number is the largest entry of
 ``incidence @ closed`` (``closed`` the links' closed neighborhoods). Each
 pass takes _BLOCK_ROWS rows at a time.
+
+When the two differ, the catalog marks its link-maximal sets without a
+sets × sets table: another set's links strictly contain those of set S
+exactly when a member h can swap for a vertex g whose links strictly
+contain h's and which conflicts with no other member. Sound on any graph
+accepted here: g's extra link is in no other member, since vertices sharing
+a link conflict, so S - h + g extends to a set with strictly more links.
+Complete on a network's graph: a set holds each tail at most once, so a
+dominating set upgrades some member on that member's own tail.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -46,7 +55,8 @@ class ConflictGraph:
     ``link_count``: ``Network.sublink_index``, or its first ``link_count`` rows at link
     level; its unpadded count is v's weight. ``relation`` is the read-only symmetric link
     relation, true on the diagonal, with a false padding row and column ``link_count``;
-    vertices sharing a link conflict. ``level`` is a label: a network's levels share one relation.
+    vertices sharing a link conflict; the constructor checks all of it. ``level`` is a
+    label: a network's levels share one relation.
     """
 
     level: str
@@ -62,6 +72,15 @@ class ConflictGraph:
             raise ValidationError(f"relation {rel.shape}: not square bool with false padding")
         if index.ndim != 2 or index.dtype.kind not in "iu" or ((index < 0) | (index > n)).any():
             raise ValidationError(f"sublink_index must be 2-D integers in 0..{n}")
+        # each upper tile of _BLOCK_ROWS² against its mirror, never a links² temporary
+        tile = _BLOCK_ROWS
+        asymmetric = (
+            (rel[j : j + tile, i : i + tile].T != rel[i : i + tile, j : j + tile]).any()
+            for i in range(0, n, tile)
+            for j in range(i, n, tile)
+        )
+        if not rel.diagonal()[:n].all() or any(asymmetric):
+            raise ValidationError("relation: not symmetric with a true diagonal on the links")
 
     @property
     def link_count(self) -> int:
@@ -127,11 +146,15 @@ class SchedulableSetCatalog:
     of its vertices' sub-links, as read-only boolean rows over the vertices
     and the links; ``incidence`` is ``member`` when every vertex delivers
     exactly its own link. ``hyperarc_sets`` and ``sublink_sets`` split those
-    rows into frozensets of 1-based ids on first read.
+    rows into frozensets of 1-based ids on first read. ``link_maximal[k]``, read-only,
+    is false when another set's links strictly contain set k's; None marks every set
+    link-maximal, as on every catalog whose ``incidence`` is ``member``, where maximal
+    sets never nest. The LPs price only the link-maximal sets.
     """
 
     member: np.ndarray
     incidence: np.ndarray
+    link_maximal: np.ndarray | None = None
 
     @property
     def link_count(self) -> int:
@@ -179,14 +202,13 @@ def compat_masks(cg: ConflictGraph, order: np.ndarray) -> list[int]:
     return [full ^ (mask | 1 << k) for k, mask in enumerate(related)]
 
 
-def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
+def _maximal_independent_sets(compat: list[int]) -> np.ndarray:
     # Bron-Kerbosch with pivot on the complement graph over int bitmasks (bit
     # v-1 is vertex v), on an explicit stack of pending (chosen, cand, excl)
-    # calls; one bool row per maximal set, in catalog order
-    n = cg.vertex_count
+    # calls; each maximal set's little-endian mask bytes as a row, in catalog order
+    n = len(compat)
     if n == 0:
-        return np.zeros((0, 0), dtype=bool)
-    compat = compat_masks(cg, np.arange(n))
+        return np.zeros((0, 0), dtype=np.uint8)
     width = (n + 7) // 8
     found = bytearray()  # each set's mask as width little-endian bytes
     limit = _MAX_SETS * width
@@ -208,8 +230,33 @@ def _maximal_independent_sets(cg: ConflictGraph) -> np.ndarray:
     # maximal sets never nest, so sorted-vertex-tuple order is descending row order with
     # vertex 1 the top bit: each little-endian mask byte read with its bits reversed
     flip = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-    order = np.lexsort(~flip[packed].T[::-1])
-    return np.unpackbits(packed[order], axis=1, count=n, bitorder="little").view(bool)
+    return packed[np.lexsort(~flip[packed].T[::-1])]
+
+
+def _link_maximal(cg: ConflictGraph, compat: list[int], packed: np.ndarray) -> np.ndarray:
+    # the module docstring's swap test, one pass a set: a g whose links strictly contain
+    # member h's shares a link with h, so it lies outside the set and conflicts with h alone
+    n, full = cg.link_count, (1 << cg.vertex_count) - 1
+    links = [set(row) - {n} for row in cg.sublink_index.tolist()]
+    holders, weighing = [0] * n, [0] * (max(map(len, links), default=0) + 1)
+    for v, own in enumerate(links):
+        weighing[len(own)] |= 1 << v
+        for a in own:
+            holders[a] |= 1 << v
+    # up[v]: the vertices whose links strictly contain v's, none when v has no link
+    up = [reduce(operator.and_, map(holders.__getitem__, own), full if own else 0) for own in links]
+    up = [sup & ~weighing[len(own)] for sup, own in zip(up, links)]
+    conflicts = [full ^ c for c in compat]  # each with its own bit
+    keep, data, width = np.ones(len(packed), dtype=bool), packed.tobytes(), packed.shape[1]
+    for k in range(len(packed)):
+        chosen = int.from_bytes(data[k * width : (k + 1) * width], "little")
+        once = twice = upgrades = 0  # conflicting with one member, with two or more
+        for u in _bits(chosen):
+            twice |= once & conflicts[u]
+            once |= conflicts[u]
+            upgrades |= up[u]
+        keep[k] = not (upgrades & once & ~twice & ~chosen)
+    return keep
 
 
 def _row_lists(rows: np.ndarray) -> list[list[int]]:
@@ -239,7 +286,9 @@ def enumerate_schedulable_sets(
             f"{cg.vertex_count} vertices exceed the exact enumeration cap of {cap}; "
             f"raise the cap or use the greedy scheduler"
         )
-    member = _maximal_independent_sets(cg)
+    compat = compat_masks(cg, np.arange(cg.vertex_count))
+    packed = _maximal_independent_sets(compat)
+    member = np.unpackbits(packed, axis=1, count=cg.vertex_count, bitorder="little").view(bool)
     member.flags.writeable = False
     n, index = cg.link_count, cg.sublink_index
     if cg.vertex_count == n and (index[:, 0] == np.arange(n)).all() and (index[:, 1:] == n).all():
@@ -250,7 +299,9 @@ def enumerate_schedulable_sets(
         rows, links = np.broadcast_arrays(s + rows[:, None], index[verts])
         incidence[rows[links < n], links[links < n]] = True  # n pads the sub-link table
     incidence.flags.writeable = False
-    return SchedulableSetCatalog(member=member, incidence=incidence)
+    link_maximal = _link_maximal(cg, compat, packed)
+    link_maximal.flags.writeable = False
+    return SchedulableSetCatalog(member=member, incidence=incidence, link_maximal=link_maximal)
 
 
 def closed_neighborhoods(g: ConflictGraph) -> np.ndarray:

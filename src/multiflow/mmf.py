@@ -14,6 +14,12 @@ One covering LP over the same catalog computes optimal fractional
 schedules, whose length is the minimum total airtime needed to serve a
 demand vector, and answers membership queries with it: a per-link demand
 is achievable within one time unit exactly when that length is at most 1.
+
+Both LPs price only the catalog's link-maximal sets: moving a share to a
+set with strictly more links gives no link less airtime, so no optimum
+needs a dominated set. Coding makes most maximal sets dominated (2,344 of
+the coded 4x4 grid's 2,861); a link catalog has none. Shares keep their
+full-catalog positions.
 """
 
 from __future__ import annotations
@@ -132,11 +138,12 @@ def solve_mmf(
     # variable layout: commodity i's flow on link a at i*n + (a-1), then shares;
     # rows: the conservation equalities, one capacity row per link, the budget
     conserve = com_of.size
-    c = np.append(0.0 - inflow[ends[:, 0]], np.zeros(len(catalog)))  # unlike -x, no -0.0
+    positions, columns = _lp_columns(catalog)
+    c = np.append(0.0 - inflow[ends[:, 0]], np.zeros(len(columns)))  # unlike -x, no -0.0
     A = np.zeros((conserve + n + 1, c.size))
     A[np.arange(conserve)[:, None], com_of[:, None] * n + np.arange(n)] = inflow[node_of]
     A[conserve:-1, : k * n] = np.tile(np.diag(1.0 / bw), k)
-    np.negative(catalog.incidence.T, dtype=float, out=A[conserve:-1, k * n :])
+    np.negative(columns.T, dtype=float, out=A[conserve:-1, k * n :])
     A[-1, k * n :] = 1.0  # the budget
     bounds = np.zeros(A.shape[0])
     bounds[-1] = 1.0
@@ -156,27 +163,36 @@ def solve_mmf(
         throughput=value,
         per_commodity=tuple(per),
         flows=flows,
-        schedule_weights={j: float(v) for j, v in enumerate(x[k * n :]) if v},
+        schedule_weights={p: float(v) for p, v in zip(positions.tolist(), x[k * n :]) if v},
         catalog=catalog,
         exact_throughput=None if out.exact_value is None else out.exact_value * Fraction(scale),
     )
 
 
+def _lp_columns(catalog: SchedulableSetCatalog) -> tuple[np.ndarray, np.ndarray]:
+    # the link-maximal sets' catalog positions and incidence rows, the LPs' columns
+    if catalog.link_maximal is None:
+        return np.arange(len(catalog)), catalog.incidence
+    positions = np.flatnonzero(catalog.link_maximal)
+    return positions, catalog.incidence[positions]
+
+
 def _covering_shares(demand, catalog: SchedulableSetCatalog) -> tuple[dict[int, float], float]:
     # minimize the total share subject to covering every link's demand
     d = check_per_link(demand, catalog.link_count)
-    missing = (np.flatnonzero((d > 0) & ~catalog.incidence.any(axis=0)) + 1).tolist()
+    positions, columns = _lp_columns(catalog)
+    missing = (np.flatnonzero((d > 0) & ~columns.any(axis=0)) + 1).tolist()
     if missing:
         raise UncoverableDemandError(
             f"links {missing} have positive demand but appear in no schedulable set"
         )
-    rows = np.negative(catalog.incidence.T, dtype=float)
-    out = solve_lp(LinearProgram(-np.ones(len(catalog)), rows, -d))
+    rows = np.negative(columns.T, dtype=float)
+    out = solve_lp(LinearProgram(-np.ones(len(columns)), rows, -d))
     if out.status != "optimal":
         raise SolverError(f"schedule LP ended {out.status}")
     eps = settle_cutoff(d)  # the greedy's, so demands in small units keep their shares
     # unlike -x, 0.0 - x gives no -0.0 for an empty program
-    return {j: float(v) for j, v in enumerate(out.x) if v > eps}, 0.0 - out.value
+    return {p: float(v) for p, v in zip(positions.tolist(), out.x) if v > eps}, 0.0 - out.value
 
 
 def polytope_membership(demand, catalog: SchedulableSetCatalog) -> Membership:

@@ -20,6 +20,7 @@ library's encoder.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -29,6 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
+import multiflow.mmf as mmf_module
 from multiflow import (
     Commodity,
     ConflictGraph,
@@ -413,6 +415,30 @@ def loop_inductive_schedulable_number(catalog, neighborhoods) -> int:
     """Set-loop reference for ``inductive_schedulable_number`` (nonempty inputs)."""
     closed = closed_sets(neighborhoods)
     return max(len(ls & nb) for ls in catalog.sublink_sets for nb in closed)
+
+
+def strictly_contained(incidence: np.ndarray) -> np.ndarray:
+    """Pairwise oracle: entry k is true when another row's links strictly contain row k's.
+
+    Every pair of rows is compared through its overlap count, 256 rows at a time.
+    """
+    rows = incidence.astype(np.float32)  # counts stay exact far past any link count here
+    sizes = rows.sum(axis=1)
+    out = np.zeros(len(rows), dtype=bool)
+    for s in range(0, len(rows), 256):
+        overlap, size = rows[s : s + 256] @ rows.T, sizes[s : s + 256, None]
+        out[s : s + 256] = ((overlap == size) & (sizes > size)).any(axis=1)
+    return out
+
+
+def every_set_priced(monkeypatch) -> None:
+    """Make ``solve_mmf`` price every catalog set, dominated ones included."""
+    enumerate_sets = mmf_module.enumerate_schedulable_sets
+    monkeypatch.setattr(
+        mmf_module,
+        "enumerate_schedulable_sets",
+        lambda *args: dataclasses.replace(enumerate_sets(*args), link_maximal=None),
+    )
 
 
 def brute_force_max_independent_sets(cg: ConflictGraph) -> set[frozenset[int]]:

@@ -101,7 +101,8 @@ def test_tracer_counts_a_solve_and_restores_the_package(tmp_path, capsys):
     before = (multiflow.mmf.solve_lp, multiflow.lp._Simplex._pivot)
     # program rows and columns as the tracer reads them off LinearProgram, and pivots
     expected = {
-        "two_way_relay_coded": (7, 13, 8, "hyperarc"),
+        # sets {3} and {4} lie inside the broadcast {3, 4}, so they are no columns
+        "two_way_relay_coded": (7, 11, 7, "hyperarc"),
         "two_way_relay_plain": (7, 12, 7, "link"),
     }
     for name, (rows, cols, pivots, level) in expected.items():

@@ -12,6 +12,7 @@ import multiflow.cli as cli_module
 import multiflow.conflict as conflict_module
 from multiflow.cli import build_parser, main, render_json
 from multiflow.instance import load_instance
+from multiflow.mmf import solve_mmf
 
 from helpers import grid_instance, relay_data
 
@@ -77,6 +78,19 @@ def test_a_4x4_corner_solve_scales_with_its_bandwidths(tmp_path, capsys, corner_
         assert c["value"] == pytest.approx(c0["value"] * scale, rel=1e-8)
     assert got["schedule"] == want["schedule"]
     assert f"{got['throughput']:.9g}" == f"{want['throughput'] * scale:.9g}"
+
+
+def test_the_coded_4x4_corner_solve_finishes(tmp_path, capsys):
+    # 2,861 sets, 517 of them link-maximal: priced all, it hit the simplex iteration limit
+    data = grid_instance(4, 4, coded=True)
+    data["commodities"] = [{"source": s, "sink": t} for s, t in ((1, 16), (16, 1), (4, 13))]
+    instance = tmp_path / "coded_corner.json"
+    instance.write_text(json.dumps(data))
+    report = run_json(capsys, ["solve", str(instance), "--cap", "100000"])
+    assert report["throughput"] == 1.0
+    inst = load_instance(instance)
+    sol = solve_mmf(inst.network, inst.commodities, "coding", cap=100, exact_check=True)
+    assert sol.exact_throughput == 1 and len(sol.catalog) == 2861
 
 
 def test_compare_in_tiny_units(demo_dir, tmp_path, capsys):

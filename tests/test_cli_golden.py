@@ -34,8 +34,8 @@ GOLDEN = {
     "two_way_relay_coded inspect table": "aae89931d9df796c58476c913ee18fe2de442cc87ce9d29a3de5678d6d6b84d0",
     "two_way_relay_coded schedule-cfs json": "85727c1c10d03343dd330d9056f92189eff76c2e8969295fc8f43abad5ef0932",
     "two_way_relay_coded schedule-cfs table": "e1d3db002517f110d02f64c1766ca60ee830eb280f2dc7b73504e4901ff2281b",
-    "two_way_relay_coded schedule-exact json": "cfe095677c14b21f192459dd8398f87fc69384e1e2512be382ff23c2d42b3e30",
-    "two_way_relay_coded schedule-exact table": "627fc36d4b3b061ecec9768f6200c474d1ebc5170c06033817816f5156bde909",
+    "two_way_relay_coded schedule-exact json": "031bce747f3af32bb2bf75d9aabccac2ca75563930113f7fd45b6fd00516d4ad",
+    "two_way_relay_coded schedule-exact table": "c79d747604659067fa7649f491801de66f90d91c60ddc0a23324e25cc0131b04",
     "two_way_relay_coded solve json": "23d7f44f2f2c2c968c3a385ab8a24616ac2198885a95f98c294a8fbda9cef98f",
     "two_way_relay_coded solve table": "ae7de21cd0b00981ffa0a2c029a41175b3cbbb5420207ef68b83ef7008e79ec9",
     "two_way_relay_plain compare json": "267a798c7a1a1cc5f022b217d14e4baea43c9098b8eb964be097d8233809ebd8",

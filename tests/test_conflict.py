@@ -46,6 +46,7 @@ from helpers import (
     relay_coded,
     relay_commodities,
     relay_plain,
+    strictly_contained,
     sublink_sets,
 )
 
@@ -218,6 +219,13 @@ def two_related_links() -> np.ndarray:
     return relation
 
 
+def asymmetric_past_the_first_block() -> np.ndarray:
+    relation = np.eye(1201, dtype=bool)
+    relation[1200, 1200] = False  # the padding
+    relation[1100, 3] = True
+    return relation
+
+
 @pytest.mark.parametrize(
     "level, index, relation",
     [
@@ -235,6 +243,11 @@ def two_related_links() -> np.ndarray:
         ("hyperarc", [[0], [1]], np.ones((3, 3), dtype=bool)),
         ("hyperarc", [[0], [1]], np.triu(np.ones((3, 3), dtype=bool))),  # a true padding column
         ("hyperarc", [[0], [1]], np.tril(np.ones((3, 3), dtype=bool))),  # a true padding row
+        # link 1 related to link 2 but not back: the catalog once listed {1, 2} as independent
+        ("hyperarc", [[0], [1]], np.triu(two_related_links())),
+        ("hyperarc", [[0], [1]], two_related_links() & ~np.eye(3, dtype=bool)),  # no diagonal
+        ("hyperarc", [[0], [1]], two_related_links() ^ np.diag([False, True, False])),
+        ("hyperarc", [[0], [1199]], asymmetric_past_the_first_block()),
     ],
 )
 def test_a_malformed_graph_is_refused(level, index, relation):
@@ -376,6 +389,11 @@ def assert_catalog_matches_loop_oracle(cg, nb) -> None:
     assert np.array_equal(got.member, want.member)
     assert np.array_equal(got.incidence, want.incidence)
     assert got.link_count == want.link_count
+    # a set leaves the LPs only when another set's links strictly contain its own
+    if got.link_maximal is None:
+        assert got.incidence is got.member
+    else:
+        assert not (~got.link_maximal & ~strictly_contained(got.incidence)).any()
     if len(want):
         assert inductive_schedulable_number(got, nb) == loop_inductive_schedulable_number(want, nb)
 
@@ -410,6 +428,45 @@ def test_catalog_matches_loop_oracle_on_edgeless_and_complete_graphs(n):
         frozenset(range(1, n + 1)),
     )
     assert len(enumerate_schedulable_sets(complete, cap=n)) == n
+
+
+@pytest.mark.parametrize("size, kept", [((3, 3), 34), ((4, 3), 120), ((4, 4), 517)])
+def test_link_maximal_sets_match_a_pairwise_oracle_on_coded_grids(size, kept):
+    catalog = enumerate_schedulable_sets(build_conflict_graph(coded_grid(*size), "hyperarc"), 100)
+    assert not catalog.link_maximal.flags.writeable
+    assert np.array_equal(catalog.link_maximal, ~strictly_contained(catalog.incidence))
+    assert np.count_nonzero(catalog.link_maximal) == kept
+    # maximal link sets never nest, so a link catalog carries no marks
+    links = enumerate_schedulable_sets(build_conflict_graph(coded_grid(*size), "link"), 100)
+    assert links.link_maximal is None and not strictly_contained(links.incidence).any()
+
+
+def test_link_maximal_sets_match_a_pairwise_oracle_on_random_coded_networks():
+    rng = np.random.default_rng(29)
+    nets = [random_network(rng) for _ in range(80)] + [coded_grid(3, 2, max_coding_degree=3)]
+    dropped = 0
+    for net in nets:
+        catalog = enumerate_schedulable_sets(build_conflict_graph(net, "hyperarc"), 100)
+        contained = strictly_contained(catalog.incidence)
+        if catalog.link_maximal is None:  # no coded head set
+            assert net.max_weight == 1 and not contained.any()
+        else:
+            assert np.array_equal(catalog.link_maximal, ~contained)
+            dropped += int(contained.sum())
+    assert dropped >= 100, dropped
+
+
+def test_a_hand_made_graph_drops_a_set_inside_another():
+    # vertex 2 delivers links 1 and 2, vertex 1 link 1 alone, and no link relates to link 3
+    g = make_conflict_graph(3, [(1, 2)], sublinks=[{1}, {1, 2}, {3}], link_count=3)
+    catalog = enumerate_schedulable_sets(g)
+    assert catalog.hyperarc_sets == (frozenset({1, 3}), frozenset({2, 3}))
+    assert catalog.link_maximal.tolist() == [False, True]
+    # a vertex with no link is in every set and lifts none
+    g = make_conflict_graph(3, [], sublinks=[{1}, {1, 2}, set()], link_count=2)
+    catalog = enumerate_schedulable_sets(g)
+    assert catalog.hyperarc_sets == (frozenset({1, 3}), frozenset({2, 3}))
+    assert catalog.link_maximal.tolist() == [False, True]
 
 
 def test_catalog_search_keeps_its_own_stack():
@@ -566,7 +623,11 @@ def test_catalog_with_permuted_sublinks_keeps_its_own_sets():
 
 def test_the_graph_is_its_level_sub_links_and_link_relation():
     assert [f.name for f in fields(ConflictGraph)] == ["level", "sublink_index", "relation"]
-    assert [f.name for f in fields(SchedulableSetCatalog)] == ["member", "incidence"]
+    assert [f.name for f in fields(SchedulableSetCatalog)] == [
+        "member",
+        "incidence",
+        "link_maximal",
+    ]
     for level in ("link", "hyperarc"):
         g = build_conflict_graph(relay_coded(), level)
         assert g.link_count == 4 == enumerate_schedulable_sets(g).link_count

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import multiflow.mmf as mmf_module
 from multiflow import (
+    Commodity,
     build_conflict_graph,
     build_network,
     enumerate_schedulable_sets,
@@ -12,7 +14,14 @@ from multiflow import (
 )
 from multiflow.lp import solve_lp
 
-from helpers import as_program, coded_grid, random_lp, relay_coded, relay_commodities
+from helpers import (
+    as_program,
+    coded_grid,
+    every_set_priced,
+    random_lp,
+    relay_coded,
+    relay_commodities,
+)
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -66,6 +75,7 @@ def test_covering_lengths_on_4x4_grids_match_highs(coded):
     for _ in range(3):
         d = rng.uniform(0.0, 0.2, net.link_count)
         _, length = optimal_fractional_schedule(d, catalog)
+        # HiGHS prices every set, the package the link-maximal ones alone
         res = linprog(
             np.ones(len(catalog)),
             A_ub=-catalog.incidence.T.astype(float),
@@ -75,6 +85,32 @@ def test_covering_lengths_on_4x4_grids_match_highs(coded):
         )
         assert res.status == 0
         assert abs(length - res.fun) <= 1e-9 * max(1.0, res.fun)
+
+
+def test_a_coded_throughput_over_link_maximal_sets_matches_highs_over_every_set(monkeypatch):
+    # the coded 4x3 corner: 120 of its 369 sets are link-maximal, and the optimum is 131/151
+    net = coded_grid(4, 3)
+    coms = (Commodity(1, 12), Commodity(12, 1), Commodity(4, 9))
+    sol = solve_mmf(net, coms, "coding", cap=100)
+    assert np.count_nonzero(sol.catalog.link_maximal) == 120 and len(sol.catalog) == 369
+
+    class Captured(Exception):
+        pass
+
+    def capture(program, exact_check=False):
+        programs.append(program)
+        raise Captured
+
+    programs = []
+    every_set_priced(monkeypatch)
+    monkeypatch.setattr(mmf_module, "solve_lp", capture)
+    with pytest.raises(Captured):
+        solve_mmf(net, coms, "coding", cap=100)
+    (program,) = programs
+    assert program.num_vars == len(coms) * net.link_count + 369
+    status, value = highs(program)
+    assert status == "optimal"
+    assert sol.throughput == pytest.approx(value, rel=1e-9) == 131 / 151
 
 
 @pytest.mark.parametrize("mode", ["plain", "coding"])

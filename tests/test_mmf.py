@@ -1,6 +1,7 @@
 """Throughput LP, polytope membership, and optimal fractional schedules."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from helpers import (
     assert_exact_zeros,
     assert_valid_solution,
     coded_grid,
+    every_set_priced,
     random_commodities,
     random_network,
     relay_coded,
@@ -103,7 +105,12 @@ def test_lp_rows_keep_every_bit_of_a_float_incidence_assembly(monkeypatch, width
     for mode in ("plain", "coding"):
         sol = solve_mmf(net, coms, mode=mode, cap=1000)
         program = programs.pop()
-        float_incidence = sol.catalog.incidence.astype(np.float64)
+        incidence = sol.catalog.incidence
+        if mode == "coding":  # the LP prices the link-maximal sets alone
+            incidence = incidence[sol.catalog.link_maximal]
+        else:
+            assert sol.catalog.link_maximal is None
+        float_incidence = incidence.astype(np.float64)
         want = program.rows.copy()
         want[np.count_nonzero(program.equal) : -1, k * n :] = -float_incidence.T
         assert_same_bits(program.rows, want)
@@ -111,6 +118,73 @@ def test_lp_rows_keep_every_bit_of_a_float_incidence_assembly(monkeypatch, width
     optimal_fractional_schedule(d, sol.catalog)
     assert_same_bits(programs.pop().rows, -float_incidence.T)
     assert not programs
+
+
+# sha256 of each plain program's objective, rows, bounds and equality marks, byte for byte:
+# a link catalog marks no set, so the link-maximal filter leaves every plain LP as it was
+PLAIN_PROGRAMS = {
+    "4x4 corner": "3a006c02bcf63aa80d55fdbb7717d36c1067680ee1977574fe856f80d0feac55",
+    "relay": "c552b7b6579f0f529e7708f421131c017ca4094a17e38a32960d6b1a023690a1",
+    "30 random": "704d477c023158bf1a1aa5dd91056d3a9de00d91336ea1046488ca3b74db5dc6",
+    "4x4 covering": "e3cc2803372871751310a349a3fa32f58dec23c5afebd15d69cf188ccf491014",
+}
+
+
+def test_plain_programs_keep_every_byte(monkeypatch):
+    programs = []
+    solve_lp = mmf_module.solve_lp
+    monkeypatch.setattr(mmf_module, "solve_lp", lambda p, **kw: programs.append(p) or solve_lp(p, **kw))
+
+    def digest(program):
+        h = hashlib.sha256()
+        for array in (program.objective, program.rows, program.bounds, program.equal):
+            h.update(np.ascontiguousarray(array).tobytes())
+        return h.hexdigest()
+
+    got = {}
+    triple = (Commodity(1, 16), Commodity(16, 1), Commodity(4, 13))
+    solve_mmf(coded_grid(4, 4), triple, mode="plain", cap=100)
+    got["4x4 corner"] = digest(programs.pop())
+    solve_mmf(relay_coded(), relay_commodities(), mode="plain")
+    got["relay"] = digest(programs.pop())
+    rng, chain = np.random.default_rng(5), hashlib.sha256()
+    for _ in range(30):
+        net = random_network(rng)
+        solve_mmf(net, random_commodities(rng, net), mode="plain")
+        chain.update(digest(programs.pop()).encode())
+    got["30 random"] = chain.hexdigest()
+    catalog = enumerate_schedulable_sets(build_conflict_graph(coded_grid(4, 4), "link"), 100)
+    optimal_fractional_schedule(np.random.default_rng(9).uniform(0, 0.2, 48), catalog)
+    got["4x4 covering"] = digest(programs.pop())
+    assert got == PLAIN_PROGRAMS
+
+
+def test_the_link_maximal_sets_reach_every_exact_optimum(monkeypatch):
+    corner = (Commodity(1, 12), Commodity(12, 1), Commodity(4, 9))
+    cases = [(relay_coded(), relay_commodities()), (coded_grid(4, 3), corner)]
+    rng = np.random.default_rng(61)
+    for _ in range(25):
+        net = random_network(rng)
+        cases.append((net, random_commodities(rng, net)))
+    filtered = [solve_mmf(net, coms, "coding", cap=100, exact_check=True) for net, coms in cases]
+    assert filtered[1].exact_throughput == Fraction(131, 151)
+    for sol, (net, coms) in zip(filtered, cases):
+        assert_valid_solution(net, coms, sol)
+        marks = sol.catalog.link_maximal
+        assert marks is None or all(marks[j] for j in sol.schedule_weights)
+    every_set_priced(monkeypatch)
+    for sol, (net, coms) in zip(filtered, cases):
+        full = solve_mmf(net, coms, "coding", cap=100, exact_check=True)
+        assert full.catalog.link_maximal is None
+        assert full.exact_throughput == sol.exact_throughput
+    # the covering LP over the same catalogs, with and without the dominated sets
+    for sol, (net, _) in zip(filtered, cases):
+        d = rng.uniform(0.0, 0.3, net.link_count)
+        sched, length = optimal_fractional_schedule(d, sol.catalog)
+        unmarked = dataclasses.replace(sol.catalog, link_maximal=None)
+        _, full = optimal_fractional_schedule(d, unmarked)
+        assert length == pytest.approx(full, rel=1e-9, abs=1e-12)
+        assert np.all(sched.capacity(net) >= d - 1e-9)
 
 
 def test_plain_mode_ignores_hyperarcs():
