@@ -147,9 +147,10 @@ class SchedulableSetCatalog:
     and the links; ``incidence`` is ``member`` when every vertex delivers
     exactly its own link. ``hyperarc_sets`` and ``sublink_sets`` split those
     rows into frozensets of 1-based ids on first read. ``link_maximal[k]``, read-only,
-    is false when another set's links strictly contain set k's; None marks every set
-    link-maximal, as on every catalog whose ``incidence`` is ``member``, where maximal
-    sets never nest. The LPs price only the link-maximal sets.
+    is false when another set's links strictly contain set k's, and the LPs price only
+    the marked sets; None leaves the catalog unmarked, and the LPs price every set.
+    Enumeration leaves a catalog unmarked when ``incidence`` is ``member``, where
+    maximal sets never nest.
     """
 
     member: np.ndarray

@@ -20,7 +20,6 @@ library's encoder.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -432,12 +431,9 @@ def strictly_contained(incidence: np.ndarray) -> np.ndarray:
 
 
 def every_set_priced(monkeypatch) -> None:
-    """Make ``solve_mmf`` price every catalog set, dominated ones included."""
-    enumerate_sets = mmf_module.enumerate_schedulable_sets
+    """Make both LPs price every catalog set, dominated ones included."""
     monkeypatch.setattr(
-        mmf_module,
-        "enumerate_schedulable_sets",
-        lambda *args: dataclasses.replace(enumerate_sets(*args), link_maximal=None),
+        mmf_module, "_lp_columns", lambda catalog: (np.arange(len(catalog)), catalog.incidence)
     )
 
 

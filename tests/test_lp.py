@@ -22,6 +22,7 @@ from helpers import (
     brute_force_lp,
     coded_grid,
     dense_certificate,
+    every_set_priced,
     priced_run_phase,
     random_lp,
     relay_coded,
@@ -559,12 +560,13 @@ def test_the_simplex_holds_no_copy_of_the_rows_beyond_its_tableau(monkeypatch):
         raise Captured
 
     programs = []
+    every_set_priced(monkeypatch)  # all 2,861 sets: a 3.3 MB tableau, well past the slack
     monkeypatch.setattr(mmf_module, "solve_lp", capture)
     triple = [Commodity(1, 16), Commodity(16, 1), Commodity(4, 13)]
     with pytest.raises(Captured):
         solve_mmf(coded_grid(4, 4), triple, mode="coding", cap=10**4)
     (program,) = programs
-    assert program.rows.shape == (91, 661)  # 144 flows and the 517 link-maximal sets of 2,861
+    assert program.rows.shape == (91, 3005)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -168,23 +168,22 @@ def test_the_link_maximal_sets_reach_every_exact_optimum(monkeypatch):
         cases.append((net, random_commodities(rng, net)))
     filtered = [solve_mmf(net, coms, "coding", cap=100, exact_check=True) for net, coms in cases]
     assert filtered[1].exact_throughput == Fraction(131, 151)
+    # the covering LP over the same catalogs, too
+    covered = []
     for sol, (net, coms) in zip(filtered, cases):
         assert_valid_solution(net, coms, sol)
         marks = sol.catalog.link_maximal
         assert marks is None or all(marks[j] for j in sol.schedule_weights)
-    every_set_priced(monkeypatch)
-    for sol, (net, coms) in zip(filtered, cases):
-        full = solve_mmf(net, coms, "coding", cap=100, exact_check=True)
-        assert full.catalog.link_maximal is None
-        assert full.exact_throughput == sol.exact_throughput
-    # the covering LP over the same catalogs, with and without the dominated sets
-    for sol, (net, _) in zip(filtered, cases):
         d = rng.uniform(0.0, 0.3, net.link_count)
         sched, length = optimal_fractional_schedule(d, sol.catalog)
-        unmarked = dataclasses.replace(sol.catalog, link_maximal=None)
-        _, full = optimal_fractional_schedule(d, unmarked)
-        assert length == pytest.approx(full, rel=1e-9, abs=1e-12)
         assert np.all(sched.capacity(net) >= d - 1e-9)
+        covered.append((d, length))
+    every_set_priced(monkeypatch)
+    for sol, (net, coms), (d, length) in zip(filtered, cases, covered):
+        full = solve_mmf(net, coms, "coding", cap=100, exact_check=True)
+        assert full.exact_throughput == sol.exact_throughput
+        _, full_length = optimal_fractional_schedule(d, sol.catalog)
+        assert length == pytest.approx(full_length, rel=1e-9, abs=1e-12)
 
 
 def test_plain_mode_ignores_hyperarcs():
