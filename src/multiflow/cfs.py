@@ -7,9 +7,8 @@ picked vertices. Each round settles at least one link, so the loop runs
 at most once per link. The schedule's length never exceeds the worst
 closed-neighborhood demand, a simple sufficient test for fitting a unit
 time frame. Rounds run on Python-int bitmasks over scan positions, built
-once per call: a scan keeps the lowest free position and then only those
-compatible with every pick. Each position's links are read once into a
-list, and a link's holders are the positions that list it. The alive
+once per call by ``conflict.vertex_table``: a scan keeps the lowest free
+position and then only those compatible with every pick. The alive
 positions start as the holders of links above ``settle_cutoff`` less those
 of links at or under it, and each link a round settles clears its holders
 the same way, so no round touches every vertex and none makes a numpy call.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conflict import _BLOCK_ROWS, ConflictGraph, compat_masks
+from .conflict import _BLOCK_ROWS, ConflictGraph, vertex_table
 from .errors import ValidationError
 from .model import Network
 from .schedule import FractionalSchedule, check_per_link, settle_cutoff
@@ -29,18 +28,6 @@ def coding_first_ordering(gh: ConflictGraph) -> tuple[int, ...]:
     """The greedy's scan order: vertices by descending weight, then ascending index."""
     weights = np.count_nonzero(gh.sublink_index < gh.link_count, axis=1)
     return tuple((np.argsort(-weights, kind="stable") + 1).tolist())
-
-
-def _scan_masks(gh: ConflictGraph, order: np.ndarray) -> tuple[list[int], list[int], list]:
-    # bit k is the k-th vertex in scan order: compat[k] holds the positions not in conflict with k,
-    # links[k] k's links, holders[a] those with link a, made once compat_masks frees its tables
-    compat, n = compat_masks(gh, order), gh.link_count
-    links = [[a for a in row if a < n] for row in gh.sublink_index[order].tolist()]
-    holders = [0] * n
-    for k, row in enumerate(links):
-        for a in row:
-            holders[a] |= 1 << k
-    return compat, holders, links
 
 
 def _scan(free: int, compat: list[int]) -> list[int]:
@@ -71,7 +58,7 @@ def cfs_schedule(network: Network, gh: ConflictGraph, ordering, demand) -> Fract
     d = check_per_link(demand, n)
     eps = settle_cutoff(d)
     order = np.array(ordering, dtype=np.intp) - 1
-    compat, holders, links = _scan_masks(gh, order)
+    compat, links, holders = vertex_table(gh, order)  # bit k: the k-th vertex in scan order
     residual = d.tolist()
     alive = 0
     for mask in (m for x, m in zip(residual, holders) if x > eps):

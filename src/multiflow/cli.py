@@ -90,13 +90,11 @@ def cmd_solve(args) -> dict:
                 "flow": flow,
             }
         )
+    rows = sorted(sol.schedule_weights)  # only the scheduled rows are split into ids
+    hyperarcs, links = (_row_lists(m[rows]) for m in (sol.catalog.member, sol.catalog.incidence))
     schedule = [
-        {
-            "hyperarcs": sorted(sol.catalog.hyperarc_sets[j]),
-            "links": sorted(sol.catalog.sublink_sets[j]),
-            "lambda": sol.schedule_weights[j],
-        }
-        for j in sorted(sol.schedule_weights)
+        {"hyperarcs": h, "links": ls, "lambda": sol.schedule_weights[j]}
+        for j, h, ls in zip(rows, hyperarcs, links)
     ]
     return {
         "mode": mode,

@@ -14,21 +14,22 @@ these graphs; the catalog enumerates the maximal ones.
 The catalog comes from Bron-Kerbosch with pivoting on the complement graph,
 each vertex set a Python int with bit v-1 for vertex v, and stops past
 _MAX_SETS sets. numpy sorts the packed sets into catalog order, ascending
-sorted vertex tuple, and unpacks them once into a boolean member matrix. Its
-rows scatter through the sub-link table into a boolean incidence matrix,
-which is the member matrix itself when every vertex delivers just its own
-link. The inductive schedulable number is the largest entry of
-``incidence @ closed`` (``closed`` the links' closed neighborhoods). Each
-pass takes _BLOCK_ROWS rows at a time.
+sorted vertex tuple, and unpacks them once into a boolean member matrix: a
+catalog is its graph and these rows. Its incidence view scatters them
+through the sub-link table on first read, and is the member matrix itself
+when every vertex delivers just its own link. The inductive schedulable
+number is the largest entry of ``incidence @ closed`` (``closed`` the links'
+closed neighborhoods). Each pass takes _BLOCK_ROWS rows at a time.
 
-When the two differ, the catalog marks its link-maximal sets without a
-sets × sets table: another set's links strictly contain those of set S
-exactly when a member h can swap for a vertex g whose links strictly
-contain h's and which conflicts with no other member. Sound on any graph
-accepted here: g's extra link is in no other member, since vertices sharing
-a link conflict, so S - h + g extends to a set with strictly more links.
-Complete on a network's graph: a set holds each tail at most once, so a
-dominating set upgrades some member on that member's own tail.
+The link-maximal marks, built on first read, need no sets × sets table:
+another set's links strictly contain those of set S exactly when a member h
+can swap for a vertex g in ``up[h]``, whose links strictly contain h's, that
+conflicts with no other member. Sound on any graph accepted here: g's extra
+link is in no other member, since vertices sharing a link conflict, so
+S - h + g extends to a set with strictly more links. Complete on a network's
+graph: a set holds each tail at most once, so a dominating set upgrades some
+member on that member's own tail. Sets whose members' ``up`` are all empty,
+every set of a link catalog, are never visited.
 """
 
 from __future__ import annotations
@@ -140,29 +141,45 @@ def build_conflict_graph(network: Network, level: str = "link") -> ConflictGraph
 
 @dataclass(frozen=True, eq=False)
 class SchedulableSetCatalog:
-    """Maximal schedulable sets with their sub-link expansions.
+    """Maximal schedulable sets of a conflict graph, with views built on first read.
 
-    ``member[k]`` is a maximal independent set and ``incidence[k]`` the union
-    of its vertices' sub-links, as read-only boolean rows over the vertices
-    and the links; ``incidence`` is ``member`` when every vertex delivers
-    exactly its own link. ``hyperarc_sets`` and ``sublink_sets`` split those
-    rows into frozensets of 1-based ids on first read. ``link_maximal[k]``, read-only,
-    is false when another set's links strictly contain set k's, and the LPs price only
-    the marked sets; None leaves the catalog unmarked, and the LPs price every set.
-    Enumeration leaves a catalog unmarked when ``incidence`` is ``member``, where
-    maximal sets never nest.
+    ``member[k]`` is a maximal independent set of ``graph``, a boolean row over its vertices.
+    The read-only ``incidence[k]`` unites set k's sub-links, and is ``member`` when every vertex
+    delivers exactly its own link; the read-only ``link_maximal[k]`` is false when another set's
+    links strictly contain set k's, all true on a link catalog, and the LPs price only the
+    marked sets. ``hyperarc_sets`` and ``sublink_sets`` split rows into 1-based id frozensets.
     """
 
+    graph: ConflictGraph
     member: np.ndarray
-    incidence: np.ndarray
-    link_maximal: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.member.dtype != bool or self.member.shape[1:] != (self.graph.vertex_count,):
+            raise ValidationError(f"member {self.member.shape}: not boolean rows over the vertices")
 
     @property
     def link_count(self) -> int:
-        return self.incidence.shape[1]
+        return self.graph.link_count
 
     def __len__(self) -> int:
         return len(self.member)
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        member, n, index = self.member, self.link_count, self.graph.sublink_index
+        if len(index) == n and (index[:, 0] == np.arange(n)).all() and (index[:, 1:] == n).all():
+            return member
+        incidence = np.zeros((len(member), n), dtype=bool)
+        for s in range(0, len(member), _BLOCK_ROWS):
+            rows, verts = np.nonzero(member[s : s + _BLOCK_ROWS])
+            rows, links = np.broadcast_arrays(s + rows[:, None], index[verts])
+            incidence[rows[links < n], links[links < n]] = True  # n pads the sub-link table
+        incidence.flags.writeable = False
+        return incidence
+
+    @cached_property
+    def link_maximal(self) -> np.ndarray:
+        return _link_maximal(self.graph, self.member)
 
     @cached_property
     def hyperarc_sets(self) -> tuple[frozenset[int], ...]:
@@ -170,8 +187,6 @@ class SchedulableSetCatalog:
 
     @cached_property
     def sublink_sets(self) -> tuple[frozenset[int], ...]:
-        if self.incidence is self.member:
-            return self.hyperarc_sets
         return tuple(map(frozenset, _row_lists(self.incidence)))
 
 
@@ -234,29 +249,42 @@ def _maximal_independent_sets(compat: list[int]) -> np.ndarray:
     return packed[np.lexsort(~flip[packed].T[::-1])]
 
 
-def _link_maximal(cg: ConflictGraph, compat: list[int], packed: np.ndarray) -> np.ndarray:
-    # the module docstring's swap test, one pass a set: a g whose links strictly contain
-    # member h's shares a link with h, so it lies outside the set and conflicts with h alone
-    n, full = cg.link_count, (1 << cg.vertex_count) - 1
-    links = [set(row) - {n} for row in cg.sublink_index.tolist()]
-    holders, weighing = [0] * n, [0] * (max(map(len, links), default=0) + 1)
+def vertex_table(cg: ConflictGraph, order: np.ndarray) -> tuple[list[int], list[list], list[int]]:
+    """The compat masks of the positions of ``order``, their 0-based links, each link's holders."""
+    # bit k of holders[a]: position k's vertex delivers link a; the greedy reads the table
+    # in scan order, the swap test in vertex order
+    compat, n = compat_masks(cg, order), cg.link_count
+    links = [[a for a in row if a < n] for row in cg.sublink_index[order].tolist()]
+    holders = [0] * n
+    for k, row in enumerate(links):
+        for a in row:
+            holders[a] |= 1 << k
+    return compat, links, holders
+
+
+def _link_maximal(cg: ConflictGraph, member: np.ndarray) -> np.ndarray:
+    # the module docstring's swap test, one pass a lifted set: a g whose links strictly
+    # contain member h's shares a link with h, so it lies outside the set and conflicts with h
+    compat, links, holders = vertex_table(cg, np.arange(cg.vertex_count))
+    full, weighing = (1 << cg.vertex_count) - 1, [0] * (max(map(len, links), default=0) + 1)
     for v, own in enumerate(links):
         weighing[len(own)] |= 1 << v
-        for a in own:
-            holders[a] |= 1 << v
     # up[v]: the vertices whose links strictly contain v's, none when v has no link
     up = [reduce(operator.and_, map(holders.__getitem__, own), full if own else 0) for own in links]
     up = [sup & ~weighing[len(own)] for sup, own in zip(up, links)]
     conflicts = [full ^ c for c in compat]  # each with its own bit
-    keep, data, width = np.ones(len(packed), dtype=bool), packed.tobytes(), packed.shape[1]
-    for k in range(len(packed)):
-        chosen = int.from_bytes(data[k * width : (k + 1) * width], "little")
-        once = twice = upgrades = 0  # conflicting with one member, with two or more
-        for u in _bits(chosen):
-            twice |= once & conflicts[u]
-            once |= conflicts[u]
-            upgrades |= up[u]
-        keep[k] = not (upgrades & once & ~twice & ~chosen)
+    keep, lifted = np.ones(len(member), dtype=bool), np.array([sup > 0 for sup in up], dtype=bool)
+    for s in range(0, len(member), _BLOCK_ROWS):
+        rows = s + np.flatnonzero(member[s : s + _BLOCK_ROWS, lifted].any(axis=1))
+        for k, row in zip(rows.tolist(), np.packbits(member[rows], axis=1, bitorder="little")):
+            chosen = int.from_bytes(row.tobytes(), "little")
+            once = twice = upgrades = 0  # conflicting with one member, with two or more
+            for u in _bits(chosen):
+                twice |= once & conflicts[u]
+                once |= conflicts[u]
+                upgrades |= up[u]
+            keep[k] = not (upgrades & once & ~twice & ~chosen)
+    keep.flags.writeable = False
     return keep
 
 
@@ -287,22 +315,10 @@ def enumerate_schedulable_sets(
             f"{cg.vertex_count} vertices exceed the exact enumeration cap of {cap}; "
             f"raise the cap or use the greedy scheduler"
         )
-    compat = compat_masks(cg, np.arange(cg.vertex_count))
-    packed = _maximal_independent_sets(compat)
+    packed = _maximal_independent_sets(compat_masks(cg, np.arange(cg.vertex_count)))
     member = np.unpackbits(packed, axis=1, count=cg.vertex_count, bitorder="little").view(bool)
     member.flags.writeable = False
-    n, index = cg.link_count, cg.sublink_index
-    if cg.vertex_count == n and (index[:, 0] == np.arange(n)).all() and (index[:, 1:] == n).all():
-        return SchedulableSetCatalog(member=member, incidence=member)
-    incidence = np.zeros((len(member), n), dtype=bool)
-    for s in range(0, len(member), _BLOCK_ROWS):
-        rows, verts = np.nonzero(member[s : s + _BLOCK_ROWS])
-        rows, links = np.broadcast_arrays(s + rows[:, None], index[verts])
-        incidence[rows[links < n], links[links < n]] = True  # n pads the sub-link table
-    incidence.flags.writeable = False
-    link_maximal = _link_maximal(cg, compat, packed)
-    link_maximal.flags.writeable = False
-    return SchedulableSetCatalog(member=member, incidence=incidence, link_maximal=link_maximal)
+    return SchedulableSetCatalog(cg, member)
 
 
 def closed_neighborhoods(g: ConflictGraph) -> np.ndarray:

@@ -15,11 +15,11 @@ schedules, whose length is the minimum total airtime needed to serve a
 demand vector, and answers membership queries with it: a per-link demand
 is achievable within one time unit exactly when that length is at most 1.
 
-Both LPs price only the catalog's link-maximal sets: moving a share to a
-set with strictly more links gives no link less airtime, so no optimum
-needs a dominated set. Coding makes most maximal sets dominated (2,344 of
-the coded 4x4 grid's 2,861); a link catalog has none. Shares keep their
-full-catalog positions.
+Both LPs price only the catalog's link-maximal sets, marked on the LPs'
+first read: moving a share to a set with strictly more links gives no link
+less airtime, so no optimum needs a dominated set. Coding makes most sets
+dominated (2,344 of the coded 4x4 grid's 2,861); a link catalog has none.
+Shares keep their full-catalog positions; a schedule splits only its rows.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 from .conflict import (
     DEFAULT_ENUMERATION_CAP,
     SchedulableSetCatalog,
+    _row_lists,
     build_conflict_graph,
     enumerate_schedulable_sets,
 )
@@ -171,8 +172,6 @@ def solve_mmf(
 
 def _lp_columns(catalog: SchedulableSetCatalog) -> tuple[np.ndarray, np.ndarray]:
     # the link-maximal sets' catalog positions and incidence rows, the LPs' columns
-    if catalog.link_maximal is None:
-        return np.arange(len(catalog)), catalog.incidence
     positions = np.flatnonzero(catalog.link_maximal)
     return positions, catalog.incidence[positions]
 
@@ -221,5 +220,5 @@ def optimal_fractional_schedule(
     one mean the demand is outside the unit-time region.
     """
     shares, length = _covering_shares(demand, catalog)
-    entries = tuple((catalog.hyperarc_sets[j], v) for j, v in shares.items())
-    return FractionalSchedule(entries), length
+    picked = _row_lists(catalog.member[list(shares)])  # the scheduled rows alone
+    return FractionalSchedule(tuple(zip(picked, shares.values()))), length

@@ -21,7 +21,7 @@ from multiflow import (
     optimal_fractional_schedule,
 )
 import multiflow.cfs as cfs_module
-from multiflow.conflict import compat_masks, inductive_schedulable_number
+from multiflow.conflict import compat_masks, inductive_schedulable_number, vertex_table
 
 from helpers import (
     coded_grid,
@@ -357,13 +357,14 @@ def test_cfs_matches_loop_oracle_across_mask_widths(vertices):
                 assert coding_first_mwis(cands, omega, gh) == want
 
 
-def test_scan_masks_pack_the_compat_masks_and_each_links_holders():
+def test_scan_masks_pack_the_compat_masks_and_each_links_holders(monkeypatch):
     rng = np.random.default_rng(64)
     net = line_network(7)
     gh = synthetic_graph(rng, 129, net.link_count)
     omega = tuple((rng.permutation(129) + 1).tolist())
     order = np.array(omega) - 1
-    compat, holders, links = cfs_module._scan_masks(gh, order)
+    # the greedy's table: conflict.vertex_table in scan order
+    compat, links, holders = vertex_table(gh, order)
     assert compat == compat_masks(gh, order)
     sublinks = sublink_sets(gh)
     assert [sorted(a + 1 for a in row) for row in links] == [sorted(sublinks[v]) for v in order]
@@ -372,8 +373,15 @@ def test_scan_masks_pack_the_compat_masks_and_each_links_holders():
         assert [(holders[a] >> j) & 1 for j in range(129)] == [
             int(a + 1 in sublinks[v]) for v in order
         ]
-    for d in edge_demands(rng, net.link_count):
+    # the greedy builds the table once per call, in its scan order
+    orders = []
+    monkeypatch.setattr(
+        cfs_module, "vertex_table", lambda g, o: orders.append(o) or vertex_table(g, o)
+    )
+    demands = list(edge_demands(rng, net.link_count))
+    for d in demands:
         assert_matches_oracle(net, gh, omega, d)
+    assert len(orders) == len(demands) and all(np.array_equal(o, order) for o in orders)
 
 
 def test_cfs_entries_repr_match_the_loop_oracle_off_the_coding_first_order():

@@ -287,7 +287,24 @@ def test_catalog_splits_its_sets_only_when_read():
     assert "hyperarc_sets" not in vars(catalog) and "sublink_sets" not in vars(catalog)
     assert len(catalog) == 4
     assert "hyperarc_sets" not in vars(catalog)
-    assert catalog.sublink_sets is catalog.hyperarc_sets is vars(catalog)["hyperarc_sets"]
+    # each tuple is split from its own rows: reading one builds only that one
+    assert catalog.sublink_sets == catalog.hyperarc_sets
+    assert catalog.sublink_sets is vars(catalog)["sublink_sets"]
+    assert "hyperarc_sets" in vars(catalog)
+
+
+def test_a_catalog_builds_its_views_on_first_read():
+    gh = build_conflict_graph(relay_coded(), "hyperarc")
+    catalog = enumerate_schedulable_sets(gh)
+    assert catalog.graph is gh and vars(catalog).keys() == {"graph", "member"}
+    assert catalog.link_count == 4 and vars(catalog).keys() == {"graph", "member"}
+    assert catalog.incidence is vars(catalog)["incidence"] is catalog.incidence
+    assert catalog.link_maximal is vars(catalog)["link_maximal"]
+    assert not catalog.link_maximal.flags.writeable
+    # a hand-made catalog is graph-backed, so its rows must span the graph's vertices
+    for member in (np.zeros((1, 4), dtype=bool), np.zeros((1, 5)), np.zeros(5, dtype=bool)):
+        with pytest.raises(ValidationError):
+            SchedulableSetCatalog(gh, member)
 
 
 def traced_enumeration(cg):
@@ -390,10 +407,9 @@ def assert_catalog_matches_loop_oracle(cg, nb) -> None:
     assert np.array_equal(got.incidence, want.incidence)
     assert got.link_count == want.link_count
     # a set leaves the LPs only when another set's links strictly contain its own
-    if got.link_maximal is None:
-        assert got.incidence is got.member
-    else:
-        assert not (~got.link_maximal & ~strictly_contained(got.incidence)).any()
+    assert not (~got.link_maximal & ~strictly_contained(got.incidence)).any()
+    if got.incidence is got.member:  # maximal link sets never nest
+        assert got.link_maximal.all()
     if len(want):
         assert inductive_schedulable_number(got, nb) == loop_inductive_schedulable_number(want, nb)
 
@@ -436,9 +452,30 @@ def test_link_maximal_sets_match_a_pairwise_oracle_on_coded_grids(size, kept):
     assert not catalog.link_maximal.flags.writeable
     assert np.array_equal(catalog.link_maximal, ~strictly_contained(catalog.incidence))
     assert np.count_nonzero(catalog.link_maximal) == kept
-    # maximal link sets never nest, so a link catalog carries no marks
+    # maximal link sets never nest, so every set of a link catalog is marked
     links = enumerate_schedulable_sets(build_conflict_graph(coded_grid(*size), "link"), 100)
-    assert links.link_maximal is None and not strictly_contained(links.incidence).any()
+    assert links.link_maximal.all() and not strictly_contained(links.incidence).any()
+    assert not links.link_maximal.flags.writeable
+
+
+def test_link_maximal_oracle_holds_on_link_catalogs(monkeypatch):
+    # maximal link sets never nest, so every mark is true, and the swap test visits no set
+    rng = np.random.default_rng(31)
+    graphs = [make_conflict_graph(n, random_edges(rng, n, 0.3)) for n in (1, 9, 40)]
+    graphs += [build_conflict_graph(coded_grid(4, 4), "link")]
+    graphs += [build_conflict_graph(build_network(coded_grid(4, 4).nodes), "hyperarc")]
+    catalogs = [enumerate_schedulable_sets(g, 100) for g in graphs]
+    relay = enumerate_schedulable_sets(build_conflict_graph(relay_coded(), "hyperarc"))
+    visited = []
+    bits = conflict_module._bits
+    monkeypatch.setattr(conflict_module, "_bits", lambda x: visited.append(x) or bits(x))
+    for catalog in catalogs:
+        assert catalog.link_maximal.all()
+        assert np.array_equal(catalog.link_maximal, ~strictly_contained(catalog.incidence))
+    assert len(catalogs[-1]) == 830 and visited == []
+    # on the coded relay only {3} and {4} hold a vertex that the broadcast 5 lifts
+    assert relay.link_maximal.tolist() == [True, True, False, False, True]
+    assert visited == [0b100, 0b1000]
 
 
 def test_link_maximal_sets_match_a_pairwise_oracle_on_random_coded_networks():
@@ -448,11 +485,9 @@ def test_link_maximal_sets_match_a_pairwise_oracle_on_random_coded_networks():
     for net in nets:
         catalog = enumerate_schedulable_sets(build_conflict_graph(net, "hyperarc"), 100)
         contained = strictly_contained(catalog.incidence)
-        if catalog.link_maximal is None:  # no coded head set
-            assert net.max_weight == 1 and not contained.any()
-        else:
-            assert np.array_equal(catalog.link_maximal, ~contained)
-            dropped += int(contained.sum())
+        assert np.array_equal(catalog.link_maximal, ~contained)
+        assert net.max_weight > 1 or not contained.any()  # no coded head set, no nesting
+        dropped += int(contained.sum())
     assert dropped >= 100, dropped
 
 
@@ -540,8 +575,9 @@ def test_row_lists_and_isn_match_their_oracles_across_block_edges(rows):
     incidence = rng.random((rows, links)) < 0.2
     incidence[-1] = True  # the largest overlap sits in the last row of the last block
     incidence.flags.writeable = False
-    catalog = SchedulableSetCatalog(member=incidence, incidence=incidence)
-    assert catalog.link_count == links
+    # a link graph's catalog: its member rows are its incidence rows
+    catalog = SchedulableSetCatalog(make_conflict_graph(links, []), incidence)
+    assert catalog.link_count == links and catalog.incidence is incidence
     assert _row_lists(incidence) == [(np.flatnonzero(r) + 1).tolist() for r in incidence]
     closed = closed_neighborhoods(make_conflict_graph(links, random_edges(rng, links, 0.3)))
     want = loop_inductive_schedulable_number(catalog, closed)
@@ -552,7 +588,7 @@ def test_row_lists_and_isn_match_their_oracles_across_block_edges(rows):
 def test_link_level_catalog_shares_its_sets():
     catalog = enumerate_schedulable_sets(build_conflict_graph(coded_grid(3, 2), "link"))
     assert catalog.incidence is catalog.member  # one matrix, not two equal ones
-    assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
+    assert catalog.sublink_sets == catalog.hyperarc_sets
 
 
 def test_plain_hyperarc_catalog_shares_its_sets():
@@ -562,7 +598,7 @@ def test_plain_hyperarc_catalog_shares_its_sets():
     assert np.array_equal(gh.sublink_index, build_conflict_graph(net, "link").sublink_index)
     catalog = enumerate_schedulable_sets(gh)
     assert catalog.incidence is catalog.member
-    assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
+    assert catalog.sublink_sets == catalog.hyperarc_sets
     coded = enumerate_schedulable_sets(build_conflict_graph(relay_coded(), "hyperarc"))
     assert coded.incidence is not coded.member
     assert coded.sublink_sets != coded.hyperarc_sets
@@ -605,7 +641,7 @@ def test_catalog_shares_its_sets_when_every_set_is_its_own_links():
     padded = replace(cg, sublink_index=index)
     catalog = enumerate_schedulable_sets(padded)
     assert catalog.incidence is catalog.member
-    assert all(ls is s for ls, s in zip(catalog.sublink_sets, catalog.hyperarc_sets))
+    assert catalog.sublink_sets == catalog.hyperarc_sets
     assert_catalog_matches_loop_oracle(padded, closed_neighborhoods(cg))
 
 
@@ -623,11 +659,7 @@ def test_catalog_with_permuted_sublinks_keeps_its_own_sets():
 
 def test_the_graph_is_its_level_sub_links_and_link_relation():
     assert [f.name for f in fields(ConflictGraph)] == ["level", "sublink_index", "relation"]
-    assert [f.name for f in fields(SchedulableSetCatalog)] == [
-        "member",
-        "incidence",
-        "link_maximal",
-    ]
+    assert [f.name for f in fields(SchedulableSetCatalog)] == ["graph", "member"]
     for level in ("link", "hyperarc"):
         g = build_conflict_graph(relay_coded(), level)
         assert g.link_count == 4 == enumerate_schedulable_sets(g).link_count

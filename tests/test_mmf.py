@@ -31,6 +31,7 @@ from helpers import (
     assert_valid_solution,
     coded_grid,
     every_set_priced,
+    make_conflict_graph,
     random_commodities,
     random_network,
     relay_coded,
@@ -105,11 +106,9 @@ def test_lp_rows_keep_every_bit_of_a_float_incidence_assembly(monkeypatch, width
     for mode in ("plain", "coding"):
         sol = solve_mmf(net, coms, mode=mode, cap=1000)
         program = programs.pop()
-        incidence = sol.catalog.incidence
-        if mode == "coding":  # the LP prices the link-maximal sets alone
-            incidence = incidence[sol.catalog.link_maximal]
-        else:
-            assert sol.catalog.link_maximal is None
+        # the LP prices the link-maximal sets alone, every set of a link catalog
+        incidence = sol.catalog.incidence[sol.catalog.link_maximal]
+        assert mode == "coding" or sol.catalog.link_maximal.all()
         float_incidence = incidence.astype(np.float64)
         want = program.rows.copy()
         want[np.count_nonzero(program.equal) : -1, k * n :] = -float_incidence.T
@@ -121,7 +120,7 @@ def test_lp_rows_keep_every_bit_of_a_float_incidence_assembly(monkeypatch, width
 
 
 # sha256 of each plain program's objective, rows, bounds and equality marks, byte for byte:
-# a link catalog marks no set, so the link-maximal filter leaves every plain LP as it was
+# every set of a link catalog is link-maximal, so the filter leaves every plain LP as it was
 PLAIN_PROGRAMS = {
     "4x4 corner": "3a006c02bcf63aa80d55fdbb7717d36c1067680ee1977574fe856f80d0feac55",
     "relay": "c552b7b6579f0f529e7708f421131c017ca4094a17e38a32960d6b1a023690a1",
@@ -173,7 +172,7 @@ def test_the_link_maximal_sets_reach_every_exact_optimum(monkeypatch):
     for sol, (net, coms) in zip(filtered, cases):
         assert_valid_solution(net, coms, sol)
         marks = sol.catalog.link_maximal
-        assert marks is None or all(marks[j] for j in sol.schedule_weights)
+        assert all(marks[j] for j in sol.schedule_weights)
         d = rng.uniform(0.0, 0.3, net.link_count)
         sched, length = optimal_fractional_schedule(d, sol.catalog)
         assert np.all(sched.capacity(net) >= d - 1e-9)
@@ -312,9 +311,7 @@ def test_membership_brackets_the_boundary():
 
 
 def test_membership_empty_catalog():
-    empty = SchedulableSetCatalog(
-        member=np.zeros((0, 0), dtype=bool), incidence=np.zeros((0, 2), dtype=bool)
-    )
+    empty = SchedulableSetCatalog(make_conflict_graph(0, [], link_count=2), np.zeros((0, 0), bool))
     assert empty.link_count == 2
     assert polytope_membership(np.zeros(2), empty).inside
     assert not polytope_membership(np.array([0.1, 0.0]), empty).inside
@@ -327,9 +324,7 @@ def test_empty_programs_take_the_lp_path():
     assert sol.throughput == 0.0 and sol.per_commodity == (0.0,)
     assert sol.flows.shape == (1, 0) and sol.schedule_weights == {}
     assert sol.exact_throughput == Fraction(0)
-    empty = SchedulableSetCatalog(
-        member=np.zeros((0, 0), dtype=bool), incidence=np.zeros((0, 2), dtype=bool)
-    )
+    empty = SchedulableSetCatalog(make_conflict_graph(0, [], link_count=2), np.zeros((0, 0), bool))
     sched, length = optimal_fractional_schedule(np.zeros(2), empty)
     assert sched.entries == () and math.copysign(1.0, length) == 1.0 and length == 0.0
 
@@ -349,6 +344,13 @@ def test_optimal_schedule_canonical():
     assert abs(length - 1.0) <= 1e-9
     picked = {frozenset(vs) for vs, _ in sched.entries}
     assert frozenset({5}) in picked
+
+
+def test_an_optimal_schedule_splits_only_its_own_rows():
+    cat = coded_catalog()
+    sched, _ = optimal_fractional_schedule(np.full(4, 1.0 / 3.0), cat)
+    assert "hyperarc_sets" not in vars(cat) and "sublink_sets" not in vars(cat)
+    assert {vs for vs, _ in sched.entries} <= set(cat.hyperarc_sets)
 
 
 def test_optimal_schedule_zero_demand():
@@ -384,7 +386,10 @@ def test_exact_schedule_covers_demands_in_small_units(unit):
 
 
 def test_uncoverable_demand():
-    catalog = SchedulableSetCatalog(member=np.array([[True]]), incidence=np.array([[True, False]]))
+    # one vertex delivering link 1 of 2
+    graph = make_conflict_graph(1, [], sublinks=[{1}], link_count=2)
+    catalog = SchedulableSetCatalog(graph, np.array([[True]]))
+    assert catalog.incidence.tolist() == [[True, False]]
     with pytest.raises(UncoverableDemandError) as err:
         optimal_fractional_schedule(np.array([0.5, 0.3]), catalog)
     assert "2" in str(err.value)
@@ -395,10 +400,9 @@ def test_uncoverable_demand():
 
 def test_uncoverable_demand_names_every_missing_link():
     # links 2 and 3 lie in no set
-    catalog = SchedulableSetCatalog(
-        member=np.array([[True, False], [False, True]]),
-        incidence=np.array([[True, False, False, False], [False, False, False, True]]),
-    )
+    # vertices 1 and 2 deliver the conflicting links 1 and 4
+    graph = make_conflict_graph(2, [(1, 4)], sublinks=[{1}, {4}], link_count=4)
+    catalog = SchedulableSetCatalog(graph, np.array([[True, False], [False, True]]))
     assert catalog.sublink_sets == (frozenset({1}), frozenset({4}))
     expected = "links [2, 3] have positive demand but appear in no schedulable set"
     with pytest.raises(UncoverableDemandError) as err:
