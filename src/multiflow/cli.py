@@ -90,18 +90,16 @@ def cmd_solve(args) -> dict:
                 "flow": flow,
             }
         )
-    rows = sorted(sol.schedule_weights)  # only the scheduled rows are split into ids
-    hyperarcs, links = (_row_lists(m[rows]) for m in (sol.catalog.member, sol.catalog.incidence))
-    schedule = [
-        {"hyperarcs": h, "links": ls, "lambda": sol.schedule_weights[j]}
-        for j, h, ls in zip(rows, hyperarcs, links)
-    ]
+    weights = sol.schedule_weights
+    rows = sorted(weights)  # only the scheduled rows are split into ids
+    sets = zip(rows, _row_lists(sol.catalog.member[rows]), _row_lists(sol.catalog.incidence[rows]))
+    schedule = [{"hyperarcs": h, "links": ls, "lambda": weights[j]} for j, h, ls in sets]
     return {
         "mode": mode,
         "throughput": sol.throughput,
         "commodities": commodities,
         "schedule": schedule,
-        "schedule_length": sum(sol.schedule_weights.values(), 0.0),
+        "schedule_length": sum(weights.values(), 0.0),
     }
 
 

@@ -263,16 +263,18 @@ def vertex_table(cg: ConflictGraph, order: np.ndarray) -> tuple[list[int], list[
 
 
 def _link_maximal(cg: ConflictGraph, member: np.ndarray) -> np.ndarray:
-    # the module docstring's swap test, one pass a lifted set: a g whose links strictly
-    # contain member h's shares a link with h, so it lies outside the set and conflicts with h
+    # the module docstring's swap test, one pass a set with a member in ``lifted``: a g whose
+    # links strictly contain member h's shares a link with h, so lies outside and conflicts with h
     compat, links, holders = vertex_table(cg, np.arange(cg.vertex_count))
-    full, weighing = (1 << cg.vertex_count) - 1, [0] * (max(map(len, links), default=0) + 1)
-    for v, own in enumerate(links):
-        weighing[len(own)] |= 1 << v
+    sizes = [len(set(own)) for own in links]  # a hand-made row may list a link twice
+    full, weighing = (1 << cg.vertex_count) - 1, [0] * (max(sizes, default=0) + 1)
+    for v, size in enumerate(sizes):
+        weighing[size] |= 1 << v
     # up[v]: the vertices whose links strictly contain v's, none when v has no link
     up = [reduce(operator.and_, map(holders.__getitem__, own), full if own else 0) for own in links]
-    up = [sup & ~weighing[len(own)] for sup, own in zip(up, links)]
+    up = [sup & ~weighing[size] for sup, size in zip(up, sizes)]
     conflicts = [full ^ c for c in compat]  # each with its own bit
+    # lifted[v]: some vertex's links strictly contain v's; a set with no such member is kept
     keep, lifted = np.ones(len(member), dtype=bool), np.array([sup > 0 for sup in up], dtype=bool)
     for s in range(0, len(member), _BLOCK_ROWS):
         rows = s + np.flatnonzero(member[s : s + _BLOCK_ROWS, lifted].any(axis=1))

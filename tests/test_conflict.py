@@ -502,6 +502,11 @@ def test_a_hand_made_graph_drops_a_set_inside_another():
     catalog = enumerate_schedulable_sets(g)
     assert catalog.hyperarc_sets == (frozenset({1, 3}), frozenset({2, 3}))
     assert catalog.link_maximal.tolist() == [False, True]
+    # a row that lists link 1 twice still weighs one link
+    twice = ConflictGraph("hyperarc", sublink_index=np.array([[0, 0], [0, 1]]), relation=g.relation)
+    catalog = enumerate_schedulable_sets(twice)
+    assert catalog.sublink_sets == (frozenset({1}), frozenset({1, 2}))
+    assert catalog.link_maximal.tolist() == [False, True]
 
 
 def test_catalog_search_keeps_its_own_stack():
